@@ -10,7 +10,6 @@ from .torus import (
     VectorField,
     MollifierSpec,
     make_grid,
-    diff,
     gradient,
     divergence,
     laplacian,

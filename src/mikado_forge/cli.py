@@ -8,8 +8,10 @@ Invocation:
 Config files are one `key = value` per line ('#' comments).  Values parse
 as int, float, comma-separated lists, booleans, or strings.  Exit codes:
 0 all named checks passed, 1 an assertion failed (the report names it),
-2 configuration error, 3 resource/budget exhaustion.  MF_THREADS caps the
-FFT worker pool (results are identical for any setting).
+2 configuration error, 3 resource/budget exhaustion (the parameter search
+or the solver's iteration budget ran out; the report names the achieved
+value).  MF_THREADS caps the FFT worker pool of every transform (results
+are identical for any setting).
 """
 
 from __future__ import annotations
@@ -40,9 +42,11 @@ from .convexint import (
     sampled_residual,
 )
 from .driftdiff import (
+    NonConvergence,
     SolveConfig,
     TruncationSchedule,
     commutator_check,
+    energy_check,
     max_principle_sweep,
     moser_gns_check,
     solve,
@@ -64,6 +68,7 @@ from .torus import (
     dilate,
     divergence,
     gradient,
+    leray_project,
     lowpass,
     norm,
     random_scalar,
@@ -439,7 +444,6 @@ def _exp_solve(cfg: dict, out: Path, rng) -> dict:
         f = -divergence(gradient(ustar) + b * ustar)
         urec = solve(b, f, cfg_s)
         errs.append(norm(urec - ustar, p=2) / norm(ustar, p=2))
-        from .driftdiff import energy_check
         ec = energy_check(urec, b, f)
         energy_defects.append(abs(ec["relative_defect"]))
     checks = {
@@ -527,7 +531,6 @@ def _exp_commutator(cfg: dict, out: Path, rng) -> dict:
         comp = ScalarField(grid, rough_mag)
         rough = VectorField.from_components(
             tuple(comp * random_scalar(grid, 2, rng) for _ in range(d)))
-        from .torus import leray_project
         rough = leray_project(rough)
         rough_table = commutator_check(rough, u, v, m, eps_list,
                                        z_per_axis=int(_need(cfg, "z_per_axis", 21)))
@@ -620,19 +623,23 @@ def run_experiment(experiment: str, cfg: dict, out_dir: str | Path,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(int(seed))
+    code = 3
     try:
         report = EXPERIMENTS[experiment](cfg, out, rng)
     except BudgetExhausted as exc:
         report = {"experiment": experiment, "error": "budget_exhausted",
                   "achieved": exc.achieved, "target": exc.target,
                   "checks": {"budget": False}}
-        report["seed"] = int(seed)
-        write_report(out / "report.json", report)
-        return 3, report
+    except NonConvergence as exc:
+        report = {"experiment": experiment, "error": "non_convergence",
+                  "achieved": exc.achieved, "message": str(exc),
+                  "checks": {"convergence": False}}
+    else:
+        report["pass"] = all(report.get("checks", {}).values())
+        code = 0 if report["pass"] else 1
     report["seed"] = int(seed)
-    report["pass"] = all(report.get("checks", {}).values())
     write_report(out / "report.json", report)
-    return (0 if report["pass"] else 1), report
+    return code, report
 
 
 def main(argv=None) -> int:

@@ -40,13 +40,20 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.fft as sfft
 
-from .mikado import MikadoFamily, build_family
+from .mikado import MikadoFamily, _expand_along, build_family
 from .torus import (
     ScalarField,
     TorusGrid,
     VectorField,
+    _antidivergence_values,
+    _axis_derivative_coeffs,
+    _divergence_coeffs,
+    _fft_of,
+    _grad_values,
+    _irfftn,
+    _lp_of_values,
+    _rfftn,
     axis_derivative_norm,
     gradient,
     norm,
@@ -277,42 +284,6 @@ def _dilate_tile(transverse: np.ndarray, lam: int) -> np.ndarray:
     return out
 
 
-def _expand_along(values: np.ndarray, axis: int, n: int, d: int) -> np.ndarray:
-    return np.broadcast_to(np.expand_dims(values, axis=axis), (n,) * d)
-
-
-# ---------------------------------------------------------------------------
-# spectral helpers (local fast paths to avoid surplus transforms)
-
-def _grad_of_invlap(grid: TorusGrid, source_hat: np.ndarray) -> list[np.ndarray]:
-    """Components of grad(invlap(h)) from the coefficient array of h,
-    inverting the div(grad .) symbol of the odd-derivative calculus so that
-    div applied to the output reproduces h exactly (h must lie in the range
-    of div: mean-free, no unpaired Nyquist-corner content)."""
-    k2 = grid.k_squared_diff.copy()
-    zero = k2 == 0.0
-    k2[zero] = 1.0
-    phihat = source_hat / (-4.0 * np.pi ** 2 * k2)
-    phihat[zero] = 0.0
-    npts = grid.n ** grid.dim
-    out = []
-    for ax in range(grid.dim):
-        out.append(sfft.ifftn((2j * np.pi) * grid.axis_k_diff(ax) * phihat).real * npts)
-    return out
-
-
-def _div_hat(grid: TorusGrid, comps: Sequence[np.ndarray]) -> np.ndarray:
-    npts = grid.n ** grid.dim
-    acc = np.zeros(grid.shape, dtype=np.complex128)
-    for ax in range(grid.dim):
-        acc += (2j * np.pi) * grid.axis_k_diff(ax) * (sfft.fftn(comps[ax]) / npts)
-    return acc
-
-
-def antidivergence_from_hat(grid: TorusGrid, hat: np.ndarray) -> list[np.ndarray]:
-    return _grad_of_invlap(grid, hat)
-
-
 def grid_lambda_max(n: int, d: int, resolution_factor: float) -> int:
     """Largest lambda dividing n whose family grid n/lambda still resolves
     the smallest admissible concentration 2d + 1; 0 if none does."""
@@ -324,34 +295,6 @@ def grid_lambda_max(n: int, d: int, resolution_factor: float) -> int:
 # ---------------------------------------------------------------------------
 # the de-aliased equation residual
 
-def _fft_of(field) -> np.ndarray:
-    """Normalised coefficients without touching the field's cache (keeps
-    the large-grid paths from retaining duplicate spectral arrays)."""
-    cached = field.__dict__.get("coeffs")
-    if cached is not None:
-        return cached
-    grid = field.grid
-    return sfft.fftn(field.values) / (grid.n ** grid.dim)
-
-
-def lean_relative_divergence(v) -> float:
-    """||div v||_2 over the Frobenius H1-seminorm of v, one transform per
-    component and no caching."""
-    grid = v.grid
-    acc = np.zeros(grid.shape, dtype=np.complex128)
-    den_sq = 0.0
-    for ax in range(grid.dim):
-        c = _fft_of(v[ax])
-        acc += (2j * np.pi) * grid.axis_k_diff(ax) * c
-        for ax2 in range(grid.dim):
-            den_sq += float(
-                (np.abs((2.0 * np.pi) * grid.axis_k_diff(ax2) * c) ** 2).sum())
-        del c
-    num = float(np.sqrt((np.abs(acc) ** 2).sum()))
-    den = math.sqrt(den_sq)
-    return num / den if den > 0.0 else 0.0
-
-
 def sampled_residual(t: IterateTriple) -> float:
     """Sobolev-weighted size of div(grad u + b u + f) with the product b u
     sampled on the build grid, scaled by ||f||_2.
@@ -362,11 +305,10 @@ def sampled_residual(t: IterateTriple) -> float:
     """
     grid = t.grid
     e_hat = -4.0 * np.pi ** 2 * grid.k_squared_diff * _fft_of(t.u)
-    npts = grid.n ** grid.dim
     for ax in range(grid.dim):
         prod = t.b[ax].values * t.u.values
-        e_hat = e_hat + (2j * np.pi) * grid.axis_k_diff(ax) * (
-            sfft.fftn(prod) / npts + _fft_of(t.f[ax]))
+        e_hat = e_hat + _axis_derivative_coeffs(
+            grid, _fft_of(prod) + _fft_of(t.f[ax]), ax)
     k2 = grid.k_squared.copy()
     k2.flat[0] = 1.0
     weight = 1.0 / (2.0 * np.pi * np.sqrt(k2))
@@ -402,15 +344,10 @@ def equation_residual(t: IterateTriple) -> float:
     def pad_values(c_full: np.ndarray) -> np.ndarray:
         cm = np.zeros(half_m, dtype=np.complex128)
         cm[dst] = c_full[src]
-        return sfft.irfftn(cm * npts_m, s=(m,) * d)
+        return _irfftn(cm * npts_m, s=(m,) * d)
 
     def axis_kdiff_half(ax: int) -> np.ndarray:
-        shape = [1] * d
-        if ax == d - 1:
-            shape[ax] = kcap + 1
-            return grid.k1_diff[: kcap + 1].reshape(shape)
-        shape[ax] = n
-        return grid.k1_diff.reshape(shape)
+        return grid.axis_k_diff(ax)[..., : kcap + 1]
 
     # de-aliased product part of the divergence, in n-half-layout
     u_hat = _fft_of(t.u)
@@ -418,7 +355,7 @@ def equation_residual(t: IterateTriple) -> float:
     e_half = np.zeros(half_n, dtype=np.complex128)
     for ax in range(d):
         b_fine = pad_values(_fft_of(t.b[ax]))
-        ph = sfft.rfftn(b_fine * u_fine)
+        ph = _rfftn(b_fine * u_fine)
         del b_fine
         block = np.zeros(half_n, dtype=np.complex128)
         block[src] = ph[dst]
@@ -428,10 +365,8 @@ def equation_residual(t: IterateTriple) -> float:
     del u_fine
 
     # band-limited parts: laplacian of u and divergence of f
-    k2d_half = np.zeros(half_n)
-    for ax in range(d):
-        k2d_half = k2d_half + axis_kdiff_half(ax).astype(np.float64) ** 2
-    e_half += -4.0 * np.pi ** 2 * k2d_half * u_hat[..., : kcap + 1]
+    e_half += (-4.0 * np.pi ** 2 * grid.k_squared_upto(kcap + 1, diff=True)
+               * u_hat[..., : kcap + 1])
     del u_hat
     for ax in range(d):
         e_half += (2j * np.pi) * axis_kdiff_half(ax) * _fft_of(t.f[ax])[..., : kcap + 1]
@@ -440,20 +375,10 @@ def equation_residual(t: IterateTriple) -> float:
     # conjugate-pair multiplicity (2 for last-axis frequencies >= 1)
     band = np.ones(half_n, dtype=bool)
     for ax in range(d - 1):
-        shape = [1] * d
-        shape[ax] = n
-        band &= np.abs(grid.k1.reshape(shape)) <= kcap
+        band &= np.abs(grid.axis_k(ax)) <= kcap
     e_half[~band] = 0.0
 
-    k2_half = np.zeros(half_n)
-    for ax in range(d):
-        shape = [1] * d
-        if ax == d - 1:
-            shape[ax] = kcap + 1
-            k2_half = k2_half + (grid.k1[: kcap + 1].astype(np.float64) ** 2).reshape(shape)
-        else:
-            shape[ax] = n
-            k2_half = k2_half + (grid.k1.astype(np.float64) ** 2).reshape(shape)
+    k2_half = grid.k_squared_upto(kcap + 1)
     k2_half[k2_half == 0.0] = 1.0
     mult = np.full(half_n, 2.0)
     mult[..., 0] = 1.0
@@ -503,7 +428,6 @@ class _StepWork:
         quad_source_l1 = 0.0
 
         clamp_lo = delta / (4.0 * d)
-        npts = n ** d
         for j in range(d):
             fj = t.f[j].values
             cj = chi[j].values
@@ -521,9 +445,7 @@ class _StepWork:
             quad_source_l1 += axis_derivative_norm(grid, cf, j, p=1.0)
             prod_t = _dilate_tile(fam.density_transverse(j) * fam.field_transverse(j), lam)
             q_vals = cf * (_expand_along(prod_t, j, n, d) - 1.0)
-            shape = [1] * d
-            shape[j] = n
-            q_hat += (2j * np.pi) * grid.k1_diff.reshape(shape) * (sfft.fftn(q_vals) / npts)
+            q_hat += _axis_derivative_coeffs(grid, _fft_of(q_vals), j)
             del q_vals, prod_t
             gchi_comps[j] = cf - fj
             gchi_l1_sq += gchi_comps[j] ** 2
@@ -540,8 +462,8 @@ class _StepWork:
         del gchi_l1_sq
 
         # corrector restoring div b1 = 0: antidivergence of the measured div w
-        wdiv_hat = _div_hat(grid, w_comps)
-        self.wc_comps = [-c for c in _grad_of_invlap(grid, wdiv_hat)]
+        wdiv_hat = _divergence_coeffs(grid, map(_fft_of, w_comps))
+        self.wc_comps = [-c for c in _antidivergence_values(grid, wdiv_hat)]
         del wdiv_hat
 
     def perturbations(self):
@@ -575,7 +497,7 @@ def assemble_step(
     if params.mode == "W1R_W1Q" and params.q is None:
         raise ValueError("mode W1R_W1Q needs the drift exponent q")
     work = _StepWork(t, params, fam)
-    grid, d, n = work.grid, work.d, work.n
+    grid, d = work.grid, work.d
     p, pc = fam.p, fam.p_conj
     u0, b0 = t.u, t.b
 
@@ -598,14 +520,11 @@ def assemble_step(
         g_parts[name] = float(np.sqrt(mag, out=mag).mean())
 
     # quadratic remainder through the antidivergence
-    add_part("quad", antidivergence_from_hat(grid, work.q_hat))
+    add_part("quad", _antidivergence_values(grid, work.q_hat))
     work.q_hat = None
 
     # laplacian part: grad theta (its magnitude feeds the mode norms)
-    theta_hat = sfft.fftn(theta_vals) / (n ** d)
-    grad_theta = [sfft.ifftn((2j * np.pi) * grid.axis_k_diff(ax) * theta_hat).real * n ** d
-                  for ax in range(d)]
-    del theta_hat
+    grad_theta = _grad_values(grid, _fft_of(theta_vals))
     gt_mag = np.sqrt(sum(g * g for g in grad_theta))
     add_part("laplace", grad_theta)
     del grad_theta
@@ -640,20 +559,14 @@ def assemble_step(
     du_vals = theta_vals + theta_c
     f0_l1 = t.f_l1()
     dw_mag = np.sqrt(sum(c * c for c in dw_comps))
-
-    def lp_(vals, r):
-        if np.isinf(r):
-            return float(np.abs(vals).max())
-        return float(np.mean(np.abs(vals) ** r) ** (1.0 / r))
-
-    inc = lp_(dw_mag, p) + lp_(du_vals, pc)
+    inc = _lp_of_values(dw_mag, p) + _lp_of_values(du_vals, pc)
     inc_bound = fam.M * max(f0_l1 ** (1.0 / pc), f0_l1 ** (1.0 / p))
 
     needed = {2.0}
     if params.mode in ("W1R", "W1R_W1Q"):
         needed.add(params.r)
-    du_lp = {r: lp_(du_vals, r) for r in needed}
-    gt_lp = {r: lp_(gt_mag, r) for r in needed}
+    du_lp = {r: _lp_of_values(du_vals, r) for r in needed}
+    gt_lp = {r: _lp_of_values(gt_mag, r) for r in needed}
     del gt_mag
     mode_inc = _mode_norm_parts(params.mode, params.r, du_lp, gt_lp)
     theta_h1 = math.hypot(du_lp[2.0], gt_lp[2.0])
@@ -680,7 +593,7 @@ def assemble_step(
         g_parts=g_parts,
         theta_c=theta_c,
         theta_h1=theta_h1,
-        div_b1_rel=lean_relative_divergence(b1),
+        div_b1_rel=relative_divergence(b1),
         mean_u1_rel=abs(u1.mean) / max(1.0, u1.max_abs()),
         quad_source_freq=(work.quad_source_l1 / (2.0 * math.pi * f0_l1)
                           if f0_l1 > 0.0 else 0.0),

@@ -14,10 +14,9 @@ and a two-schedule uniqueness probe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft as sfft
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from .ratefit import fit_loglog, slope_stderr
@@ -26,10 +25,11 @@ from .torus import (
     ScalarField,
     TorusGrid,
     VectorField,
-    divergence,
+    _bump,
+    _divergence_coeffs,
+    _fftn,
+    _ifftn,
     gradient,
-    inv_laplacian,
-    laplacian,
     leray_project,
     lowpass,
     norm,
@@ -57,8 +57,7 @@ __all__ = [
 @dataclass(frozen=True)
 class SolveConfig:
     tol: float = 1e-10
-    max_iter: int = 400
-    preconditioner: bool = True
+    max_iter: int = 400     # GMRES restart cycles, each of `restart` matvecs
     restart: int = 40
 
     def __post_init__(self) -> None:
@@ -67,9 +66,9 @@ class SolveConfig:
 
 
 class NonConvergence(RuntimeError):
-    def __init__(self, achieved: float, max_iter: int):
-        super().__init__(f"no convergence after {max_iter} iterations; "
-                         f"achieved relative residual {achieved:.3e}")
+    def __init__(self, achieved: float, max_iter: int, restart: int):
+        super().__init__(f"no convergence after max_iter = {max_iter} restart cycles "
+                         f"of {restart} matvecs; achieved relative residual {achieved:.3e}")
         self.achieved = achieved
 
 
@@ -101,32 +100,25 @@ class TruncationSchedule:
 
 def _operator(b: VectorField, grid: TorusGrid):
     npts = grid.n ** grid.dim
-    k2 = grid.k_squared
     # laplacian as div(grad .) in the odd-derivative convention, so the
     # discrete operator matches the gradient used by the diagnostics
-    k2d = np.zeros(grid.shape)
-    for ax in range(grid.dim):
-        k2d = k2d + grid.axis_k_diff(ax).astype(np.float64) ** 2
+    lap_symbol = -4.0 * np.pi ** 2 * grid.k_squared_diff
+    # preconditioner: 4 pi^2 |k|^2 with the mean mode guarded
+    k2s = grid.k_squared.copy()
+    k2s.flat[0] = 1.0
+    precond_den = 4.0 * np.pi ** 2 * k2s
     bvals = [c.values for c in b.components]
 
     def apply(u_flat: np.ndarray) -> np.ndarray:
         u = u_flat.reshape(grid.shape)
         u = u - u.mean()
-        uhat = sfft.fftn(u)
-        lap = sfft.ifftn(-4.0 * np.pi ** 2 * k2d * uhat).real
-        acc = np.zeros(grid.shape, dtype=np.complex128)
-        for ax in range(grid.dim):
-            acc += (2j * np.pi) * grid.axis_k_diff(ax) * sfft.fftn(bvals[ax] * u)
-        div_bu = sfft.ifftn(acc).real
+        lap = _ifftn(lap_symbol * _fftn(u)).real
+        div_bu = _ifftn(_divergence_coeffs(grid, (_fftn(bv * u) for bv in bvals))).real
         return (-lap - div_bu).ravel()
 
     def precond(r_flat: np.ndarray) -> np.ndarray:
         r = r_flat.reshape(grid.shape)
-        rhat = sfft.fftn(r - r.mean())
-        k2s = k2.copy()
-        k2s.flat[0] = 1.0
-        out = sfft.ifftn(rhat / (4.0 * np.pi ** 2 * k2s)).real
-        return out.ravel()
+        return _ifftn(_fftn(r - r.mean()) / precond_den).real.ravel()
 
     A = LinearOperator((npts, npts), matvec=apply, dtype=np.float64)
     M = LinearOperator((npts, npts), matvec=precond, dtype=np.float64)
@@ -153,12 +145,11 @@ def solve(b: VectorField, f: ScalarField, cfg: SolveConfig = SolveConfig()) -> S
     u_flat, _ = gmres(
         A, rhs,
         rtol=cfg.tol * 1e-2, atol=0.0,
-        restart=cfg.restart, maxiter=cfg.max_iter,
-        M=M if cfg.preconditioner else None,
+        restart=cfg.restart, maxiter=cfg.max_iter, M=M,
     )
     achieved = float(np.linalg.norm(A.matvec(u_flat) - rhs) / np.linalg.norm(rhs))
     if achieved > cfg.tol:
-        raise NonConvergence(achieved, cfg.max_iter)
+        raise NonConvergence(achieved, cfg.max_iter, cfg.restart)
     u = u_flat.reshape(grid.shape)
     return ScalarField(grid, u - u.mean())
 
@@ -365,13 +356,6 @@ def moser_gns_check(u: ScalarField, b: VectorField, f: ScalarField,
 _BUMP_NORM_CACHE: dict[int, float] = {}
 
 
-def _bump_raw(r2: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(r2)
-    inside = r2 < 1.0
-    out[inside] = np.exp(-1.0 / (1.0 - r2[inside]))
-    return out
-
-
 def _bump_normalisation(d: int, fine: int = 321) -> float:
     """1 / int_{B_1} exp(-1/(1-|z|^2)) dz by tensor quadrature."""
     if d in _BUMP_NORM_CACHE:
@@ -383,7 +367,7 @@ def _bump_normalisation(d: int, fine: int = 321) -> float:
         shape = [1] * d
         shape[ax] = fine
         r2 = r2 + (z ** 2).reshape(shape)
-    total = float(_bump_raw(r2).sum() * h ** d)
+    total = float(_bump(r2).sum() * h ** d)
     _BUMP_NORM_CACHE[d] = 1.0 / total
     return _BUMP_NORM_CACHE[d]
 
@@ -395,21 +379,25 @@ def _zgrid(d: int, m: int) -> tuple[list[np.ndarray], float]:
     return [c.ravel() for c in coords], h ** d
 
 
-def mollifier_moment_matrix(d: int, fine: int = 201) -> np.ndarray:
-    """int z_j d_i rho(z) dz by quadrature with the analytic gradient of the
-    normalised standard bump; integration by parts predicts -delta_ij."""
-    c = _bump_normalisation(d)
-    coords, w = _zgrid(d, fine)
+def _grad_rho(d: int, coords: list[np.ndarray]) -> list[np.ndarray]:
+    """Analytic gradient of the normalised standard bump rho at the nodes."""
     r2 = sum(ci ** 2 for ci in coords)
-    rho = c * _bump_raw(r2)
+    rho = _bump_normalisation(d) * _bump(r2)
     inside = r2 < 1.0
     fac = np.zeros_like(r2)
     fac[inside] = -2.0 / (1.0 - r2[inside]) ** 2
+    return [rho * fac * ci for ci in coords]
+
+
+def mollifier_moment_matrix(d: int, fine: int = 201) -> np.ndarray:
+    """int z_j d_i rho(z) dz by quadrature with the analytic gradient of the
+    normalised standard bump; integration by parts predicts -delta_ij."""
+    coords, w = _zgrid(d, fine)
+    grad_rho = _grad_rho(d, coords)
     mom = np.zeros((d, d))
     for i in range(d):
-        drho_i = rho * fac * coords[i]
         for j in range(d):
-            mom[i, j] = float((coords[j] * drho_i).sum() * w)
+            mom[i, j] = float((coords[j] * grad_rho[i]).sum() * w)
     return mom
 
 
@@ -418,7 +406,7 @@ def _shift(field_coeffs: np.ndarray, grid: TorusGrid, s: np.ndarray) -> np.ndarr
     phase = np.ones(grid.shape, dtype=np.complex128)
     for ax in range(grid.dim):
         phase = phase * np.exp(-2j * np.pi * grid.axis_k(ax) * s[ax])
-    return sfft.ifftn(field_coeffs * phase).real * (grid.n ** grid.dim)
+    return _ifftn(field_coeffs * phase).real * (grid.n ** grid.dim)
 
 
 def commutator_check(
@@ -442,14 +430,8 @@ def commutator_check(
         raise ValueError("eps_list must be decreasing")
     grid = b.grid
     d = grid.dim
-    c = _bump_normalisation(d)
     coords, w = _zgrid(d, z_per_axis)
-    r2 = sum(ci ** 2 for ci in coords)
-    inside = r2 < 1.0
-    fac = np.zeros_like(r2)
-    fac[inside] = -2.0 / (1.0 - r2[inside]) ** 2
-    rho = c * _bump_raw(r2)
-    grad_rho = [rho * fac * coords[i] for i in range(d)]
+    grad_rho = _grad_rho(d, coords)
 
     uc = u.coeffs
     bc = [comp.coeffs for comp in b.components]

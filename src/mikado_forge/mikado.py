@@ -36,6 +36,8 @@ from .torus import (
     ScalarField,
     TorusGrid,
     VectorField,
+    _bump,
+    _lp_of_values,
     axis_derivative_norm,
     grad_magnitude,
     norm,
@@ -66,21 +68,12 @@ def gamma_exponent(d: int, p: float) -> float:
     return (d - 1) * (1.0 / p + 0.5 - (1.0 + 1.0 / (d - 1)))
 
 
-def _ring(s: np.ndarray) -> np.ndarray:
-    """Radial C-infinity bump centred on the ring |z| = 1/2."""
-    t = (s - _RING_CENTER) / _RING_WIDTH
-    out = np.zeros_like(s)
-    inside = np.abs(t) < 1.0
-    ti = t[inside]
-    out[inside] = np.exp(-1.0 / (1.0 - ti * ti))
-    return out
-
-
 @dataclass(frozen=True)
 class MikadoProfile:
     """Transverse profile phi(z) = ring(|z|) z_1/|z| on the unit ball of
-    R^(d-1): smooth, compactly supported, odd in z_1 (hence mean-zero), and
-    L2-normalised against the build grid (scale below)."""
+    R^(d-1), where ring is the standard bump centred on |z| = 1/2: smooth,
+    compactly supported, odd in z_1 (hence mean-zero), and L2-normalised
+    against the build grid (scale below)."""
 
     transverse_dim: int
     scale: float  # multiplies the raw shape; fixed by grid quadrature
@@ -89,7 +82,8 @@ class MikadoProfile:
         """Unscaled shape at z = coords (broadcastable arrays)."""
         r2 = sum(c * c for c in coords)
         r = np.sqrt(r2)
-        ring = _ring(r)
+        t = (r - _RING_CENTER) / _RING_WIDTH
+        ring = _bump(t * t)
         with np.errstate(invalid="ignore", divide="ignore"):
             ang = np.where(r > 0.0, coords[0] / np.where(r > 0.0, r, 1.0), 0.0)
         return ring * ang
@@ -161,11 +155,6 @@ class MikadoFamily:
     def field_transverse(self, j: int) -> np.ndarray:
         """Transverse slice of the nonzero component of field j."""
         return np.take(self.fields[j][j].values, 0, axis=j)
-
-    def product_values(self, j: int) -> np.ndarray:
-        """Values of the density-field product component (theta * w along e_j)."""
-        vals = self.density_transverse(j) * self.field_transverse(j)
-        return _expand_along(vals, j, self.grid.n, self.d)
 
 
 def _transverse_norm(grid_t: TorusGrid, values: np.ndarray, p: float,
@@ -411,7 +400,6 @@ def scaling_report(
     pc = p / (p - 1.0)
     gam = gamma_exponent(d, p)
     grid_t = TorusGrid(dim=d - 1, n=n)
-    flavor = "Lp" if k == 0 else None
 
     th, w, h1 = [], [], []
     for mu in mu_list:
@@ -427,8 +415,7 @@ def scaling_report(
             th.append(d * a_theta * norm(prof, p=r))
             w.append(d * a_w * norm(prof, p=r))
         else:
-            gmag = grad_magnitude(prof)
-            gr = float(np.mean(gmag ** r) ** (1.0 / r)) if not np.isinf(r) else float(gmag.max())
+            gr = _lp_of_values(grad_magnitude(prof), r)
             th.append(d * a_theta * gr)
             w.append(d * a_w * gr)
         h1.append(d * a_theta * norm(prof, flavor="H1"))

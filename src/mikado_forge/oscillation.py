@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -20,6 +20,7 @@ from .torus import (
     ScalarField,
     TorusGrid,
     VectorField,
+    _antidivergence_values,
     dilate,
     lowpass,
     norm,
@@ -69,21 +70,13 @@ class OscillationReport:
 
 def antidivergence(h: ScalarField) -> VectorField:
     """Vector field u with div u = h (h mean-zero), realised as grad(invlap h)
-    with the div(grad .) symbol, so div(antidivergence(h)) = h exactly for
-    every h in the range of the discrete divergence."""
-    grid = h.grid
+    with the div(grad .) symbol, so div(antidivergence(h)) = h to transform
+    roundoff for every h in the range of the discrete divergence."""
     l2 = norm(h, p=2)
     if abs(h.mean) > 1e-10 * max(l2, 1e-300):
         raise ValueError(
             f"antidivergence needs a mean-zero source, got mean {h.mean:.3e}")
-    k2 = grid.k_squared_diff.copy()
-    zero = k2 == 0.0
-    k2[zero] = 1.0
-    phihat = h.coeffs / (-4.0 * np.pi ** 2 * k2)
-    phihat[zero] = 0.0
-    comps = [ScalarField.from_coeffs(grid, (2j * np.pi) * grid.axis_k_diff(ax) * phihat)
-             for ax in range(grid.dim)]
-    return VectorField.from_components(comps)
+    return VectorField.from_arrays(h.grid, _antidivergence_values(h.grid, h.coeffs))
 
 
 def _as_lambda_list(lam: int | Sequence[int]) -> list[int]:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .convexint import IterateTriple
+from .mikado import _expand_along
 from .torus import (
     ScalarField,
     TorusGrid,
@@ -26,6 +27,7 @@ from .torus import (
     derivative,
     gradient,
     lowpass,
+    norm,
 )
 
 __all__ = [
@@ -125,11 +127,9 @@ def column_drift(grid: TorusGrid, center, sigma: float, axis: int = -1,
         comp_t = lowpass(comp_t, bandwidth)
     if lp_norm is not None:
         p, target = lp_norm
-        from .torus import norm as _norm
-        comp_t = comp_t * (target / _norm(comp_t, p=p))
-    full = np.broadcast_to(np.expand_dims(comp_t.values, axis=axis), grid.shape)
+        comp_t = comp_t * (target / norm(comp_t, p=p))
     comps = [ScalarField.zero(grid)] * grid.dim
-    comps[axis] = ScalarField(grid, full)
+    comps[axis] = ScalarField(grid, _expand_along(comp_t.values, axis, grid.n, grid.dim))
     return VectorField.from_components(comps)
 
 

@@ -6,12 +6,22 @@ that convention c_0 is the mean, quadrature is the plain grid average
 (|T^d| = 1), and Parseval holds exactly between grid quadrature and the
 coefficient l2 sum.
 
+This module is the package's only spectral layer.  It owns every
+transform (the `_fftn` / `_ifftn` / `_rfftn` / `_irfftn` helpers, all
+capped by the one worker setting `set_fft_workers`), every wavenumber
+symbol (the `TorusGrid` frequency arrays), and the array-level kernels
+the other modules build on: coefficients without caching (`_fft_of`),
+derivative, gradient, divergence and antidivergence on coefficient and
+value arrays, the Lp quadrature of value arrays, and the C-infinity bump.
+The field-level operators below are thin wrappers over those kernels.
+
 All operations are pure: fields are immutable after construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+import math
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
@@ -24,7 +34,6 @@ __all__ = [
     "VectorField",
     "MollifierSpec",
     "make_grid",
-    "diff",
     "gradient",
     "derivative",
     "axis_derivative_norm",
@@ -39,7 +48,6 @@ __all__ = [
     "lowpass",
     "relative_divergence",
     "grad_magnitude",
-    "c1_estimate",
     "random_scalar",
     "random_solenoidal",
     "set_fft_workers",
@@ -64,6 +72,14 @@ def _fftn(a: np.ndarray) -> np.ndarray:
 
 def _ifftn(a: np.ndarray) -> np.ndarray:
     return sfft.ifftn(a, workers=_FFT_WORKERS)
+
+
+def _rfftn(a: np.ndarray) -> np.ndarray:
+    return sfft.rfftn(a, workers=_FFT_WORKERS)
+
+
+def _irfftn(a: np.ndarray, s: Sequence[int]) -> np.ndarray:
+    return sfft.irfftn(a, s=s, workers=_FFT_WORKERS)
 
 
 @dataclass(frozen=True)
@@ -130,22 +146,26 @@ class TorusGrid:
         shape[axis] = self.n
         return self.k1_diff.reshape(shape)
 
+    def k_squared_upto(self, last: int, diff: bool = False) -> np.ndarray:
+        """|k|^2 (float64) with the last axis cut to its first `last`
+        FFT-layout frequencies; last <= n/2 + 1 is a real-transform half
+        layout.  diff = True sums the derivative frequencies instead."""
+        axis_k = self.axis_k_diff if diff else self.axis_k
+        k2 = np.zeros(self.shape[:-1] + (last,))
+        for ax in range(self.dim):
+            k2 = k2 + axis_k(ax)[..., :last].astype(np.float64) ** 2
+        return k2
+
     @cached_property
     def k_squared(self) -> np.ndarray:
         """|k|^2 over the full grid (float64)."""
-        k2 = np.zeros(self.shape)
-        for ax in range(self.dim):
-            k2 = k2 + self.axis_k(ax).astype(np.float64) ** 2
-        return k2
+        return self.k_squared_upto(self.n)
 
     @cached_property
     def k_squared_diff(self) -> np.ndarray:
         """sum of squared derivative frequencies: the symbol of div(grad .)
         in the odd-derivative convention."""
-        k2 = np.zeros(self.shape)
-        for ax in range(self.dim):
-            k2 = k2 + self.axis_k_diff(ax).astype(np.float64) ** 2
-        return k2
+        return self.k_squared_upto(self.n, diff=True)
 
     def meshes(self) -> list[np.ndarray]:
         """Coordinate meshes (built on demand, not cached)."""
@@ -226,7 +246,7 @@ class ScalarField:
     def coeffs(self) -> np.ndarray:
         c = getattr(self, "_coeffs", None)
         if c is None:
-            c = _fftn(self.values) / (self.grid.n ** self.grid.dim)
+            c = _fft_of(self.values)
         return c
 
     @property
@@ -323,12 +343,65 @@ class VectorField:
 Field = ScalarField | VectorField
 
 
+def _fft_of(x: ScalarField | np.ndarray) -> np.ndarray:
+    """Normalised coefficients of a field, as `.coeffs` gives them but
+    without filling its cache (keeps the large-grid paths from retaining
+    duplicate spectral arrays), or of a value array."""
+    if isinstance(x, ScalarField):
+        c = x.__dict__.get("coeffs", x.__dict__.get("_coeffs"))
+        if c is not None:
+            return c
+        x = x.values
+    return _fftn(x) / x.size
+
+
 # ---------------------------------------------------------------------------
-# differential operators (exact in the discrete spectral calculus)
+# array-level kernels (coefficient arrays in, coefficient or real value
+# arrays out; nothing is cached)
 
 def _axis_derivative_coeffs(grid: TorusGrid, coeffs: np.ndarray, axis: int) -> np.ndarray:
     return (2j * np.pi) * grid.axis_k_diff(axis) * coeffs
 
+
+def _grad_values(grid: TorusGrid, coeffs: np.ndarray) -> list[np.ndarray]:
+    """Real values of every partial derivative of the field with these
+    coefficients."""
+    npts = grid.n ** grid.dim
+    return [_ifftn(_axis_derivative_coeffs(grid, coeffs, ax)).real * npts
+            for ax in range(grid.dim)]
+
+
+def _divergence_coeffs(grid: TorusGrid, comp_coeffs: Iterable[np.ndarray]) -> np.ndarray:
+    """Coefficients of the divergence.  The component coefficients are
+    drawn one at a time and released after use, so a lazy iterable keeps
+    at most one of them alive."""
+    acc = np.zeros(grid.shape, dtype=np.complex128)
+    comps = iter(comp_coeffs)
+    for ax in range(grid.dim):
+        acc += _axis_derivative_coeffs(grid, next(comps), ax)
+    return acc
+
+
+def _inverse_div_grad_coeffs(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
+    """Coefficients of phi with div(grad phi) = h in the odd-derivative
+    calculus; zero on the modes where that symbol vanishes (the mean and
+    the unpaired Nyquist corners, which lie outside the range of div)."""
+    k2 = grid.k_squared_diff.copy()
+    zero = k2 == 0.0
+    k2[zero] = 1.0
+    phihat = coeffs / (-4.0 * np.pi ** 2 * k2)
+    phihat[zero] = 0.0
+    return phihat
+
+
+def _antidivergence_values(grid: TorusGrid, coeffs: np.ndarray) -> list[np.ndarray]:
+    """Real components of grad(invlap(h)) from the coefficients of h, so
+    that div of the output reproduces h exactly on the range of div."""
+    return _grad_values(grid, _inverse_div_grad_coeffs(grid, coeffs))
+
+
+# ---------------------------------------------------------------------------
+# differential operators (exact in the discrete spectral calculus)
 
 def derivative(f: ScalarField, axis: int) -> ScalarField:
     """Single spectral partial derivative (one transform pair)."""
@@ -369,11 +442,8 @@ def gradient(f: ScalarField) -> VectorField:
 
 
 def divergence(v: VectorField) -> ScalarField:
-    grid = v.grid
-    acc = np.zeros(grid.shape, dtype=np.complex128)
-    for ax in range(grid.dim):
-        acc += _axis_derivative_coeffs(grid, v[ax].coeffs, ax)
-    return ScalarField.from_coeffs(grid, acc)
+    return ScalarField.from_coeffs(
+        v.grid, _divergence_coeffs(v.grid, (c.coeffs for c in v.components)))
 
 
 def laplacian(f: Field) -> Field:
@@ -381,21 +451,6 @@ def laplacian(f: Field) -> Field:
         return VectorField.from_components(tuple(laplacian(c) for c in f.components))
     mult = -4.0 * np.pi ** 2 * f.grid.k_squared
     return ScalarField.from_coeffs(f.grid, mult * f.coeffs)
-
-
-def diff(f: Field, kind: str) -> Field:
-    """Spectral derivative dispatcher: gradient | divergence | laplacian."""
-    if kind == "gradient":
-        if not isinstance(f, ScalarField):
-            raise TypeError("gradient expects a scalar field")
-        return gradient(f)
-    if kind == "divergence":
-        if not isinstance(f, VectorField):
-            raise TypeError("divergence expects a vector field")
-        return divergence(f)
-    if kind == "laplacian":
-        return laplacian(f)
-    raise ValueError(f"unknown derivative kind {kind!r}")
 
 
 def inv_laplacian(f: ScalarField) -> ScalarField:
@@ -480,15 +535,6 @@ def norm(f: Field, p: float = 2.0, flavor: str = "Lp") -> float:
     raise ValueError(f"unknown norm flavor {flavor!r}")
 
 
-def c1_estimate(f: Field) -> float:
-    """max|f| + max|grad f| from grid samples, without the bandwidth guard.
-
-    Used for report bounds on fields that are smooth but not band-limited
-    (cutoff amplitudes); for band-limited fields it equals norm(f, flavor='C1').
-    """
-    return float(_pointwise_magnitude(f).max()) + float(grad_magnitude(f).max())
-
-
 def bandwidth(f: Field, rel_tol: float = 1e-10) -> int:
     """Effective bandwidth: largest |k_i| carrying a coefficient above
     rel_tol * max|coeff| on any axis."""
@@ -542,12 +588,12 @@ def dilate(f: Field, lam: int) -> Field:
     return ScalarField(f.grid, _dilate_values(f.grid, f.values, lam))
 
 
-def _bump(t: np.ndarray) -> np.ndarray:
-    """exp(-1/(1-t^2)) on |t| < 1, 0 outside; t = |x| (any shape)."""
-    out = np.zeros_like(t, dtype=np.float64)
-    inside = np.abs(t) < 1.0
-    s = t[inside]
-    out[inside] = np.exp(-1.0 / (1.0 - s * s))
+def _bump(s2: np.ndarray) -> np.ndarray:
+    """The standard C-infinity bump exp(-1/(1 - s2)) on s2 < 1, 0 outside,
+    as a function of the squared radius s2 = |z|^2 (any shape)."""
+    out = np.zeros_like(s2, dtype=np.float64)
+    inside = s2 < 1.0
+    out[inside] = np.exp(-1.0 / (1.0 - s2[inside]))
     return out
 
 
@@ -557,7 +603,6 @@ class MollifierSpec:
     radius epsilon in (0, 1/4)."""
 
     epsilon: float
-    profile: Callable[[np.ndarray], np.ndarray] = dc_field(default=_bump)
 
     def __post_init__(self) -> None:
         if not (0.0 < self.epsilon < 0.25):
@@ -566,8 +611,8 @@ class MollifierSpec:
     def grid_kernel(self, grid: TorusGrid) -> np.ndarray:
         """rho_eps sampled on the torus grid in FFT layout (bump centred at
         index 0), normalised so the grid mean is exactly 1."""
-        r = np.sqrt(grid.radius_squared(origin="index0"))
-        vals = self.profile(r / self.epsilon) / self.epsilon ** grid.dim
+        t = np.sqrt(grid.radius_squared(origin="index0")) / self.epsilon
+        vals = _bump(t * t) / self.epsilon ** grid.dim
         m = vals.mean()
         if m <= 0.0:
             raise ValueError("mollifier kernel vanishes on this grid; enlarge n or epsilon")
@@ -601,26 +646,41 @@ def leray_project(b: VectorField) -> VectorField:
     through unchanged.
     """
     grid = b.grid
-    k2 = grid.k_squared_diff.copy()
-    zero = k2 == 0.0  # mean and unpaired Nyquist corners: already solenoidal
-    k2[zero] = 1.0
-    kdotc = np.zeros(grid.shape, dtype=np.complex128)
-    for ax in range(grid.dim):
-        kdotc += grid.axis_k_diff(ax) * b[ax].coeffs
-    comps = []
-    for ax in range(grid.dim):
-        c = b[ax].coeffs - grid.axis_k_diff(ax) * kdotc / k2
-        comps.append(ScalarField.from_coeffs(grid, c))
-    return VectorField.from_components(comps)
+    phihat = _inverse_div_grad_coeffs(
+        grid, _divergence_coeffs(grid, (c.coeffs for c in b.components)))
+    return VectorField.from_components(tuple(
+        ScalarField.from_coeffs(grid, b[ax].coeffs - _axis_derivative_coeffs(grid, phihat, ax))
+        for ax in range(grid.dim)))
+
+
+def _sum_abs_sq(z: np.ndarray, weight: np.ndarray | None = None) -> float:
+    """sum weight |z|^2, in slabs along the first axis: full-grid float
+    temporaries here would fragment the heap on large grids and raise the
+    peak RSS of the callers that follow."""
+    total = 0.0
+    for s in range(0, z.shape[0], _SLAB):
+        sq = np.abs(z[s:s + _SLAB]) ** 2
+        if weight is not None:
+            sq *= weight[s:s + _SLAB]
+        total += float(sq.sum())
+    return total
 
 
 def relative_divergence(v: VectorField) -> float:
-    """||div v||_2 scaled by the Frobenius H1-seminorm of v (0 for v = 0)."""
-    num = norm(divergence(v), p=2)
-    den = _lp_of_values(grad_magnitude(v), 2.0)
-    if den == 0.0:
-        return 0.0
-    return num / den
+    """||div v||_2 scaled by the Frobenius H1-seminorm of v (0 for v = 0),
+    both by Parseval from one transform per component; no coefficients are
+    cached on v."""
+    grid = v.grid
+    acc = np.zeros(grid.shape, dtype=np.complex128)
+    den_sq = 0.0
+    for ax in range(grid.dim):
+        c = _fft_of(v[ax])
+        acc += _axis_derivative_coeffs(grid, c, ax)
+        den_sq += _sum_abs_sq(c, grid.k_squared_diff)
+        del c
+    num = math.sqrt(_sum_abs_sq(acc))
+    den = 2.0 * np.pi * math.sqrt(den_sq)
+    return num / den if den > 0.0 else 0.0
 
 
 # ---------------------------------------------------------------------------

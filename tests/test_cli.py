@@ -15,7 +15,7 @@ from mikado_forge.cli import (
     run_experiment,
     write_csv,
 )
-from mikado_forge import fieldio
+from mikado_forge import fieldio, torus
 
 
 def test_parse_config_values():
@@ -127,3 +127,35 @@ def test_moser_and_maxprinc_experiments(tmp_path):
         tmp_path / "x", seed=1)
     assert code2 == 0
     assert (tmp_path / "x" / "ratios.csv").exists()
+
+
+def test_solver_nonconvergence_exits_three_with_report(tmp_path):
+    # tol = 1e-18 lies below what double precision reaches, so GMRES spends
+    # its whole budget; the run must map that to exit code 3 and say why
+    cfg = tmp_path / "solve.cfg"
+    cfg.write_text("d = 2\nN = 16\ncases = 1\ntol = 1e-18\n")
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    data = json.loads((tmp_path / "out" / "solve" / "report.json").read_text())
+    assert data["error"] == "non_convergence"
+    assert data["achieved"] > 1e-18
+    assert data["checks"] == {"convergence": False}
+    assert "restart cycles of 40 matvecs" in data["message"]
+
+
+@pytest.mark.parametrize("experiment, cfg", [
+    ("ci-step", {"d": 3, "N": 32, "lambda": 1, "mu": 7, "resolution_factor": 2,
+                 "flux_shift": 1536}),
+    ("solve", {"d": 2, "N": 32, "cases": 3}),
+])
+def test_fft_worker_count_leaves_reports_unchanged(tmp_path, experiment, cfg):
+    saved = torus._FFT_WORKERS
+    reports = []
+    try:
+        for workers in (1, 2):
+            torus.set_fft_workers(workers)
+            out = tmp_path / f"w{workers}"
+            run_experiment(experiment, dict(cfg), out, seed=3)
+            reports.append((out / "report.json").read_bytes())
+    finally:
+        torus.set_fft_workers(saved)
+    assert reports[0] == reports[1]

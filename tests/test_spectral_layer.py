@@ -1,0 +1,46 @@
+"""The package has one spectral layer: only `torus` imports scipy.fft,
+and no other module keeps its own relative divergence or antidivergence."""
+
+import ast
+from pathlib import Path
+
+import mikado_forge
+
+PACKAGE_DIR = Path(mikado_forge.__file__).parent
+SHADOWED = ("relative_divergence", "grad_of_invlap")
+
+
+def _modules():
+    paths = sorted(PACKAGE_DIR.glob("*.py"))
+    assert any(p.name == "torus.py" for p in paths)
+    return [(p.name, ast.parse(p.read_text(encoding="utf-8"))) for p in paths]
+
+
+def _imports_scipy_fft(tree) -> bool:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            if any(a.name == "scipy.fft" or a.name.startswith("scipy.fft.")
+                   for a in node.names):
+                return True
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            if node.module == "scipy.fft" or node.module.startswith("scipy.fft."):
+                return True
+            if node.module == "scipy" and any(a.name == "fft" for a in node.names):
+                return True
+    return False
+
+
+def test_only_torus_imports_scipy_fft():
+    importers = [name for name, tree in _modules() if _imports_scipy_fft(tree)]
+    assert importers == ["torus.py"]
+
+
+def test_no_shadow_copies_of_torus_operators():
+    shadows = [
+        (name, node.name)
+        for name, tree in _modules() if name != "torus.py"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(s in node.name for s in SHADOWED)
+    ]
+    assert shadows == []

@@ -7,7 +7,12 @@ from hypothesis import given, settings, strategies as st
 from mikado_forge.oscillation import antidivergence
 from mikado_forge.torus import (
     VectorField,
+    _antidivergence_values,
+    _divergence_coeffs,
+    _fft_of,
+    _grad_values,
     divergence,
+    gradient,
     grad_magnitude,
     make_grid,
     norm,
@@ -68,3 +73,43 @@ def test_antidivergence_is_a_right_inverse_of_divergence(case):
     h = random_scalar(grid, bmax, rng)
     back = divergence(antidivergence(h))
     assert norm(back - h, p=2) <= 1e-12 * norm(h, p=2)
+
+
+# The array-level kernels behind the field operators (the paths convexint
+# takes on large grids) agree with their public wrappers.
+
+def _max_rel(got, ref) -> float:
+    return float(np.abs(got - ref).max() / max(np.abs(ref).max(), 1e-300))
+
+
+@PROPERTY_SETTINGS
+@given(band_limited())
+def test_antidivergence_kernel_matches_wrapper(case):
+    grid, bmax, rng = case
+    h = random_scalar(grid, bmax, rng)
+    kernel = _antidivergence_values(grid, _fft_of(h))
+    wrapper = antidivergence(h)
+    for ax in range(grid.dim):
+        assert _max_rel(kernel[ax], wrapper[ax].values) <= 1e-13
+
+
+@PROPERTY_SETTINGS
+@given(band_limited())
+def test_divergence_kernel_matches_wrapper(case):
+    grid, bmax, rng = case
+    comps = [random_scalar(grid, bmax, rng, unit_l2=False).values
+             for _ in range(grid.dim)]
+    kernel = _divergence_coeffs(grid, map(_fft_of, comps))
+    wrapper = divergence(VectorField.from_arrays(grid, comps)).coeffs
+    assert _max_rel(kernel, wrapper) <= 1e-13
+
+
+@PROPERTY_SETTINGS
+@given(band_limited())
+def test_gradient_kernel_matches_wrapper(case):
+    grid, bmax, rng = case
+    f = random_scalar(grid, bmax, rng)
+    kernel = _grad_values(grid, _fft_of(f))
+    wrapper = gradient(f)
+    for ax in range(grid.dim):
+        assert _max_rel(kernel[ax], wrapper[ax].values) <= 1e-13
