@@ -2,17 +2,19 @@
 drift-diffusion equation -div(grad u + b u) = f on the torus, with a
 weakly divergence-free drift b.
 
-The solver is a preconditioned GMRES iteration on u -> -lap(u) - div(b u)
-restricted to mean-zero fields, with the inverse Laplacian as (left)
-preconditioner.  Around it sit the diagnostics this problem is known for:
-truncation-based approximation solutions, the energy identity/inequality,
-a drift-independent maximum-principle sweep, dyadic-power testing with the
-companion Gagliardo-Nirenberg bound, the mollifier-commutator functional,
-and a two-schedule uniqueness probe.
+The solver is GMRES on P A P y = P f, u = P y, for A u = -lap(u) - div(b u)
+split-preconditioned by P = (-lap)^(-1/2); div b = 0 makes the drift term
+skew-adjoint, so P A P is the identity plus a nearly skew operator.  Around
+it sit the diagnostics this problem is known for: truncation-based
+approximation solutions, the energy identity/inequality, a drift-independent
+maximum-principle sweep, dyadic-power testing with the companion
+Gagliardo-Nirenberg bound, the mollifier-commutator functional, and a
+two-schedule uniqueness probe.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -26,9 +28,9 @@ from .torus import (
     TorusGrid,
     VectorField,
     _bump,
-    _divergence_coeffs,
-    _fftn,
     _ifftn,
+    _irfftn,
+    _rfftn,
     gradient,
     leray_project,
     lowpass,
@@ -57,7 +59,7 @@ __all__ = [
 @dataclass(frozen=True)
 class SolveConfig:
     tol: float = 1e-10
-    max_iter: int = 400     # GMRES restart cycles, each of `restart` matvecs
+    max_iter: int = 400     # total budget of max_iter * restart matvecs over all rounds
     restart: int = 40
 
     def __post_init__(self) -> None:
@@ -66,10 +68,11 @@ class SolveConfig:
 
 
 class NonConvergence(RuntimeError):
-    def __init__(self, achieved: float, max_iter: int, restart: int):
-        super().__init__(f"no convergence after max_iter = {max_iter} restart cycles "
-                         f"of {restart} matvecs; achieved relative residual {achieved:.3e}")
-        self.achieved = achieved
+    def __init__(self, achieved: float, matvecs: int, cfg: SolveConfig, limit: str):
+        super().__init__(f"no convergence: {limit} after {matvecs} matvecs (budget max_iter = "
+                         f"{cfg.max_iter} restart cycles of {cfg.restart} matvecs); "
+                         f"achieved relative residual {achieved:.3e}")
+        self.achieved, self.matvecs = achieved, matvecs
 
 
 @dataclass(frozen=True)
@@ -98,35 +101,50 @@ class TruncationSchedule:
         return leray_project(clamped)
 
 
-def _operator(b: VectorField, grid: TorusGrid):
-    npts = grid.n ** grid.dim
-    # laplacian as div(grad .) in the odd-derivative convention, so the
-    # discrete operator matches the gradient used by the diagnostics
-    lap_symbol = -4.0 * np.pi ** 2 * grid.k_squared_diff
-    # preconditioner: 4 pi^2 |k|^2 with the mean mode guarded
-    k2s = grid.k_squared.copy()
-    k2s.flat[0] = 1.0
-    precond_den = 4.0 * np.pi ** 2 * k2s
+def _split_symbol(k2: np.ndarray) -> np.ndarray:
+    """1/(2 pi sqrt(k2)), exactly 0 where k2 = 0 (the mean and the unpaired
+    Nyquist corners, outside the range of div)."""
+    with np.errstate(divide="ignore"):
+        return np.where(k2 > 0.0, 1.0 / (2.0 * np.pi * np.sqrt(k2)), 0.0)
+
+
+def _split_system(b: VectorField, grid: TorusGrid):
+    """Maps on real grid values: A u = -lap(u) - div(b u) in the
+    odd-derivative convention the diagnostics use, the split preconditioner
+    P and B = P A P, the identity plus the drift part off the corner modes
+    where P vanishes.  All run on real transforms, d + 3 of them for B."""
+    half = grid.n // 2 + 1
+    k2 = grid.k_squared_upto(half, diff=True)
+    p, keep, lap = _split_symbol(k2), k2 > 0.0, 4.0 * np.pi ** 2 * k2
+    minus_d = [-2j * np.pi * grid.axis_k_diff(ax)[..., :half] for ax in range(grid.dim)]
     bvals = [c.values for c in b.components]
 
-    def apply(u_flat: np.ndarray) -> np.ndarray:
-        u = u_flat.reshape(grid.shape)
-        u = u - u.mean()
-        lap = _ifftn(lap_symbol * _fftn(u)).real
-        div_bu = _ifftn(_divergence_coeffs(grid, (_fftn(bv * u) for bv in bvals))).real
-        return (-lap - div_bu).ravel()
+    def drift_hat(u: np.ndarray) -> np.ndarray:  # real transform of -div(b u)
+        return sum(d_j * _rfftn(b_j * u) for d_j, b_j in zip(minus_d, bvals))
 
-    def precond(r_flat: np.ndarray) -> np.ndarray:
-        r = r_flat.reshape(grid.shape)
-        return _ifftn(_fftn(r - r.mean()) / precond_den).real.ravel()
+    def apply_a(u: np.ndarray) -> np.ndarray:
+        return _irfftn(lap * _rfftn(u) + drift_hat(u), grid.shape)
 
-    A = LinearOperator((npts, npts), matvec=apply, dtype=np.float64)
-    M = LinearOperator((npts, npts), matvec=precond, dtype=np.float64)
-    return A, M
+    def apply_p(r: np.ndarray) -> np.ndarray:
+        return _irfftn(p * _rfftn(r), grid.shape)
+
+    def apply_b(y: np.ndarray) -> np.ndarray:
+        yh = _rfftn(y.reshape(grid.shape))
+        u = _irfftn(p * yh, grid.shape)
+        return _irfftn(keep * yh + p * drift_hat(u), grid.shape).ravel()
+
+    return apply_a, apply_p, apply_b
 
 
 def solve(b: VectorField, f: ScalarField, cfg: SolveConfig = SolveConfig()) -> ScalarField:
     """Mean-zero u with -lap(u) - div(b u) = f to relative residual cfg.tol.
+
+    Each round runs GMRES on B y = P r, r the true residual (f at first),
+    to a split residual of max(min(0.1, tol / (2 achieved)), 1e-13) relative
+    to P r, adds P y to u and computes achieved = ||A u - f|| / ||f||; u is
+    accepted only once that is <= cfg.tol.  A round that fails to halve it
+    raises NonConvergence at once, as does a spent budget: all rounds and
+    their residual checks share max_iter * restart matvecs.
 
     Preconditions: f mean-zero (torus solvability), b divergence-free at
     grid scale, both bounded (finite grid values).
@@ -140,18 +158,33 @@ def solve(b: VectorField, f: ScalarField, cfg: SolveConfig = SolveConfig()) -> S
     rd = relative_divergence(b)
     if rd > 1e-8:
         raise ValueError(f"drift is not divergence-free at grid scale ({rd:.3e})")
-    A, M = _operator(b, grid)
-    rhs = f.values.ravel()
-    u_flat, _ = gmres(
-        A, rhs,
-        rtol=cfg.tol * 1e-2, atol=0.0,
-        restart=cfg.restart, maxiter=cfg.max_iter, M=M,
-    )
-    achieved = float(np.linalg.norm(A.matvec(u_flat) - rhs) / np.linalg.norm(rhs))
-    if achieved > cfg.tol:
-        raise NonConvergence(achieved, cfg.max_iter, cfg.restart)
-    u = u_flat.reshape(grid.shape)
-    return ScalarField(grid, u - u.mean())
+    apply_a, apply_p, apply_b = _split_system(b, grid)
+    matvecs, budget, achieved, u, r = 0, cfg.max_iter * cfg.restart, 1.0, 0.0, f.values
+
+    def counted_b(y: np.ndarray) -> np.ndarray:
+        nonlocal matvecs
+        matvecs += 1
+        return apply_b(y)
+
+    B = LinearOperator((r.size, r.size), matvec=counted_b, dtype=np.float64)
+    while True:
+        # a GMRES(restart) cycle costs restart + 1 matvecs, the true residual 1
+        left = budget - matvecs
+        if left < 3:
+            raise NonConvergence(achieved, matvecs, cfg, "the matvec budget is spent")
+        restart = min(cfg.restart, left - 2)
+        # the split residual stands in for the true one: aim at half the
+        # tolerance, and at a tenfold cut at least in a correction round
+        y, _ = gmres(B, apply_p(r).ravel(), rtol=max(min(0.1, 0.5 * cfg.tol / achieved), 1e-13),
+                     atol=0.0, restart=restart, maxiter=(left - 1) // (restart + 1))
+        u = u + apply_p(y.reshape(grid.shape))
+        r = f.values - apply_a(u)
+        matvecs += 1
+        previous, achieved = achieved, float(np.linalg.norm(r) / np.linalg.norm(f.values))
+        if achieved <= cfg.tol:
+            return ScalarField(grid, u - u.mean())
+        if achieved > 0.5 * previous:
+            raise NonConvergence(achieved, matvecs, cfg, "a round failed to halve the true residual")
 
 
 def energy_check(u: ScalarField, b: VectorField, f: ScalarField,
@@ -206,16 +239,14 @@ def approximation_solution(
 # ---------------------------------------------------------------------------
 # maximum principle
 
-_CD_CACHE: dict[int, float] = {}
 _CD_SEED = 777
 _CD_MARGIN = 1.15
 
 
+@functools.cache
 def max_principle_constant(d: int, n: int = 32) -> float:
     """Dimension-only bound for ||u||_inf / ||f||_inf, fitted once on a
     seeded calibration family of drifts and forcings, then frozen."""
-    if d in _CD_CACHE:
-        return _CD_CACHE[d]
     grid = TorusGrid(dim=d, n=n)
     rng = np.random.default_rng(_CD_SEED + d)
     worst = 0.0
@@ -226,22 +257,20 @@ def max_principle_constant(d: int, n: int = 32) -> float:
             bb = random_solenoidal(grid, 3, rng) * s if s else VectorField.zero(grid)
             u = solve(bb, f, cfg)
             worst = max(worst, u.max_abs() / f.max_abs())
-    cd = _CD_MARGIN * worst
-    _CD_CACHE[d] = cd
-    return cd
+    return _CD_MARGIN * worst
 
 
 def max_principle_sweep(f: ScalarField, drift_family: list[VectorField],
                         cfg: SolveConfig = SolveConfig()) -> dict:
     """sup-norm ratios over a drift family; asserts the fitted dimensional
     bound and checks the ratios do not trend upward with ||b||_2."""
-    rows = []
     if f.max_abs() == 0.0:
-        for bb in drift_family:
-            rows.append({"b_l2": norm(bb, p=2), "ratio": None, "status": "skipped"})
+        rows = [{"b_l2": norm(bb, p=2), "ratio": None, "status": "skipped"}
+                for bb in drift_family]
         return {"rows": rows, "max_ratio": None, "bound": None,
                 "trend_slope": None, "trend_ok": True, "all_bounded": True}
     cd = max_principle_constant(f.grid.dim)
+    rows = []
     for bb in drift_family:
         try:
             u = solve(bb, f, cfg)
@@ -272,16 +301,14 @@ def max_principle_sweep(f: ScalarField, drift_family: list[VectorField],
 # ---------------------------------------------------------------------------
 # dyadic-power (Moser) identities and the companion GNS inequality
 
-_GNS_CACHE: dict[int, float] = {}
 _GNS_SEED = 991
 _GNS_MARGIN = 1.10
 
 
+@functools.cache
 def gns_constant(d: int, n: int = 32) -> float:
     """C_d with ||g||_2^2 <= eps ||grad g||_2^2 + C_d eps^(-d/2) ||g||_1^2,
     fitted once on a seeded corpus and frozen."""
-    if d in _GNS_CACHE:
-        return _GNS_CACHE[d]
     grid = TorusGrid(dim=d, n=n)
     rng = np.random.default_rng(_GNS_SEED + d)
     worst = 0.0
@@ -294,9 +321,7 @@ def gns_constant(d: int, n: int = 32) -> float:
         for eps in (0.5, 0.25, 0.125, 0.0625):
             need = (l2sq - eps * h1sq) / (eps ** (-d / 2) * l1sq)
             worst = max(worst, need)
-    cd = _GNS_MARGIN * max(worst, 0.0)
-    _GNS_CACHE[d] = cd
-    return cd
+    return _GNS_MARGIN * max(worst, 0.0)
 
 
 def moser_gns_check(u: ScalarField, b: VectorField, f: ScalarField,
@@ -353,23 +378,12 @@ def moser_gns_check(u: ScalarField, b: VectorField, f: ScalarField,
 # ---------------------------------------------------------------------------
 # mollifier commutator functional
 
-_BUMP_NORM_CACHE: dict[int, float] = {}
-
-
+@functools.cache
 def _bump_normalisation(d: int, fine: int = 321) -> float:
     """1 / int_{B_1} exp(-1/(1-|z|^2)) dz by tensor quadrature."""
-    if d in _BUMP_NORM_CACHE:
-        return _BUMP_NORM_CACHE[d]
     z = np.linspace(-1.0, 1.0, fine)
-    h = z[1] - z[0]
-    r2 = np.zeros((fine,) * d)
-    for ax in range(d):
-        shape = [1] * d
-        shape[ax] = fine
-        r2 = r2 + (z ** 2).reshape(shape)
-    total = float(_bump(r2).sum() * h ** d)
-    _BUMP_NORM_CACHE[d] = 1.0 / total
-    return _BUMP_NORM_CACHE[d]
+    r2 = sum(c ** 2 for c in np.meshgrid(*([z] * d), indexing="ij", sparse=True))
+    return 1.0 / float(_bump(r2).sum() * (z[1] - z[0]) ** d)
 
 
 def _zgrid(d: int, m: int) -> tuple[list[np.ndarray], float]:

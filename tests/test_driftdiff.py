@@ -287,3 +287,41 @@ def test_mollifier_moment_matrix_oracle():
     for d in (2, 3):
         mom = mollifier_moment_matrix(d)
         assert np.abs(np.asarray(mom) + np.eye(d)).max() <= 1e-6
+
+
+def test_split_solver_converges_within_200_matvecs_at_drift_scale_30(grid3):
+    # max_iter = 5 cycles of 40: a total budget of 200 matvecs, where the
+    # left-preconditioned GMRES needed 365-402 on such problems
+    rng = np.random.default_rng(30)
+    b = random_solenoidal(grid3, 3, rng) * 30
+    ustar = random_scalar(grid3, 3, rng)
+    f = -divergence(gradient(ustar) + b * ustar)
+    urec = solve(b, f, SolveConfig(tol=1e-10, max_iter=5, restart=40))
+    assert norm(urec - ustar, p=2) <= 1e-8 * norm(ustar, p=2)
+
+
+def test_unreachable_tolerance_stops_on_stagnation():
+    # the `solve` experiment's reproducer: d = 2, N = 16, one case,
+    # tol = 1e-18, below what double precision reaches
+    grid = make_grid(2, 16)
+    rng = np.random.default_rng(0)
+    b = random_solenoidal(grid, 3, rng) * 2.0
+    ustar = random_scalar(grid, 3, rng)
+    f = -divergence(gradient(ustar) + b * ustar)
+    with pytest.raises(NonConvergence) as exc:
+        solve(b, f, SolveConfig(tol=1e-18))
+    assert exc.value.matvecs < 1000
+    assert exc.value.achieved < 1e-13
+    assert "failed to halve" in str(exc.value)
+    assert "restart cycles of 40 matvecs" in str(exc.value)
+
+
+def test_budget_is_counted_in_matvecs(grid3):
+    rng = np.random.default_rng(31)
+    b = random_solenoidal(grid3, 3, rng) * 30
+    f = random_scalar(grid3, 3, rng)
+    with pytest.raises(NonConvergence) as exc:
+        solve(b, f, SolveConfig(tol=1e-10, max_iter=1, restart=20))
+    assert exc.value.matvecs <= 20
+    assert exc.value.achieved > 1e-10
+    assert "budget is spent" in str(exc.value)

@@ -4,10 +4,13 @@ d in {2, 3, 4} and n in {8, 16}."""
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from mikado_forge.driftdiff import SolveConfig, _split_symbol, _split_system, solve
 from mikado_forge.oscillation import antidivergence
 from mikado_forge.torus import (
     VectorField,
     _antidivergence_values,
+    _irfftn,
+    _rfftn,
     _divergence_coeffs,
     _fft_of,
     _grad_values,
@@ -113,3 +116,54 @@ def test_gradient_kernel_matches_wrapper(case):
     wrapper = gradient(f)
     for ax in range(grid.dim):
         assert _max_rel(kernel[ax], wrapper[ax].values) <= 1e-13
+
+
+# The split-preconditioned drift-diffusion system B = P A P of
+# driftdiff.solve, P with symbol 1/(2 pi |k|) off the corner modes.
+
+def _white_noise(grid, rng):
+    # every mode present, the Nyquist corners included
+    return rng.standard_normal(grid.shape)
+
+
+@PROPERTY_SETTINGS
+@given(band_limited())
+def test_split_symbol_vanishes_exactly_on_the_corner_modes(case):
+    grid, _, rng = case
+    k2 = grid.k_squared_upto(grid.n // 2 + 1, diff=True)
+    p = _split_symbol(k2)
+    corner = k2 == 0.0
+    assert np.array_equal(p == 0.0, corner)
+    assert np.allclose(p[~corner] * 2 * np.pi * np.sqrt(k2[~corner]), 1.0,
+                       rtol=1e-15, atol=0.0)
+    _, apply_p, _ = _split_system(VectorField.zero(grid), grid)
+    r = _white_noise(grid, rng)
+    ph = _rfftn(apply_p(r))
+    assert np.abs(ph[corner]).max() <= 1e-12 * np.abs(ph).max()
+
+
+@PROPERTY_SETTINGS
+@given(band_limited())
+def test_split_operator_without_drift_projects_off_the_corner_modes(case):
+    grid, _, rng = case
+    _, _, apply_b = _split_system(VectorField.zero(grid), grid)
+    y = _white_noise(grid, rng)
+    k2 = grid.k_squared_upto(grid.n // 2 + 1, diff=True)
+    yh = _rfftn(y)
+    yh[k2 == 0.0] = 0.0
+    projected = _irfftn(yh, grid.shape)
+    got = apply_b(y.ravel()).reshape(grid.shape)
+    assert _max_rel(got, projected) <= 1e-13
+    assert _max_rel(apply_b(projected.ravel()).reshape(grid.shape), projected) <= 1e-13
+
+
+@PROPERTY_SETTINGS
+@given(band_limited(), st.sampled_from([0.5, 3.0, 10.0]))
+def test_solve_meets_the_true_residual_tolerance(case, scale):
+    grid, bmax, rng = case
+    b = random_solenoidal(grid, bmax, rng) * scale
+    f = random_scalar(grid, bmax, rng)
+    cfg = SolveConfig(tol=1e-10)
+    u = solve(b, f, cfg)
+    residual = -divergence(gradient(u) + b * u) - f
+    assert norm(residual, p=2) <= cfg.tol * norm(f, p=2)
