@@ -311,6 +311,33 @@ def _ci_seed(cfg: dict, grid: TorusGrid):
     raise ConfigError(f"unknown seed_kind {kind!r}")
 
 
+def _mode_args(cfg: dict) -> tuple[str, float | None, float | None]:
+    """mode, r and q of a Nash step; W1R modes default to r = 1.1."""
+    mode = str(_need(cfg, "mode", "W1R"))
+    r = float(cfg["r"]) if "r" in cfg else (1.1 if mode.startswith("W1R") else None)
+    q = float(cfg["q"]) if "q" in cfg else None
+    return mode, r, q
+
+
+def _ci_step_at(cfg: dict, n: int, eps: float | None = None):
+    """One ci-step on the seed at N = n: returns (t1, step report, eps),
+    eps defaulting to eps_frac * ||f0||_1."""
+    d = int(_need(cfg, "d", 3))
+    p = float(_need(cfg, "p", 1.5))
+    mode, r, q = _mode_args(cfg)
+    lam = int(_need(cfg, "lambda", 2))
+    mu = float(_need(cfg, "mu", 8.0))
+    factor = float(_need(cfg, "resolution_factor", 8.0))
+    t0 = _ci_seed(cfg, TorusGrid(dim=d, n=n))
+    if eps is None:
+        eps = float(_need(cfg, "eps_frac", 0.25)) * t0.f_l1()
+    fam = build_family(d, p, mu, TorusGrid(dim=d, n=n // lam), resolution_factor=factor)
+    params = StepParams(delta=t0.f_l1() / float(_need(cfg, "delta_divisor", 16)),
+                        lam=lam, mu=mu, mode=mode, r=r, q=q)
+    t1, rep = assemble_step(t0, params, fam, eps_target=eps)
+    return t1, rep, eps
+
+
 def _step_report_dict(rep) -> dict:
     return {
         "delta": rep.params.delta, "lambda": rep.params.lam, "mu": rep.params.mu,
@@ -338,20 +365,7 @@ def _exp_ci_step(cfg: dict, out: Path, rng) -> dict:
     d = int(_need(cfg, "d", 3))
     n = int(_need(cfg, "N", 128))
     p = float(_need(cfg, "p", 1.5))
-    mode = str(_need(cfg, "mode", "W1R"))
-    r = float(cfg["r"]) if "r" in cfg else (1.1 if mode.startswith("W1R") else None)
-    q = float(cfg["q"]) if "q" in cfg else None
-    lam = int(_need(cfg, "lambda", 2))
-    mu = float(_need(cfg, "mu", 8.0))
-    factor = float(_need(cfg, "resolution_factor", 8.0))
-    eps_frac = float(_need(cfg, "eps_frac", 0.25))
-    grid = TorusGrid(dim=d, n=n)
-    t0 = _ci_seed(cfg, grid)
-    eps = eps_frac * t0.f_l1()
-    fam = build_family(d, p, mu, TorusGrid(dim=d, n=n // lam), resolution_factor=factor)
-    params = StepParams(delta=t0.f_l1() / float(_need(cfg, "delta_divisor", 16)),
-                        lam=lam, mu=mu, mode=mode, r=r, q=q)
-    t1, rep = assemble_step(t0, params, fam, eps_target=eps)
+    t1, rep, eps = _ci_step_at(cfg, n)
     resid = equation_residual(t1)
     rep.residual_out = resid
     checks = {
@@ -373,13 +387,7 @@ def _exp_ci_step(cfg: dict, out: Path, rng) -> dict:
         }
     if "refine_N" in cfg:
         n2 = int(cfg["refine_N"])
-        grid2 = TorusGrid(dim=d, n=n2)
-        t0b = _ci_seed(cfg, grid2)
-        fam2 = build_family(d, p, mu, TorusGrid(dim=d, n=n2 // lam),
-                            resolution_factor=factor)
-        params2 = StepParams(delta=t0b.f_l1() / float(_need(cfg, "delta_divisor", 16)),
-                             lam=lam, mu=mu, mode=mode, r=r, q=q)
-        t1b, _ = assemble_step(t0b, params2, fam2, eps_target=eps)
+        t1b, _, _ = _ci_step_at(cfg, n2, eps)
         resid2 = equation_residual(t1b)
         report["refinement"] = {"N": n2, "residual": resid2,
                                 "factor": resid / max(resid2, 1e-300)}
@@ -391,9 +399,7 @@ def _exp_ci_run(cfg: dict, out: Path, rng) -> dict:
     d = int(_need(cfg, "d", 3))
     n = int(_need(cfg, "N", 224))
     p = float(_need(cfg, "p", 1.5))
-    mode = str(_need(cfg, "mode", "W1R"))
-    r = float(cfg["r"]) if "r" in cfg else (1.1 if mode.startswith("W1R") else None)
-    q = float(cfg["q"]) if "q" in cfg else None
+    mode, r, q = _mode_args(cfg)
     K = int(_need(cfg, "K", 3))
     grid = TorusGrid(dim=d, n=n)
     t0 = _ci_seed(cfg, grid)

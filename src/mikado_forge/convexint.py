@@ -35,6 +35,7 @@ instead of approximately true):
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -53,7 +54,9 @@ from .torus import (
     _grad_values,
     _irfftn,
     _lp_of_values,
+    _parseval_sum,
     _rfftn,
+    _split_symbol,
     axis_derivative_norm,
     gradient,
     norm,
@@ -82,7 +85,6 @@ __all__ = [
 
 DIV_B_TOL = 1e-9
 MEAN_U_TOL = 1e-10
-RESIDUAL_TOL = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -309,11 +311,7 @@ def sampled_residual(t: IterateTriple) -> float:
         prod = t.b[ax].values * t.u.values
         e_hat = e_hat + _axis_derivative_coeffs(
             grid, _fft_of(prod) + _fft_of(t.f[ax]), ax)
-    k2 = grid.k_squared.copy()
-    k2.flat[0] = 1.0
-    weight = 1.0 / (2.0 * np.pi * np.sqrt(k2))
-    weight.flat[0] = 0.0
-    resid = float(np.sqrt((np.abs(e_hat) ** 2 * weight ** 2).sum()))
+    resid = math.sqrt(_parseval_sum(e_hat, _split_symbol(grid.k_squared) ** 2))
     return resid / max(norm(t.f, p=2), 1e-300)
 
 
@@ -325,8 +323,6 @@ def equation_residual(t: IterateTriple) -> float:
     On the build grid the aliased residual vanishes identically by
     construction; this band-exact measure exposes the sampling error the
     construction actually commits, which decays under grid refinement.
-    Implemented over the real-transform half-spectrum to halve the memory
-    of the fine-grid passes.
     """
     grid = t.grid
     n, d = grid.n, grid.dim
@@ -338,53 +334,41 @@ def equation_residual(t: IterateTriple) -> float:
     full_m = list(range(kcap + 1)) + list(range(m - kcap, m))
     src = np.ix_(*([full_n] * (d - 1) + [list(range(kcap + 1))]))
     dst = np.ix_(*([full_m] * (d - 1) + [list(range(kcap + 1))]))
-    half_n = grid.shape[:-1] + (kcap + 1,)
     half_m = (m,) * (d - 1) + (m // 2 + 1,)
 
-    def pad_values(c_full: np.ndarray) -> np.ndarray:
+    def pad_values(c: np.ndarray) -> np.ndarray:
         cm = np.zeros(half_m, dtype=np.complex128)
-        cm[dst] = c_full[src]
+        cm[dst] = c[src]
         return _irfftn(cm * npts_m, s=(m,) * d)
 
-    def axis_kdiff_half(ax: int) -> np.ndarray:
-        return grid.axis_k_diff(ax)[..., : kcap + 1]
-
-    # de-aliased product part of the divergence, in n-half-layout
+    # de-aliased product part of the divergence
     u_hat = _fft_of(t.u)
     u_fine = pad_values(u_hat)
-    e_half = np.zeros(half_n, dtype=np.complex128)
+    e_hat = np.zeros(grid.half_shape, dtype=np.complex128)
     for ax in range(d):
         b_fine = pad_values(_fft_of(t.b[ax]))
         ph = _rfftn(b_fine * u_fine)
         del b_fine
-        block = np.zeros(half_n, dtype=np.complex128)
+        block = np.zeros(grid.half_shape, dtype=np.complex128)
         block[src] = ph[dst]
         del ph
-        e_half += (2j * np.pi / npts_m) * axis_kdiff_half(ax) * block
+        e_hat += (2j * np.pi / npts_m) * grid.axis_k(ax, diff=True) * block
         del block
     del u_fine
 
     # band-limited parts: laplacian of u and divergence of f
-    e_half += (-4.0 * np.pi ** 2 * grid.k_squared_upto(kcap + 1, diff=True)
-               * u_hat[..., : kcap + 1])
+    e_hat += -4.0 * np.pi ** 2 * grid.k_squared_diff * u_hat
     del u_hat
     for ax in range(d):
-        e_half += (2j * np.pi) * axis_kdiff_half(ax) * _fft_of(t.f[ax])[..., : kcap + 1]
+        e_hat += (2j * np.pi) * grid.axis_k(ax, diff=True) * _fft_of(t.f[ax])
 
-    # restrict to |k_i| <= kcap and take the Sobolev-weighted norm with
-    # conjugate-pair multiplicity (2 for last-axis frequencies >= 1)
-    band = np.ones(half_n, dtype=bool)
-    for ax in range(d - 1):
+    # restrict to |k_i| <= kcap and take the Sobolev-weighted norm
+    band = np.ones(grid.half_shape, dtype=bool)
+    for ax in range(d):
         band &= np.abs(grid.axis_k(ax)) <= kcap
-    e_half[~band] = 0.0
+    e_hat[~band] = 0.0
 
-    k2_half = grid.k_squared_upto(kcap + 1)
-    k2_half[k2_half == 0.0] = 1.0
-    mult = np.full(half_n, 2.0)
-    mult[..., 0] = 1.0
-    e_sq = np.abs(e_half) ** 2 * mult / (4.0 * np.pi ** 2 * k2_half)
-    e_sq.flat[0] = 0.0
-    resid = float(np.sqrt(e_sq.sum()))
+    resid = math.sqrt(_parseval_sum(e_hat, _split_symbol(grid.k_squared) ** 2))
     return resid / max(norm(t.f, p=2), 1e-300)
 
 
@@ -422,7 +406,7 @@ class _StepWork:
 
         theta_vals = np.zeros(grid.shape)
         w_comps: list[np.ndarray] = [None] * d
-        q_hat = np.zeros(grid.shape, dtype=np.complex128)
+        q_hat = np.zeros(grid.half_shape, dtype=np.complex128)
         gchi_comps: list[np.ndarray] = [None] * d
         gchi_l1_sq = np.zeros(grid.shape)
         quad_source_l1 = 0.0
@@ -605,15 +589,14 @@ def assemble_step(
 # ---------------------------------------------------------------------------
 # parameter selection and the iteration
 
-_FAMILY_CACHE: dict[tuple, MikadoFamily] = {}
-
-
 def _family(d: int, p: float, mu: float, n: int, factor: float) -> MikadoFamily:
-    key = (d, round(p, 12), round(mu, 6), n, factor)
-    if key not in _FAMILY_CACHE:
-        _FAMILY_CACHE[key] = build_family(d, p, mu, TorusGrid(dim=d, n=n),
-                                          resolution_factor=factor)
-    return _FAMILY_CACHE[key]
+    """The family of build_family, built once per p to 12 digits and mu to 6."""
+    return _rounded_family(d, round(p, 12), round(mu, 6), n, factor)
+
+
+@functools.cache
+def _rounded_family(d: int, p: float, mu: float, n: int, factor: float) -> MikadoFamily:
+    return build_family(d, p, mu, TorusGrid(dim=d, n=n), resolution_factor=factor)
 
 
 def _mu_ladder(d: int, max_mu: float) -> list[float]:

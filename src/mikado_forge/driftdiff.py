@@ -28,9 +28,9 @@ from .torus import (
     TorusGrid,
     VectorField,
     _bump,
-    _ifftn,
     _irfftn,
     _rfftn,
+    _split_symbol,
     gradient,
     leray_project,
     lowpass,
@@ -101,22 +101,14 @@ class TruncationSchedule:
         return leray_project(clamped)
 
 
-def _split_symbol(k2: np.ndarray) -> np.ndarray:
-    """1/(2 pi sqrt(k2)), exactly 0 where k2 = 0 (the mean and the unpaired
-    Nyquist corners, outside the range of div)."""
-    with np.errstate(divide="ignore"):
-        return np.where(k2 > 0.0, 1.0 / (2.0 * np.pi * np.sqrt(k2)), 0.0)
-
-
 def _split_system(b: VectorField, grid: TorusGrid):
     """Maps on real grid values: A u = -lap(u) - div(b u) in the
     odd-derivative convention the diagnostics use, the split preconditioner
     P and B = P A P, the identity plus the drift part off the corner modes
     where P vanishes.  All run on real transforms, d + 3 of them for B."""
-    half = grid.n // 2 + 1
-    k2 = grid.k_squared_upto(half, diff=True)
+    k2 = grid.k_squared_diff
     p, keep, lap = _split_symbol(k2), k2 > 0.0, 4.0 * np.pi ** 2 * k2
-    minus_d = [-2j * np.pi * grid.axis_k_diff(ax)[..., :half] for ax in range(grid.dim)]
+    minus_d = [-2j * np.pi * grid.axis_k(ax, diff=True) for ax in range(grid.dim)]
     bvals = [c.values for c in b.components]
 
     def drift_hat(u: np.ndarray) -> np.ndarray:  # real transform of -div(b u)
@@ -380,10 +372,12 @@ def moser_gns_check(u: ScalarField, b: VectorField, f: ScalarField,
 
 @functools.cache
 def _bump_normalisation(d: int, fine: int = 321) -> float:
-    """1 / int_{B_1} exp(-1/(1-|z|^2)) dz by tensor quadrature."""
+    """1 / int_{B_1} exp(-1/(1-|z|^2)) dz by tensor quadrature, summed in
+    slabs of fixed z_1 so that no fine^d temporary is allocated."""
     z = np.linspace(-1.0, 1.0, fine)
-    r2 = sum(c ** 2 for c in np.meshgrid(*([z] * d), indexing="ij", sparse=True))
-    return 1.0 / float(_bump(r2).sum() * (z[1] - z[0]) ** d)
+    rest = np.meshgrid(*([z] * (d - 1)), indexing="ij", sparse=True)
+    total = sum(float(_bump(sum((c ** 2 for c in rest), z1 ** 2)).sum()) for z1 in z)
+    return 1.0 / float(total * (z[1] - z[0]) ** d)
 
 
 def _zgrid(d: int, m: int) -> tuple[list[np.ndarray], float]:
@@ -405,22 +399,28 @@ def _grad_rho(d: int, coords: list[np.ndarray]) -> list[np.ndarray]:
 
 def mollifier_moment_matrix(d: int, fine: int = 201) -> np.ndarray:
     """int z_j d_i rho(z) dz by quadrature with the analytic gradient of the
-    normalised standard bump; integration by parts predicts -delta_ij."""
-    coords, w = _zgrid(d, fine)
-    grad_rho = _grad_rho(d, coords)
+    normalised standard bump, summed in slabs of fixed z_1 (no fine^d
+    temporaries); integration by parts predicts -delta_ij."""
+    rest, w = _zgrid(d - 1, fine)
+    z = np.linspace(-1.0, 1.0, fine)
     mom = np.zeros((d, d))
-    for i in range(d):
-        for j in range(d):
-            mom[i, j] = float((coords[j] * grad_rho[i]).sum() * w)
-    return mom
+    for z1 in z:
+        coords = [np.full_like(rest[0], z1)] + rest
+        grad_rho = _grad_rho(d, coords)
+        mom += [[(coords[j] * grad_rho[i]).sum() for j in range(d)] for i in range(d)]
+    return mom * (w * (z[1] - z[0]))
 
 
 def _shift(field_coeffs: np.ndarray, grid: TorusGrid, s: np.ndarray) -> np.ndarray:
-    """Values of f(x - s) for an off-grid shift s, via spectral phases."""
-    phase = np.ones(grid.shape, dtype=np.complex128)
+    """Values of f(x - s) for an off-grid shift s, via spectral phases.  A
+    Nyquist mode is its own conjugate partner: it shifts by the mean of the
+    phases of -n/2 and +n/2, cos(pi n s), on every axis alike."""
+    phase = np.ones(grid.half_shape, dtype=np.complex128)
     for ax in range(grid.dim):
-        phase = phase * np.exp(-2j * np.pi * grid.axis_k(ax) * s[ax])
-    return _ifftn(field_coeffs * phase).real * (grid.n ** grid.dim)
+        e = np.exp(-2j * np.pi * grid.axis_k(ax) * s[ax])
+        e.flat[grid.n // 2] = e.flat[grid.n // 2].real
+        phase = phase * e
+    return _irfftn(field_coeffs * phase, grid.shape) * (grid.n ** grid.dim)
 
 
 def commutator_check(

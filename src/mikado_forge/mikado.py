@@ -101,24 +101,25 @@ def _wrap(x: np.ndarray) -> np.ndarray:
     return (x + 0.5) % 1.0 - 0.5
 
 
-def _transverse_displacements(n: int, offset: float) -> np.ndarray:
-    x = -0.5 + np.arange(n) / n
-    return _wrap(x - offset)
-
-
-def _profile_grid(profile: MikadoProfile, mu: float, n: int, offset: float,
-                  scaled: bool = True) -> np.ndarray:
-    """Sample phi(mu * wrap(y - offset)) on the (d-1)-dim transverse grid.
-    All transverse coordinates share the same offset."""
-    m = profile.transverse_dim
-    delta = mu * _transverse_displacements(n, offset)
+def _pipe_profile(d: int, mu: float, n: int, offset: float) -> tuple[np.ndarray, float]:
+    """Samples of one pipe's profile phi(mu * wrap(y - offset)) on the
+    (d-1)-dim transverse grid, all transverse coordinates sharing the
+    offset, and the scale that makes the grid quadrature of
+    mu^(d-1) phi^2 exactly 1 (so theta_j . w_j integrates to exactly 1).
+    Returns (scaled samples, scale)."""
+    m = d - 1
+    delta = mu * _wrap(-0.5 + np.arange(n) / n - offset)
     coords = []
     for ax in range(m):
         shape = [1] * m
         shape[ax] = n
         coords.append(delta.reshape(shape))
-    vals = profile.raw(coords)
-    return profile.scale * vals if scaled else vals
+    raw = MikadoProfile(transverse_dim=m, scale=1.0).raw(coords)
+    s2 = float((raw * raw).mean())
+    if s2 <= 0.0:
+        raise ValueError("profile vanished on the grid; increase n")
+    scale = 1.0 / math.sqrt(mu ** m * s2)
+    return scale * raw, scale
 
 
 def _expand_along(values: np.ndarray, axis: int, n: int, d: int) -> np.ndarray:
@@ -234,19 +235,12 @@ def build_family(
     a_w = mu ** ((d - 1) / p)
     grid_t = TorusGrid(dim=d - 1, n=n)
 
-    # per-pipe normalisation: grid quadrature of theta_j . w_j is exactly 1
-    base = MikadoProfile(transverse_dim=d - 1, scale=1.0)
     densities = []
     fields = []
     prof0 = None
     scale0 = 1.0
     for j in range(d):
-        raw = _profile_grid(base, mu, n, offsets[j], scaled=False)
-        s2 = float((raw * raw).mean())
-        if s2 <= 0.0:
-            raise ValueError("profile vanished on the grid; increase n")
-        scale = 1.0 / math.sqrt(mu ** (d - 1) * s2)
-        prof_vals = scale * raw
+        prof_vals, scale = _pipe_profile(d, mu, n, offsets[j])
         if j == 0:
             prof0, scale0 = prof_vals, scale
         theta_vals = _expand_along(a_theta * prof_vals, j, n, d)
@@ -403,12 +397,7 @@ def scaling_report(
 
     th, w, h1 = [], [], []
     for mu in mu_list:
-        offset = _snap_offset(d, n, 1)
-        base = MikadoProfile(transverse_dim=d - 1, scale=1.0)
-        raw = _profile_grid(base, mu, n, offset, scaled=False)
-        s2 = float((raw * raw).mean())
-        scale = 1.0 / math.sqrt(mu ** (d - 1) * s2)
-        prof = ScalarField(grid_t, scale * raw)
+        prof = ScalarField(grid_t, _pipe_profile(d, mu, n, _snap_offset(d, n, 1))[0])
         a_theta = mu ** ((d - 1) / pc)
         a_w = mu ** ((d - 1) / p)
         if k == 0:

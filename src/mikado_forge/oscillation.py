@@ -8,6 +8,7 @@ frequency-gain bounds are verified empirically by log-log rate fits.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -88,8 +89,6 @@ def _as_lambda_list(lam: int | Sequence[int]) -> list[int]:
     return out
 
 
-# Fitted Hoelder constants, frozen per (dim, p) after one calibration pass.
-_CP_CACHE: dict[tuple[int, float], float] = {}
 _CALIBRATION_SEED = 20240
 _CALIBRATION_PAIRS = 20
 _CALIBRATION_MARGIN = 1.25
@@ -108,9 +107,11 @@ def holder_constant(dim: int, p: float) -> float:
     slow spectral tails, so the frozen constant covers both field classes
     the verification sweeps use.
     """
-    key = (int(dim), round(float(p), 12))
-    if key in _CP_CACHE:
-        return _CP_CACHE[key]
+    return _fitted_holder_constant(int(dim), round(float(p), 12))
+
+
+@functools.cache
+def _fitted_holder_constant(dim: int, p: float) -> float:
     grid = TorusGrid(dim=dim, n=64)
     rng = np.random.default_rng(_CALIBRATION_SEED + dim)
     worst = 0.0
@@ -130,9 +131,7 @@ def holder_constant(dim: int, p: float) -> float:
             denom = lam ** (-1.0 / p) * fc1 * gp
             if denom > 0:
                 worst = max(worst, meas / denom)
-    cp = _CALIBRATION_MARGIN * worst
-    _CP_CACHE[key] = cp
-    return cp
+    return _CALIBRATION_MARGIN * worst
 
 
 def improved_holder_check(

@@ -6,14 +6,20 @@ that convention c_0 is the mean, quadrature is the plain grid average
 (|T^d| = 1), and Parseval holds exactly between grid quadrature and the
 coefficient l2 sum.
 
+Every field is real, so c_{-k} = conj(c_k), and coefficient arrays hold
+only the real-transform half spectrum, of shape `TorusGrid.half_shape`: the
+last axis keeps its frequencies 0..n/2.  A column 0 < k_last < n/2 stands
+for itself and its conjugate partner (see `_parseval_sum`).
+
 This module is the package's only spectral layer.  It owns every
-transform (the `_fftn` / `_ifftn` / `_rfftn` / `_irfftn` helpers, all
-capped by the one worker setting `set_fft_workers`), every wavenumber
-symbol (the `TorusGrid` frequency arrays), and the array-level kernels
-the other modules build on: coefficients without caching (`_fft_of`),
-derivative, gradient, divergence and antidivergence on coefficient and
-value arrays, the Lp quadrature of value arrays, and the C-infinity bump.
-The field-level operators below are thin wrappers over those kernels.
+transform (the real-transform helpers `_rfftn` / `_irfftn`, capped by the
+one worker setting `set_fft_workers`), every wavenumber symbol (the
+`TorusGrid` frequency arrays, all in the half layout), and the
+array-level kernels the other modules build on: coefficients without
+caching (`_fft_of`), derivative, gradient, divergence and antidivergence on
+coefficient and value arrays, the Parseval sum, the Lp quadrature of value
+arrays, and the C-infinity bump.  The field-level operators below are thin
+wrappers over those kernels.
 
 All operations are pure: fields are immutable after construction.
 """
@@ -66,14 +72,6 @@ def set_fft_workers(n: int) -> None:
     _FFT_WORKERS = max(1, int(n))
 
 
-def _fftn(a: np.ndarray) -> np.ndarray:
-    return sfft.fftn(a, workers=_FFT_WORKERS)
-
-
-def _ifftn(a: np.ndarray) -> np.ndarray:
-    return sfft.ifftn(a, workers=_FFT_WORKERS)
-
-
 def _rfftn(a: np.ndarray) -> np.ndarray:
     return sfft.rfftn(a, workers=_FFT_WORKERS)
 
@@ -107,6 +105,12 @@ class TorusGrid:
         return (self.n,) * self.dim
 
     @property
+    def half_shape(self) -> tuple[int, ...]:
+        """Shape of every coefficient array: the real-transform half
+        spectrum, last axis cut to its n/2 + 1 frequencies 0..n/2."""
+        return self.shape[:-1] + (self.n // 2 + 1,)
+
+    @property
     def spacing(self) -> float:
         return 1.0 / self.n
 
@@ -134,38 +138,36 @@ class TorusGrid:
         k[self.n // 2] = 0
         return k
 
-    def axis_k(self, axis: int) -> np.ndarray:
-        """Frequencies of one axis, shaped for broadcasting over the grid."""
+    def axis_k(self, axis: int, diff: bool = False) -> np.ndarray:
+        """Frequencies of one axis, shaped for broadcasting over the half
+        spectrum; diff = True gives the derivative frequencies (Nyquist
+        zeroed)."""
+        k = self.k1_diff if diff else self.k1
+        if axis == self.dim - 1:
+            k = k[: self.n // 2 + 1]
         shape = [1] * self.dim
-        shape[axis] = self.n
-        return self.k1.reshape(shape)
-
-    def axis_k_diff(self, axis: int) -> np.ndarray:
-        """Derivative frequencies of one axis (Nyquist zeroed)."""
-        shape = [1] * self.dim
-        shape[axis] = self.n
-        return self.k1_diff.reshape(shape)
+        shape[axis] = k.size
+        return k.reshape(shape)
 
     def k_squared_upto(self, last: int, diff: bool = False) -> np.ndarray:
-        """|k|^2 (float64) with the last axis cut to its first `last`
-        FFT-layout frequencies; last <= n/2 + 1 is a real-transform half
-        layout.  diff = True sums the derivative frequencies instead."""
-        axis_k = self.axis_k_diff if diff else self.axis_k
+        """|k|^2 (float64) on the half spectrum with the last axis cut to
+        its first `last` <= n/2 + 1 frequencies.  diff = True sums the
+        derivative frequencies instead."""
         k2 = np.zeros(self.shape[:-1] + (last,))
         for ax in range(self.dim):
-            k2 = k2 + axis_k(ax)[..., :last].astype(np.float64) ** 2
+            k2 = k2 + self.axis_k(ax, diff)[..., :last].astype(np.float64) ** 2
         return k2
 
     @cached_property
     def k_squared(self) -> np.ndarray:
-        """|k|^2 over the full grid (float64)."""
-        return self.k_squared_upto(self.n)
+        """|k|^2 on the half spectrum (float64)."""
+        return self.k_squared_upto(self.n // 2 + 1)
 
     @cached_property
     def k_squared_diff(self) -> np.ndarray:
-        """sum of squared derivative frequencies: the symbol of div(grad .)
-        in the odd-derivative convention."""
-        return self.k_squared_upto(self.n, diff=True)
+        """sum of squared derivative frequencies on the half spectrum: the
+        symbol of div(grad .) in the odd-derivative convention."""
+        return self.k_squared_upto(self.n // 2 + 1, diff=True)
 
     def meshes(self) -> list[np.ndarray]:
         """Coordinate meshes (built on demand, not cached)."""
@@ -220,13 +222,14 @@ class ScalarField:
         object.__setattr__(self, "values", _freeze(self.values))
 
     @classmethod
-    def from_values(cls, grid: TorusGrid, values: np.ndarray) -> "ScalarField":
-        return cls(grid=grid, values=values)
-
-    @classmethod
     def from_coeffs(cls, grid: TorusGrid, coeffs: np.ndarray) -> "ScalarField":
-        vals = _ifftn(coeffs * (grid.n ** grid.dim))
-        f = cls(grid=grid, values=vals.real)
+        """The real field with these half-spectrum coefficients."""
+        if coeffs.shape != grid.half_shape:
+            # irfftn would crop or pad any other shape without complaint
+            raise ValueError(f"coefficient shape {coeffs.shape} is not the half-spectrum "
+                             f"shape {grid.half_shape}")
+        vals = _irfftn(coeffs * (grid.n ** grid.dim), s=grid.shape)
+        f = cls(grid=grid, values=vals)
         object.__setattr__(f, "_coeffs", np.ascontiguousarray(coeffs))
         return f
 
@@ -244,6 +247,8 @@ class ScalarField:
 
     @cached_property
     def coeffs(self) -> np.ndarray:
+        """Normalised Fourier coefficients in the half layout (shape
+        `grid.half_shape`); c_{-k} = conj(c_k) gives the other half."""
         c = getattr(self, "_coeffs", None)
         if c is None:
             c = _fft_of(self.values)
@@ -352,7 +357,7 @@ def _fft_of(x: ScalarField | np.ndarray) -> np.ndarray:
         if c is not None:
             return c
         x = x.values
-    return _fftn(x) / x.size
+    return _rfftn(x) / x.size
 
 
 # ---------------------------------------------------------------------------
@@ -360,14 +365,14 @@ def _fft_of(x: ScalarField | np.ndarray) -> np.ndarray:
 # arrays out; nothing is cached)
 
 def _axis_derivative_coeffs(grid: TorusGrid, coeffs: np.ndarray, axis: int) -> np.ndarray:
-    return (2j * np.pi) * grid.axis_k_diff(axis) * coeffs
+    return (2j * np.pi) * grid.axis_k(axis, diff=True) * coeffs
 
 
 def _grad_values(grid: TorusGrid, coeffs: np.ndarray) -> list[np.ndarray]:
     """Real values of every partial derivative of the field with these
     coefficients."""
     npts = grid.n ** grid.dim
-    return [_ifftn(_axis_derivative_coeffs(grid, coeffs, ax)).real * npts
+    return [_irfftn(_axis_derivative_coeffs(grid, coeffs, ax), grid.shape) * npts
             for ax in range(grid.dim)]
 
 
@@ -375,7 +380,7 @@ def _divergence_coeffs(grid: TorusGrid, comp_coeffs: Iterable[np.ndarray]) -> np
     """Coefficients of the divergence.  The component coefficients are
     drawn one at a time and released after use, so a lazy iterable keeps
     at most one of them alive."""
-    acc = np.zeros(grid.shape, dtype=np.complex128)
+    acc = np.zeros(grid.half_shape, dtype=np.complex128)
     comps = iter(comp_coeffs)
     for ax in range(grid.dim):
         acc += _axis_derivative_coeffs(grid, next(comps), ax)
@@ -392,6 +397,16 @@ def _inverse_div_grad_coeffs(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
     phihat = coeffs / (-4.0 * np.pi ** 2 * k2)
     phihat[zero] = 0.0
     return phihat
+
+
+def _split_symbol(k2: np.ndarray) -> np.ndarray:
+    """1/(2 pi sqrt(k2)), exactly 0 where k2 = 0: the symbol of
+    (-lap)^(-1/2) off its kernel, which splits the drift-diffusion
+    preconditioner and weights the H^-1 norms of equation residuals.  With
+    k2 = k_squared_diff the kernel is the mean and the unpaired Nyquist
+    corners, outside the range of div."""
+    with np.errstate(divide="ignore"):
+        return np.where(k2 > 0.0, 1.0 / (2.0 * np.pi * np.sqrt(k2)), 0.0)
 
 
 def _antidivergence_values(grid: TorusGrid, coeffs: np.ndarray) -> list[np.ndarray]:
@@ -549,8 +564,8 @@ def bandwidth(f: Field, rel_tol: float = 1e-10) -> int:
     bw = 0
     for ax in range(grid.dim):
         other = tuple(i for i in range(grid.dim) if i != ax)
-        profile = mask.any(axis=other) if other else mask
-        ks = np.abs(grid.k1[profile])
+        profile = mask.any(axis=other)
+        ks = np.abs(grid.axis_k(ax).ravel()[profile])
         if ks.size:
             bw = max(bw, int(ks.max()))
     return bw
@@ -623,8 +638,7 @@ def mollify(f: Field, m: MollifierSpec) -> Field:
     """Convolution with rho_eps, computed spectrally.  Mean preserved exactly."""
     if isinstance(f, VectorField):
         return VectorField.from_components(tuple(mollify(c, m) for c in f.components))
-    kernel = m.grid_kernel(f.grid)
-    mult = _fftn(kernel) / (f.grid.n ** f.grid.dim)
+    mult = _fft_of(m.grid_kernel(f.grid))
     return ScalarField.from_coeffs(f.grid, f.coeffs * mult)
 
 
@@ -633,7 +647,7 @@ def lowpass(f: Field, kmax: float) -> Field:
     if isinstance(f, VectorField):
         return VectorField.from_components(tuple(lowpass(c, kmax) for c in f.components))
     grid = f.grid
-    keep = np.ones(grid.shape, dtype=bool)
+    keep = np.ones(grid.half_shape, dtype=bool)
     for ax in range(grid.dim):
         keep &= np.abs(grid.axis_k(ax)) <= kmax
     return ScalarField.from_coeffs(grid, np.where(keep, f.coeffs, 0.0))
@@ -653,15 +667,20 @@ def leray_project(b: VectorField) -> VectorField:
         for ax in range(grid.dim)))
 
 
-def _sum_abs_sq(z: np.ndarray, weight: np.ndarray | None = None) -> float:
-    """sum weight |z|^2, in slabs along the first axis: full-grid float
-    temporaries here would fragment the heap on large grids and raise the
-    peak RSS of the callers that follow."""
+def _parseval_sum(c: np.ndarray, weight: np.ndarray | None = None) -> float:
+    """sum over the full spectrum of weight |c_k|^2 from half-spectrum
+    coefficients c (weight, if given, in the same layout and even in k):
+    each column 0 < k_last < n/2 counts twice, for itself and its conjugate
+    partner; the k_last = 0 and Nyquist columns count once.  Taken in slabs
+    along the first axis: full-grid float temporaries here would fragment
+    the heap on large grids and raise the peak RSS of the callers that
+    follow."""
     total = 0.0
-    for s in range(0, z.shape[0], _SLAB):
-        sq = np.abs(z[s:s + _SLAB]) ** 2
+    for s in range(0, c.shape[0], _SLAB):
+        sq = np.abs(c[s:s + _SLAB]) ** 2
         if weight is not None:
             sq *= weight[s:s + _SLAB]
+        sq[..., 1:-1] *= 2.0
         total += float(sq.sum())
     return total
 
@@ -671,14 +690,14 @@ def relative_divergence(v: VectorField) -> float:
     both by Parseval from one transform per component; no coefficients are
     cached on v."""
     grid = v.grid
-    acc = np.zeros(grid.shape, dtype=np.complex128)
+    acc = np.zeros(grid.half_shape, dtype=np.complex128)
     den_sq = 0.0
     for ax in range(grid.dim):
         c = _fft_of(v[ax])
         acc += _axis_derivative_coeffs(grid, c, ax)
-        den_sq += _sum_abs_sq(c, grid.k_squared_diff)
+        den_sq += _parseval_sum(c, grid.k_squared_diff)
         del c
-    num = math.sqrt(_sum_abs_sq(acc))
+    num = math.sqrt(_parseval_sum(acc))
     den = 2.0 * np.pi * math.sqrt(den_sq)
     return num / den if den > 0.0 else 0.0
 
@@ -696,12 +715,15 @@ def random_scalar(
     """Random real field with spectrum inside the cube |k_i| <= bmax."""
     if bmax < 1 or bmax > grid.n // 2 - 1:
         raise ValueError(f"bmax must lie in [1, n/2 - 1], got {bmax}")
-    c = np.zeros(grid.shape, dtype=np.complex128)
+    size = (2 * bmax + 1,) * grid.dim
+    drawn = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    # the field is the real part of the drawn series: the Hermitian part
+    # 0.5 (c_k + conj(c_{-k})) of the block, whose k_last >= 0 half is stored
+    herm = 0.5 * (drawn + np.conj(drawn[(slice(None, None, -1),) * grid.dim]))
     block = [i % grid.n for i in range(-bmax, bmax + 1)]
-    sel = np.ix_(*([block] * grid.dim))
-    size = (len(block),) * grid.dim
-    c[sel] = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-    vals = _ifftn(c * (grid.n ** grid.dim)).real  # real part hermitianises
+    c = np.zeros(grid.half_shape, dtype=np.complex128)
+    c[np.ix_(*([block] * (grid.dim - 1) + [range(bmax + 1)]))] = herm[..., bmax:]
+    vals = _irfftn(c * (grid.n ** grid.dim), grid.shape)
     if mean_zero:
         vals = vals - vals.mean()
     f = ScalarField(grid, vals)

@@ -1,6 +1,8 @@
 """Solver and well-posedness diagnostics for the steady drift-diffusion
 equation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,9 +19,10 @@ from mikado_forge.driftdiff import (
     solve,
     uniqueness_probe,
 )
-from mikado_forge.driftdiff import mollifier_moment_matrix
+from mikado_forge.driftdiff import _bump_normalisation, _shift, mollifier_moment_matrix
 from mikado_forge.torus import (
     MollifierSpec,
+    _bump,
     ScalarField,
     VectorField,
     divergence,
@@ -287,6 +290,40 @@ def test_mollifier_moment_matrix_oracle():
     for d in (2, 3):
         mom = mollifier_moment_matrix(d)
         assert np.abs(np.asarray(mom) + np.eye(d)).max() <= 1e-6
+
+
+def test_bump_quadratures_memory_and_value():
+    # the 321^3 normalisation and the 201^3 moment quadrature are summed in
+    # slabs, not as full-grid temporaries of several hundred megabytes
+    tracemalloc.start()
+    try:
+        _bump_normalisation.__wrapped__(3)
+        mollifier_moment_matrix(3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+    # the full-grid sum as reference, at node counts where it is cheap
+    for d, fine in [(2, 321), (3, 121), (4, 41)]:
+        z = np.linspace(-1.0, 1.0, fine)
+        r2 = sum(c ** 2 for c in np.meshgrid(*([z] * d), indexing="ij", sparse=True))
+        full = 1.0 / float(_bump(r2).sum() * (z[1] - z[0]) ** d)
+        assert abs(_bump_normalisation.__wrapped__(d, fine) - full) <= 1e-13 * full
+
+
+def test_shift_treats_every_axis_alike():
+    # white noise carries every Nyquist mode; transposing the field and the
+    # shift must transpose the shifted values, whichever axis the half
+    # spectrum cuts
+    g = make_grid(2, 16)
+    v = np.random.default_rng(11).standard_normal(g.shape)
+    s = np.array([0.013, -0.027])
+    a = _shift(ScalarField(g, v).coeffs, g, s)
+    b = _shift(ScalarField(g, v.T.copy()).coeffs, g, s[::-1])
+    assert np.abs(a.T - b).max() <= 1e-13 * np.abs(a).max()
+    # a shift by whole cells permutes the samples
+    c = _shift(ScalarField(g, v).coeffs, g, np.array([3, -5]) / 16)
+    assert np.abs(c - np.roll(v, (3, -5), axis=(0, 1))).max() <= 1e-13 * np.abs(v).max()
 
 
 def test_split_solver_converges_within_200_matvecs_at_drift_scale_30(grid3):

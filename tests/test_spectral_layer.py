@@ -1,5 +1,7 @@
 """The package has one spectral layer: only `torus` imports scipy.fft,
-and no other module keeps its own relative divergence or antidivergence."""
+no module calls a complex transform (every field is real, so real
+transforms and the half spectrum serve throughout), and no other module
+keeps its own relative divergence or antidivergence."""
 
 import ast
 from pathlib import Path
@@ -8,6 +10,7 @@ import mikado_forge
 
 PACKAGE_DIR = Path(mikado_forge.__file__).parent
 SHADOWED = ("relative_divergence", "grad_of_invlap")
+COMPLEX_TRANSFORMS = ("fft", "ifft", "fftn", "ifftn", "_fftn", "_ifftn")
 
 
 def _modules():
@@ -44,3 +47,17 @@ def test_no_shadow_copies_of_torus_operators():
         and any(s in node.name for s in SHADOWED)
     ]
     assert shadows == []
+
+
+def test_no_complex_transforms():
+    calls = [
+        (name, node.lineno)
+        for name, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) in COMPLEX_TRANSFORMS
+    ]
+    assert calls == []
+    torus = dict(_modules())["torus.py"]
+    defined = {node.name for node in ast.walk(torus) if isinstance(node, ast.FunctionDef)}
+    assert defined.isdisjoint(COMPLEX_TRANSFORMS)

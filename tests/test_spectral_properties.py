@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from mikado_forge.driftdiff import SolveConfig, _split_symbol, _split_system, solve
 from mikado_forge.oscillation import antidivergence
 from mikado_forge.torus import (
+    ScalarField,
     VectorField,
     _antidivergence_values,
     _irfftn,
@@ -14,6 +15,7 @@ from mikado_forge.torus import (
     _divergence_coeffs,
     _fft_of,
     _grad_values,
+    _parseval_sum,
     divergence,
     gradient,
     grad_magnitude,
@@ -116,6 +118,21 @@ def test_gradient_kernel_matches_wrapper(case):
     wrapper = gradient(f)
     for ax in range(grid.dim):
         assert _max_rel(kernel[ax], wrapper[ax].values) <= 1e-13
+
+
+@PROPERTY_SETTINGS
+@given(band_limited())
+def test_parseval_sum_counts_each_conjugate_pair_once_per_member(case):
+    # white noise fills the k_last = 0 and Nyquist columns, which are
+    # their own partners, as well as the paired columns between them
+    grid, _, rng = case
+    v = _white_noise(grid, rng)
+    quad = float(np.mean(v ** 2))
+    assert abs(_parseval_sum(_fft_of(v)) - quad) <= 1e-12 * quad
+    # weighted by the div(grad .) symbol: the squared H1 seminorm
+    grad_sq = float(np.mean(grad_magnitude(ScalarField(grid, v)) ** 2))
+    weighted = 4 * np.pi ** 2 * _parseval_sum(_fft_of(v), grid.k_squared_diff)
+    assert abs(weighted - grad_sq) <= 1e-12 * grad_sq
 
 
 # The split-preconditioned drift-diffusion system B = P A P of

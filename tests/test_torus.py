@@ -9,6 +9,7 @@ from mikado_forge.torus import (
     ScalarField,
     TorusGrid,
     VectorField,
+    _parseval_sum,
     bandwidth,
     dilate,
     divergence,
@@ -119,11 +120,44 @@ def test_invlap_lap_identity_on_mean_zero():
 def test_parseval_hundred_fields():
     g = make_grid(2, 32)
     rng = np.random.default_rng(3)
+    # conjugate-pair weight of the half spectrum: the k_last = 0 and Nyquist
+    # columns are their own partners, every other column stands for two
+    pair = np.full(g.half_shape, 2.0)
+    pair[..., 0] = pair[..., -1] = 1.0
     for _ in range(100):
         f = random_scalar(g, 5, rng, mean_zero=False, unit_l2=False)
         quad = norm(f, p=2)
-        spec = float(np.sqrt((np.abs(f.coeffs) ** 2).sum()))
+        spec = float(np.sqrt((pair * np.abs(f.coeffs) ** 2).sum()))
         assert abs(quad - spec) <= 1e-12 * quad
+        assert abs(quad - np.sqrt(_parseval_sum(f.coeffs))) <= 1e-12 * quad
+
+
+def test_coeffs_are_the_half_spectrum_and_from_coeffs_checks_the_shape():
+    for d, n in [(2, 16), (3, 8), (4, 8)]:
+        g = make_grid(d, n)
+        f = random_scalar(g, 3, np.random.default_rng(d))
+        assert f.coeffs.shape == g.shape[:-1] + (n // 2 + 1,) == g.half_shape
+        back = ScalarField.from_coeffs(g, f.coeffs)
+        assert np.abs(back.values - f.values).max() <= 1e-13 * np.abs(f.values).max()
+        # a full-layout array would be cropped silently by the inverse transform
+        full = np.fft.fftn(f.values) / f.values.size
+        with pytest.raises(ValueError, match="half-spectrum"):
+            ScalarField.from_coeffs(g, full)
+
+
+def test_random_scalar_is_the_real_part_of_the_drawn_series():
+    # reference: the drawn block placed on the full spectrum, and the real
+    # part of its complex inverse transform
+    for d, n, bmax in [(2, 16, 3), (3, 16, 7), (4, 8, 3)]:
+        g = make_grid(d, n)
+        f = random_scalar(g, bmax, np.random.default_rng(7), mean_zero=False, unit_l2=False)
+        rng = np.random.default_rng(7)
+        size = (2 * bmax + 1,) * d
+        c = np.zeros(g.shape, dtype=complex)
+        block = [i % n for i in range(-bmax, bmax + 1)]
+        c[np.ix_(*([block] * d))] = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        ref = np.fft.ifftn(c).real * n ** d
+        assert np.abs(f.values - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_l2_norm_of_sine():
@@ -186,10 +220,11 @@ def test_dilate_spectral_support_map():
     f = ScalarField.from_function(g, lambda x, y: np.cos(2 * np.pi * (x + 2 * y)))
     d2 = dilate(f, 2)
     c = d2.coeffs
-    # mass must sit exactly on (2, 4) and (-2, -4)
+    # mass must sit exactly on (2, 4); its conjugate (-2, -4) is the
+    # implied other half of the spectrum
     mag = np.abs(c)
     assert mag[2, 4] > 0.49
-    mag[2, 4] = mag[-2 % 64, -4 % 64] = 0.0
+    mag[2, 4] = 0.0
     assert mag.max() < 1e-13
 
 
