@@ -1,17 +1,27 @@
 """Experiment runner: wires plain-text configurations to the module
 operations, persists deterministic JSON/CSV reports and field binaries.
 
-Invocation:
-
-    mikado-forge <experiment> --config <file> [--out <dir>] [--seed <u64>]
+Invocation: mikado-forge <experiment> --config <file> [--out <dir>] [--seed <u64>]
 
 Config files are one `key = value` per line ('#' comments).  Values parse
-as int, float, comma-separated lists, booleans, or strings.  Exit codes:
-0 all named checks passed, 1 an assertion failed (the report names it),
-2 configuration error, 3 resource/budget exhaustion (the parameter search
-or the solver's iteration budget ran out; the report names the achieved
-value).  MF_THREADS caps the FFT worker pool of every transform (results
-are identical for any setting).
+as int, float, comma-separated lists, `true`/`false` (the only booleans),
+or strings.  EXPERIMENTS declares each experiment's keys; one value fills
+a list key and an int fills a float key.  `seed` and `out_dir` in the file
+override --seed and --out.  MF_THREADS caps the FFT worker pool of every
+transform (results are identical for any setting).
+
+Exit codes:
+0  every named check passed.
+1  a check failed; report.json names it.
+2  the config was rejected and no report.json is written: the file is
+   unreadable, load_config found an unknown key, a wrong type or a value
+   out of range before any work, or a constructor raised a
+   parameter-domain ValueError such as build_family's tube-resolution
+   check.  osc-verify needs N >= 162: its fixed Riemann-Lebesgue
+   frequencies 3, 9 and 27 at bandwidth 3 must fit in n/2, so at N = 64
+   it exits 2 with "aliasing: lam * bandwidth = 27*3 exceeds n/2 = 32".
+3  a budget ran out, of the parameter search or of the solver's matvecs;
+   report.json names the achieved value.
 """
 
 from __future__ import annotations
@@ -91,14 +101,11 @@ def _parse_value(raw: str):
     low = raw.lower()
     if low in ("true", "false"):
         return low == "true"
-    try:
-        return int(raw)
-    except ValueError:
-        pass
-    try:
-        return float(raw)
-    except ValueError:
-        pass
+    for cast in (int, float):
+        try:
+            return cast(raw)
+        except ValueError:
+            pass
     return raw
 
 
@@ -183,31 +190,59 @@ def write_csv(path: Path, comment: str, columns: dict) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _need(cfg: dict, key: str, default=None):
-    if key in cfg:
-        return cfg[key]
-    if default is not None:
-        return default
-    raise ConfigError(f"missing required config key {key!r}")
+# ranges nothing downstream checks, for the key in any experiment and any list entry
+_RANGES = {
+    **dict.fromkeys(("cases", "drifts", "k_max", "K", "lambda"), (lambda v: v >= 1, " >= 1")),
+    "z_per_axis": (lambda v: v >= 2, " >= 2"),
+    **dict.fromkeys(("scale_span", "delta_divisor", "eps_frac"), (lambda v: v > 0, " > 0")),
+    "seed_kind": (lambda v: v in ("shifted-cosine", "cascade"), " in (shifted-cosine, cascade)"),
+}
 
 
-def _as_list(v) -> list:
-    return v if isinstance(v, list) else [v]
+def load_config(experiment: str, raw: dict) -> dict:
+    """Every key of the experiment, converted to its declared type or set to its
+    default; a W1R mode's r defaults to 1.1.  Raises ConfigError naming the key
+    on an unknown key, a wrong type, or a value out of range."""
+    keys = EXPERIMENTS[experiment][1]
+    unknown = sorted(set(raw) - set(keys))
+    if unknown:
+        raise ConfigError(f"{experiment}: unknown keys {unknown}; known keys {sorted(keys)}")
+    cfg = {}
+    for key, default in keys.items():
+        listed = isinstance(default, list)
+        kind = default[0] if listed else default
+        if isinstance(kind, type) and key not in raw:
+            cfg[key] = None
+            continue
+        kind = kind if isinstance(kind, type) else type(kind)
+        value = raw.get(key, default)
+        items = value if listed and isinstance(value, list) else [value]
+        rule, text = _RANGES.get(key, (lambda v: True, ""))
+        for v in items:
+            if not (type(v) is kind or kind is float and type(v) is int) or not rule(v):
+                raise ConfigError(f"{experiment}: {key} = {value!r}, expected "
+                                  f"{'list of ' if listed else ''}{kind.__name__}{text}")
+        items = [float(v) for v in items] if kind is float else items
+        cfg[key] = items if listed else items[0]
+    for key in ("lam_schedule", "mu_schedule"):    # ci-run's schedules, one entry a step
+        sched = cfg.get(key)
+        if sched is not None and (len(sched) != cfg["K"] or cfg["lam_schedule"] is None):
+            raise ConfigError(f"{experiment}: {key} = {sched!r}, expected K = {cfg['K']} "
+                              "entries (mu_schedule needs lam_schedule)")
+    if "mode" in cfg and cfg["r"] is None and cfg["mode"].startswith("W1R"):
+        cfg["r"] = 1.1
+    return cfg
 
 
 # ---------------------------------------------------------------------------
-# experiments
+# experiments; each receives the config load_config returned
 
 def _exp_mikado_verify(cfg: dict, out: Path, rng) -> dict:
-    d = int(_need(cfg, "d", 3))
-    n = int(_need(cfg, "N", 64))
-    p = float(_need(cfg, "p", 1.5))
-    factor = float(_need(cfg, "resolution_factor", 8.0))
-    mus = [float(m) for m in _as_list(_need(cfg, "mu", 8.0))]
+    d, n, p, factor = cfg["d"], cfg["N"], cfg["p"], cfg["resolution_factor"]
     grid = TorusGrid(dim=d, n=n)
     families = []
     checks = {}
-    for mu in mus:
+    for mu in cfg["mu"]:
         fam = build_family(d, p, mu, grid, resolution_factor=factor)
         rep = verify_family(fam)
         families.append({
@@ -227,14 +262,12 @@ def _exp_mikado_verify(cfg: dict, out: Path, rng) -> dict:
             checks[f"mu{mu:g}_{name}"] = bool(ok)
     report = {"experiment": "mikado-verify", "d": d, "N": n, "p": p,
               "families": families, "checks": checks}
-    if "scaling_mu_list" in cfg:
-        mu_list = [float(m) for m in _as_list(cfg["scaling_mu_list"])]
-        r_list = [float(r) for r in _as_list(_need(cfg, "scaling_r", [1.0, 2.0, 3.0]))]
-        k = int(_need(cfg, "scaling_k", 0))
-        n_s = int(_need(cfg, "scaling_N", 512))
+    if cfg["scaling_mu_list"] is not None:
+        k = cfg["scaling_k"]
         fits = []
-        for r in r_list:
-            sr = scaling_report(d, p, r, k, mu_list, n=n_s, resolution_factor=factor)
+        for r in cfg["scaling_r"]:
+            sr = scaling_report(d, p, r, k, cfg["scaling_mu_list"], n=cfg["scaling_N"],
+                                resolution_factor=factor)
             fits.append({"r": r, "k": k, "fitted": sr.fitted, "predicted": sr.predicted,
                          "tolerances": sr.tolerances, "pass": sr.passed})
             checks[f"scaling_r{r:g}"] = bool(sr.passed)
@@ -247,11 +280,7 @@ def _exp_mikado_verify(cfg: dict, out: Path, rng) -> dict:
 
 
 def _exp_osc_verify(cfg: dict, out: Path, rng) -> dict:
-    d = int(_need(cfg, "d", 2))
-    n = int(_need(cfg, "N", 256))
-    p = float(_need(cfg, "p", 2.0))
-    lams = [int(x) for x in _as_list(_need(cfg, "lambda", [4, 8, 16, 32]))]
-    cases = int(_need(cfg, "cases", 50))
+    d, n, p, lams, cases = cfg["d"], cfg["N"], cfg["p"], cfg["lambda"], cfg["cases"]
     grid = TorusGrid(dim=d, n=n)
 
     rl_pass = 0
@@ -297,43 +326,25 @@ def _exp_osc_verify(cfg: dict, out: Path, rng) -> dict:
 
 
 def _ci_seed(cfg: dict, grid: TorusGrid):
-    kind = _need(cfg, "seed_kind", "shifted-cosine")
-    if kind == "shifted-cosine":
-        return shifted_cosine_seed(grid,
-                                   u_amp=float(_need(cfg, "u_amp", 0.5)),
-                                   flux_shift=float(_need(cfg, "flux_shift", 2048.0)))
-    if kind == "cascade":
-        return cascade_seed(grid,
-                            u_amp=float(_need(cfg, "u_amp", 0.01)),
-                            drift_lp=float(_need(cfg, "drift_lp", 4000.0)),
-                            flux_amp=float(_need(cfg, "flux_amp", 16384.0)),
-                            p=float(_need(cfg, "p", 1.5)))
-    raise ConfigError(f"unknown seed_kind {kind!r}")
-
-
-def _mode_args(cfg: dict) -> tuple[str, float | None, float | None]:
-    """mode, r and q of a Nash step; W1R modes default to r = 1.1."""
-    mode = str(_need(cfg, "mode", "W1R"))
-    r = float(cfg["r"]) if "r" in cfg else (1.1 if mode.startswith("W1R") else None)
-    q = float(cfg["q"]) if "q" in cfg else None
-    return mode, r, q
+    u_amp = cfg["u_amp"]
+    if cfg["seed_kind"] == "cascade":
+        return cascade_seed(grid, u_amp=0.01 if u_amp is None else u_amp,
+                            drift_lp=cfg["drift_lp"], flux_amp=cfg["flux_amp"], p=cfg["p"])
+    return shifted_cosine_seed(grid, u_amp=0.5 if u_amp is None else u_amp,
+                               flux_shift=cfg["flux_shift"])
 
 
 def _ci_step_at(cfg: dict, n: int, eps: float | None = None):
     """One ci-step on the seed at N = n: returns (t1, step report, eps),
     eps defaulting to eps_frac * ||f0||_1."""
-    d = int(_need(cfg, "d", 3))
-    p = float(_need(cfg, "p", 1.5))
-    mode, r, q = _mode_args(cfg)
-    lam = int(_need(cfg, "lambda", 2))
-    mu = float(_need(cfg, "mu", 8.0))
-    factor = float(_need(cfg, "resolution_factor", 8.0))
+    d, lam, mu = cfg["d"], cfg["lambda"], cfg["mu"]
     t0 = _ci_seed(cfg, TorusGrid(dim=d, n=n))
     if eps is None:
-        eps = float(_need(cfg, "eps_frac", 0.25)) * t0.f_l1()
-    fam = build_family(d, p, mu, TorusGrid(dim=d, n=n // lam), resolution_factor=factor)
-    params = StepParams(delta=t0.f_l1() / float(_need(cfg, "delta_divisor", 16)),
-                        lam=lam, mu=mu, mode=mode, r=r, q=q)
+        eps = cfg["eps_frac"] * t0.f_l1()
+    fam = build_family(d, cfg["p"], mu, TorusGrid(dim=d, n=n // lam),
+                       resolution_factor=cfg["resolution_factor"])
+    params = StepParams(delta=t0.f_l1() / cfg["delta_divisor"], lam=lam, mu=mu,
+                        mode=cfg["mode"], r=cfg["r"], q=cfg["q"])
     t1, rep = assemble_step(t0, params, fam, eps_target=eps)
     return t1, rep, eps
 
@@ -362,10 +373,7 @@ def _step_report_dict(rep) -> dict:
 
 
 def _exp_ci_step(cfg: dict, out: Path, rng) -> dict:
-    d = int(_need(cfg, "d", 3))
-    n = int(_need(cfg, "N", 128))
-    p = float(_need(cfg, "p", 1.5))
-    t1, rep, eps = _ci_step_at(cfg, n)
+    t1, rep, eps = _ci_step_at(cfg, cfg["N"])
     resid = equation_residual(t1)
     rep.residual_out = resid
     checks = {
@@ -375,18 +383,18 @@ def _exp_ci_step(cfg: dict, out: Path, rng) -> dict:
         "div_b1": rep.div_b1_rel <= 1e-9,
         "mean_u1": rep.mean_u1_rel <= 1e-10,
     }
-    report = {"experiment": "ci-step", "d": d, "N": n, "p": p,
+    report = {"experiment": "ci-step", "d": cfg["d"], "N": cfg["N"], "p": cfg["p"],
               "step": _step_report_dict(rep),
               "sampled_residual": sampled_residual(t1),
               "checks": checks}
-    if bool(_need(cfg, "write_fields", False)):
+    if cfg["write_fields"]:
         report["field_hashes"] = {
             "b": fieldio.write_field(out / "b.bin", t1.b),
             "u": fieldio.write_field(out / "u.bin", t1.u),
             "f": fieldio.write_field(out / "f.bin", t1.f),
         }
-    if "refine_N" in cfg:
-        n2 = int(cfg["refine_N"])
+    if cfg["refine_N"] is not None:
+        n2 = cfg["refine_N"]
         t1b, _, _ = _ci_step_at(cfg, n2, eps)
         resid2 = equation_residual(t1b)
         report["refinement"] = {"N": n2, "residual": resid2,
@@ -396,26 +404,18 @@ def _exp_ci_step(cfg: dict, out: Path, rng) -> dict:
 
 
 def _exp_ci_run(cfg: dict, out: Path, rng) -> dict:
-    d = int(_need(cfg, "d", 3))
-    n = int(_need(cfg, "N", 224))
-    p = float(_need(cfg, "p", 1.5))
-    mode, r, q = _mode_args(cfg)
-    K = int(_need(cfg, "K", 3))
-    grid = TorusGrid(dim=d, n=n)
-    t0 = _ci_seed(cfg, grid)
-    eps = float(_need(cfg, "eps_frac", 0.1)) * norm(t0.b, p=p)
-    lam_sched = [int(x) for x in _as_list(cfg["lam_schedule"])] if "lam_schedule" in cfg else None
-    mu_sched = [float(x) for x in _as_list(cfg["mu_schedule"])] if "mu_schedule" in cfg else None
+    d, n, p, mode, r, q, K = (cfg[k] for k in ("d", "N", "p", "mode", "r", "q", "K"))
+    t0 = _ci_seed(cfg, TorusGrid(dim=d, n=n))
+    eps = cfg["eps_frac"] * norm(t0.b, p=p)
     b_fin, u_fin, conv = run_iteration(
         t0.b, t0.u, eps, K, mode=mode, p=p, r=r, q=q,
-        resolution_factor=float(_need(cfg, "resolution_factor", 8.0)),
-        strict=bool(_need(cfg, "strict", False)),
-        seed=t0, lam_schedule=lam_sched, mu_schedule=mu_sched)
+        resolution_factor=cfg["resolution_factor"], strict=cfg["strict"],
+        seed=t0, lam_schedule=cfg["lam_schedule"], mu_schedule=cfg["mu_schedule"])
     for idx, srep in enumerate(conv.steps, start=1):
         step_dir = out / f"step_{idx}"
         step_dir.mkdir(parents=True, exist_ok=True)
         write_report(step_dir / "report.json", _step_report_dict(srep))
-    if bool(_need(cfg, "write_fields", False)):
+    if cfg["write_fields"]:
         fieldio.write_field(out / "b_final.bin", b_fin)
         fieldio.write_field(out / "u_final.bin", u_fin)
     report = {
@@ -436,16 +436,13 @@ def _exp_ci_run(cfg: dict, out: Path, rng) -> dict:
 
 
 def _exp_solve(cfg: dict, out: Path, rng) -> dict:
-    d = int(_need(cfg, "d", 3))
-    n = int(_need(cfg, "N", 32))
-    cases = int(_need(cfg, "cases", 20))
-    drift_scale = float(_need(cfg, "drift_scale", 2.0))
+    d, n, cases = cfg["d"], cfg["N"], cfg["cases"]
     grid = TorusGrid(dim=d, n=n)
-    cfg_s = SolveConfig(tol=float(_need(cfg, "tol", 1e-10)))
+    cfg_s = SolveConfig(tol=cfg["tol"])
     errs = []
     energy_defects = []
     for _ in range(cases):
-        b = random_solenoidal(grid, 3, rng) * drift_scale
+        b = random_solenoidal(grid, 3, rng) * cfg["drift_scale"]
         ustar = random_scalar(grid, 3, rng)
         f = -divergence(gradient(ustar) + b * ustar)
         urec = solve(b, f, cfg_s)
@@ -465,15 +462,12 @@ def _exp_solve(cfg: dict, out: Path, rng) -> dict:
 
 
 def _exp_maxprinc(cfg: dict, out: Path, rng) -> dict:
-    d = int(_need(cfg, "d", 3))
-    n = int(_need(cfg, "N", 32))
-    count = int(_need(cfg, "drifts", 30))
-    span = float(_need(cfg, "scale_span", 100.0))
+    d, n = cfg["d"], cfg["N"]
     grid = TorusGrid(dim=d, n=n)
     f = random_scalar(grid, 3, rng)
-    scales = np.logspace(0.0, math.log10(span), count)
+    scales = np.logspace(0.0, math.log10(cfg["scale_span"]), cfg["drifts"])
     drifts = [random_solenoidal(grid, 3, rng) * float(s) for s in scales]
-    table = max_principle_sweep(f, drifts, SolveConfig(tol=float(_need(cfg, "tol", 1e-10))))
+    table = max_principle_sweep(f, drifts, SolveConfig(tol=cfg["tol"]))
     checks = {
         "uniform_bound": bool(table["all_bounded"]),
         "no_upward_trend": bool(table["trend_ok"]),
@@ -488,14 +482,12 @@ def _exp_maxprinc(cfg: dict, out: Path, rng) -> dict:
 
 
 def _exp_moser(cfg: dict, out: Path, rng) -> dict:
-    d = int(_need(cfg, "d", 3))
-    n = int(_need(cfg, "N", 32))
-    k_max = int(_need(cfg, "k_max", 3))
+    d, n = cfg["d"], cfg["N"]
     grid = TorusGrid(dim=d, n=n)
-    b = random_solenoidal(grid, 3, rng) * float(_need(cfg, "drift_scale", 3.0))
+    b = random_solenoidal(grid, 3, rng) * cfg["drift_scale"]
     f = random_scalar(grid, 3, rng)
-    u = solve(b, f, SolveConfig(tol=float(_need(cfg, "tol", 1e-10))))
-    rows = moser_gns_check(u, b, f, k_max=k_max)
+    u = solve(b, f, SolveConfig(tol=cfg["tol"]))
+    rows = moser_gns_check(u, b, f, k_max=cfg["k_max"])
     k1 = next(row for row in rows if row.get("k") == 1)
     checks = {
         "k1_identity": k1["identity_defect_rel"] <= 1e-6,
@@ -508,16 +500,13 @@ def _exp_moser(cfg: dict, out: Path, rng) -> dict:
 
 
 def _exp_commutator(cfg: dict, out: Path, rng) -> dict:
-    d = int(_need(cfg, "d", 2))
-    n = int(_need(cfg, "N", 64))
-    eps_list = [float(e) for e in _as_list(_need(cfg, "eps", [1/8, 1/16, 1/32, 1/64]))]
+    d, n, eps_list, z = cfg["d"], cfg["N"], cfg["eps"], cfg["z_per_axis"]
     grid = TorusGrid(dim=d, n=n)
     b = random_solenoidal(grid, 3, rng)
     u = random_scalar(grid, 3, rng)
     v = random_scalar(grid, 3, rng)
-    m = MollifierSpec(epsilon=float(_need(cfg, "mollifier_eps", 0.125)))
-    table = commutator_check(b, u, v, m, eps_list,
-                             z_per_axis=int(_need(cfg, "z_per_axis", 21)))
+    m = MollifierSpec(epsilon=cfg["mollifier_eps"])
+    table = commutator_check(b, u, v, m, eps_list, z_per_axis=z)
     mom = np.array(table["moment_matrix"])
     sign = -1.0 if mom.trace() < 0 else 1.0
     mom_err = float(np.abs(mom - sign * np.eye(d)).max())
@@ -531,15 +520,14 @@ def _exp_commutator(cfg: dict, out: Path, rng) -> dict:
               "moment_matrix": table["moment_matrix"],
               "moment_sign": sign, "moment_error": mom_err,
               "checks": checks}
-    if bool(_need(cfg, "rough_contrast", False)):
+    if cfg["rough_contrast"]:
         r2 = grid.radius_squared()
-        rough_mag = 1.0 / (r2 + float(_need(cfg, "rough_core", 0.02)) ** 2)
+        rough_mag = 1.0 / (r2 + cfg["rough_core"] ** 2)
         comp = ScalarField(grid, rough_mag)
         rough = VectorField.from_components(
             tuple(comp * random_scalar(grid, 2, rng) for _ in range(d)))
         rough = leray_project(rough)
-        rough_table = commutator_check(rough, u, v, m, eps_list,
-                                       z_per_axis=int(_need(cfg, "z_per_axis", 21)))
+        rough_table = commutator_check(rough, u, v, m, eps_list, z_per_axis=z)
         report["rough_contrast"] = {k: v for k, v in rough_table.items()
                                     if k != "moment_matrix"}
     write_csv(out / "commutator.csv", "columns: eps, I(eps), |I(eps)|",
@@ -549,10 +537,8 @@ def _exp_commutator(cfg: dict, out: Path, rng) -> dict:
 
 
 def _exp_counterexample(cfg: dict, out: Path, rng) -> dict:
-    n_r = int(_need(cfg, "n_r", 64))
-    n_sph = int(_need(cfg, "n_sph", 12))
     pair = make_alpha_beta()
-    fs = build_fields(pair, n_r=n_r, n_sph=n_sph)
+    fs = build_fields(pair, n_r=cfg["n_r"], n_sph=cfg["n_sph"])
     ed = energy_defect(fs)
     fl = flux_check(fs)
     ge = grad_energy(fs)
@@ -589,49 +575,62 @@ def _exp_counterexample(cfg: dict, out: Path, rng) -> dict:
 
 
 def _exp_uniqueness(cfg: dict, out: Path, rng) -> dict:
-    d = int(_need(cfg, "d", 3))
-    n = int(_need(cfg, "N", 32))
+    d, n = cfg["d"], cfg["N"]
     grid = TorusGrid(dim=d, n=n)
-    b = random_solenoidal(grid, 3, rng) * float(_need(cfg, "drift_scale", 3.0))
+    b = random_solenoidal(grid, 3, rng) * cfg["drift_scale"]
     f = random_scalar(grid, 3, rng)
     sched_a = TruncationSchedule(levels=(4.0, 8.0, 16.0), mode="lowpass")
-    sched_b = TruncationSchedule(
-        levels=tuple(float(x) for x in _as_list(_need(cfg, "clamp_levels", [2.0, 5.0, 50.0]))),
-        mode="clamp")
-    probe = uniqueness_probe(b, f, sched_a, sched_b,
-                             SolveConfig(tol=float(_need(cfg, "tol", 1e-10))))
+    sched_b = TruncationSchedule(levels=tuple(cfg["clamp_levels"]), mode="clamp")
+    probe = uniqueness_probe(b, f, sched_a, sched_b, SolveConfig(tol=cfg["tol"]))
     checks = {"schedule_independence": probe["relative"] <= 1e-6}
     return {"experiment": "uniqueness", "d": d, "N": n,
             "distance_h1": probe["distance_h1"], "relative": probe["relative"],
             "checks": checks}
 
 
+# every experiment's runner and config keys.  A key's type is that of its default (a
+# list makes a list key); a bare type, or [type], marks an optional key, None if unset.
+_NASH_KEYS = {"d": 3, "p": 1.5, "mode": "W1R", "r": float, "q": float,
+              "resolution_factor": 8.0, "write_fields": False, "seed_kind": "shifted-cosine",
+              "u_amp": float, "flux_shift": 2048.0, "drift_lp": 4000.0, "flux_amp": 16384.0}
 EXPERIMENTS = {
-    "mikado-verify": _exp_mikado_verify,
-    "osc-verify": _exp_osc_verify,
-    "ci-step": _exp_ci_step,
-    "ci-run": _exp_ci_run,
-    "solve": _exp_solve,
-    "maxprinc": _exp_maxprinc,
-    "moser": _exp_moser,
-    "commutator": _exp_commutator,
-    "counterexample": _exp_counterexample,
-    "uniqueness": _exp_uniqueness,
+    "mikado-verify": (_exp_mikado_verify, {
+        "d": 3, "N": 64, "p": 1.5, "resolution_factor": 8.0, "mu": [8.0], "scaling_k": 0,
+        "scaling_mu_list": [float], "scaling_r": [1.0, 2.0, 3.0], "scaling_N": 512}),
+    "osc-verify": (_exp_osc_verify, {
+        "d": 2, "N": 256, "p": 2.0, "lambda": [4, 8, 16, 32], "cases": 50}),
+    "ci-step": (_exp_ci_step, {
+        **_NASH_KEYS, "N": 128, "lambda": 2, "mu": 8.0, "eps_frac": 0.25,
+        "delta_divisor": 16.0, "refine_N": int}),
+    "ci-run": (_exp_ci_run, {
+        **_NASH_KEYS, "N": 224, "K": 3, "eps_frac": 0.1, "strict": False,
+        "lam_schedule": [int], "mu_schedule": [float]}),
+    "solve": (_exp_solve, {"d": 3, "N": 32, "cases": 20, "drift_scale": 2.0, "tol": 1e-10}),
+    "maxprinc": (_exp_maxprinc, {
+        "d": 3, "N": 32, "drifts": 30, "scale_span": 100.0, "tol": 1e-10}),
+    "moser": (_exp_moser, {"d": 3, "N": 32, "k_max": 3, "drift_scale": 3.0, "tol": 1e-10}),
+    "commutator": (_exp_commutator, {
+        "d": 2, "N": 64, "eps": [1 / 8, 1 / 16, 1 / 32, 1 / 64], "mollifier_eps": 0.125,
+        "z_per_axis": 21, "rough_contrast": False, "rough_core": 0.02}),
+    "counterexample": (_exp_counterexample, {"n_r": 64, "n_sph": 12}),
+    "uniqueness": (_exp_uniqueness, {
+        "d": 3, "N": 32, "drift_scale": 3.0, "clamp_levels": [2.0, 5.0, 50.0], "tol": 1e-10}),
 }
 
 
 def run_experiment(experiment: str, cfg: dict, out_dir: str | Path,
                    seed: int = 0) -> tuple[int, dict]:
-    """Execute one experiment; returns (exit_code, report)."""
+    """Load the raw config and execute one experiment; returns (exit_code, report)."""
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {experiment!r}; "
                           f"choose from {sorted(EXPERIMENTS)}")
+    cfg = load_config(experiment, cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(int(seed))
     code = 3
     try:
-        report = EXPERIMENTS[experiment](cfg, out, rng)
+        report = EXPERIMENTS[experiment][0](cfg, out, rng)
     except BudgetExhausted as exc:
         report = {"experiment": experiment, "error": "budget_exhausted",
                   "achieved": exc.achieved, "target": exc.target,
@@ -667,10 +666,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        cfg = parse_config(args.config.read_text()) if args.config else {}
-        seed = int(cfg.get("seed", args.seed))
-        out_dir = Path(cfg.get("out_dir", args.out / args.experiment))
-        code, report = run_experiment(args.experiment, cfg, out_dir, seed)
+        raw = parse_config(args.config.read_text()) if args.config else {}
+        seed = int(raw.pop("seed", args.seed))
+        out_dir = Path(raw.pop("out_dir", args.out / args.experiment))
+        code, report = run_experiment(args.experiment, raw, out_dir, seed)
     except (ConfigError, OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from mikado_forge.cli import (
+    EXPERIMENTS,
     ConfigError,
     canonical_json,
+    load_config,
     main,
     parse_config,
     run_experiment,
@@ -159,3 +161,99 @@ def test_fft_worker_count_leaves_reports_unchanged(tmp_path, experiment, cfg):
     finally:
         torus.set_fft_workers(saved)
     assert reports[0] == reports[1]
+
+
+# each experiment's defaults, as the runner read them before the keys were
+# declared in one table; u_amp stays None and takes its default (0.5 for the
+# shifted-cosine seed, 0.01 for the cascade seed) where the seed is built
+_NASH_DEFAULTS = {"d": 3, "p": 1.5, "mode": "W1R", "r": 1.1, "q": None,
+                  "resolution_factor": 8.0, "write_fields": False,
+                  "seed_kind": "shifted-cosine", "u_amp": None, "flux_shift": 2048.0,
+                  "drift_lp": 4000.0, "flux_amp": 16384.0}
+DEFAULTS = {
+    "mikado-verify": {"d": 3, "N": 64, "p": 1.5, "resolution_factor": 8.0, "mu": [8.0],
+                      "scaling_mu_list": None, "scaling_r": [1.0, 2.0, 3.0],
+                      "scaling_k": 0, "scaling_N": 512},
+    "osc-verify": {"d": 2, "N": 256, "p": 2.0, "lambda": [4, 8, 16, 32], "cases": 50},
+    "ci-step": {**_NASH_DEFAULTS, "N": 128, "lambda": 2, "mu": 8.0, "eps_frac": 0.25,
+                "delta_divisor": 16.0, "refine_N": None},
+    "ci-run": {**_NASH_DEFAULTS, "N": 224, "K": 3, "eps_frac": 0.1, "strict": False,
+               "lam_schedule": None, "mu_schedule": None},
+    "solve": {"d": 3, "N": 32, "cases": 20, "drift_scale": 2.0, "tol": 1e-10},
+    "maxprinc": {"d": 3, "N": 32, "drifts": 30, "scale_span": 100.0, "tol": 1e-10},
+    "moser": {"d": 3, "N": 32, "k_max": 3, "drift_scale": 3.0, "tol": 1e-10},
+    "commutator": {"d": 2, "N": 64, "eps": [1 / 8, 1 / 16, 1 / 32, 1 / 64],
+                   "mollifier_eps": 0.125, "z_per_axis": 21, "rough_contrast": False,
+                   "rough_core": 0.02},
+    "counterexample": {"n_r": 64, "n_sph": 12},
+    "uniqueness": {"d": 3, "N": 32, "drift_scale": 3.0, "clamp_levels": [2.0, 5.0, 50.0],
+                   "tol": 1e-10},
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+def test_load_config_defaults_and_unknown_keys(experiment):
+    # canonical_json tells 8 from 8.0, so types are compared too
+    assert canonical_json(load_config(experiment, {})) == canonical_json(DEFAULTS[experiment])
+    with pytest.raises(ConfigError) as err:
+        load_config(experiment, {"bogus": 1})
+    assert "bogus" in str(err.value)
+    assert all(repr(key) in str(err.value) for key in DEFAULTS[experiment])
+
+
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+def test_load_config_takes_ints_for_float_keys(experiment):
+    float_keys = [k for k, v in DEFAULTS[experiment].items() if type(v) is float]
+    cfg = load_config(experiment, {k: 1 for k in float_keys})
+    for key in float_keys:
+        assert type(cfg[key]) is float and cfg[key] == 1.0
+
+
+@pytest.mark.parametrize("experiment, raw, key, loaded", [
+    ("mikado-verify", {"mu": 16}, "mu", [16.0]),
+    ("mikado-verify", {"scaling_mu_list": 8}, "scaling_mu_list", [8.0]),
+    ("mikado-verify", {"scaling_r": 2}, "scaling_r", [2.0]),
+    ("osc-verify", {"lambda": 8}, "lambda", [8]),
+    ("ci-run", {"K": 1, "lam_schedule": 2}, "lam_schedule", [2]),
+    ("ci-run", {"K": 1, "lam_schedule": 2, "mu_schedule": 7}, "mu_schedule", [7.0]),
+    ("commutator", {"eps": 0.25}, "eps", [0.25]),
+    ("uniqueness", {"clamp_levels": 3.0}, "clamp_levels", [3.0]),
+])
+def test_load_config_fills_a_list_key_from_one_value(experiment, raw, key, loaded):
+    got = load_config(experiment, raw)[key]
+    assert got == loaded and [type(v) for v in got] == [type(v) for v in loaded]
+
+
+_CI_RUN = "d = 3\nN = 64\nK = 2\nseed_kind = cascade\ndrift_lp = 500.0\nflux_amp = 2048.0\n" \
+          "resolution_factor = 4\n"
+
+
+@pytest.mark.parametrize("experiment, text, named", [
+    pytest.param("solve", "d = 2\nN = 16, 32\ncases = 1\n", "N = [16, 32]", id="list-for-int"),
+    pytest.param("solve", "d = 2\nN = 16\ncases = 1\ntoll = 1e-3\n", "'toll'", id="misspelt"),
+    pytest.param("solve", "d = 2\nN = 16\ncases = 1\nmu = 7\n", "'mu'", id="foreign-key"),
+    pytest.param("solve", "d = 2\nN = 16\ncases = 0\n", "cases = 0", id="no-cases"),
+    pytest.param("solve", "d = 3.7\nN = 16\ncases = 1\n", "d = 3.7", id="float-for-int"),
+    pytest.param("ci-run", _CI_RUN + "lam_schedule = 1\n", "lam_schedule = [1]",
+                 id="short-schedule"),
+    pytest.param("ci-run", _CI_RUN + "mu_schedule = 7, 7\n", "mu_schedule = [7.0, 7.0]",
+                 id="mu-without-lam"),
+    pytest.param("ci-run", _CI_RUN + "lam_schedule = 1, 2\nstrict = no\n", "strict = 'no'",
+                 id="not-a-bool"),
+])
+def test_bad_config_exits_two_before_any_work(tmp_path, capsys, experiment, text, named):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    assert main([experiment, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert named in capsys.readouterr().err
+    out = tmp_path / "out" / experiment
+    assert not (out / "report.json").exists()
+    assert not (out / "step_1").exists()
+
+
+def test_seed_and_out_dir_in_the_config_file_are_honoured(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"d = 2\nN = 16\ncases = 1\nseed = 7\nout_dir = {tmp_path / 'here'}\n")
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "elsewhere")]) == 0
+    assert json.loads((tmp_path / "here" / "report.json").read_text())["seed"] == 7
+    assert not (tmp_path / "elsewhere").exists()

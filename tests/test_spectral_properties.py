@@ -147,7 +147,7 @@ def _white_noise(grid, rng):
 @given(band_limited())
 def test_split_symbol_vanishes_exactly_on_the_corner_modes(case):
     grid, _, rng = case
-    k2 = grid.k_squared_upto(grid.n // 2 + 1, diff=True)
+    k2 = grid.k_squared_diff
     p = _split_symbol(k2)
     corner = k2 == 0.0
     assert np.array_equal(p == 0.0, corner)
@@ -165,7 +165,7 @@ def test_split_operator_without_drift_projects_off_the_corner_modes(case):
     grid, _, rng = case
     _, _, apply_b = _split_system(VectorField.zero(grid), grid)
     y = _white_noise(grid, rng)
-    k2 = grid.k_squared_upto(grid.n // 2 + 1, diff=True)
+    k2 = grid.k_squared_diff
     yh = _rfftn(y)
     yh[k2 == 0.0] = 0.0
     projected = _irfftn(yh, grid.shape)
