@@ -5,14 +5,22 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.fft as sfft
+from hypothesis import assume, given, settings, strategies as st
 
 from mikado_forge.mikado import (
+    DIV_TOL,
+    MEAN_TOL,
+    PRODUCT_TOL,
+    FamilyReport,
+    _expand_along,
+    _snap_offset,
     build_family,
     gamma_exponent,
     scaling_report,
     verify_family,
 )
-from mikado_forge.torus import TorusGrid, make_grid, norm
+from mikado_forge.torus import ScalarField, TorusGrid, VectorField, make_grid, norm
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +69,7 @@ def test_tampered_family_detected(family64):
     rep = verify_family(bad)
     assert not rep.checks["product_integral"]
     assert rep.product_integral_err[0] == pytest.approx(1.0, abs=1e-6)
+    assert rep.checks == _full_grid_verify(bad).checks
 
 
 def test_product_l1_mu_independent():
@@ -140,3 +149,137 @@ def test_transverse_norms_equal_full_grid(family64):
         from mikado_forge.torus import ScalarField
         trans = norm(ScalarField(grid_t, fam.density_transverse(j)), p=1.7)
         assert full == pytest.approx(trans, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# verify_family against a full-grid reading of the same family
+
+def _axis_derivative_l2(grid, values, axis):
+    """||d/dx_axis values||_2 by a 1-d real spectral derivative on the full
+    grid, Nyquist mode zeroed."""
+    n = grid.n
+    k = np.arange(n // 2 + 1, dtype=float)
+    k[n // 2] = 0.0
+    shape = [1] * grid.dim
+    shape[axis] = k.size
+    spec = sfft.rfft(values, axis=axis) * (2j * np.pi * k).reshape(shape)
+    dv = sfft.irfft(spec, n=n, axis=axis)
+    return float(np.mean(dv * dv)) ** 0.5
+
+
+def _full_grid_verify(fam):
+    """Every identity of verify_family measured on the full d-dimensional
+    grid: spectral divergences along the pipe axis, full-grid means and
+    products.  A second reading of the family to check the first against."""
+    d, n = fam.d, fam.grid.n
+    grid_t = TorusGrid(dim=d - 1, n=n)
+    div_field, div_product, mean_den, mean_fld, prod_err = [], [], [], [], []
+    for j in range(d):
+        theta, w_j = fam.densities[j], fam.fields[j][j]
+        prod_vals = theta.values * w_j.values
+        den_w = norm(ScalarField(grid_t, np.take(w_j.values, 0, axis=j)), 2.0, "W1p") or 1.0
+        den_p = norm(ScalarField(grid_t, np.take(prod_vals, 0, axis=j)), 2.0, "W1p") or 1.0
+        div_field.append(_axis_derivative_l2(fam.grid, w_j.values, j) / den_w)
+        div_product.append(_axis_derivative_l2(fam.grid, prod_vals, j) / den_p)
+        mean_den.append(abs(theta.mean) / max(norm(theta, p=1), 1e-300))
+        mean_fld.append(abs(w_j.mean) / max(norm(w_j, p=1), 1e-300))
+        prod_err.append(max(
+            abs(float((theta.values * fam.fields[j][i].values).mean()) - (i == j))
+            for i in range(d)))
+    cross = max(float(np.abs(fam.densities[j].values * fam.fields[i][i].values).max())
+                for j in range(d) for i in range(d) if i != j)
+    prod_l1 = sum(float(np.abs(fam.densities[j].values * fam.fields[j][j].values).mean())
+                  for j in range(d))
+    checks = {
+        "div_field": max(div_field) <= DIV_TOL,
+        "div_product": max(div_product) <= DIV_TOL,
+        "mean_density": max(mean_den) <= MEAN_TOL,
+        "mean_field": max(mean_fld) <= MEAN_TOL,
+        "product_integral": max(prod_err) <= PRODUCT_TOL,
+        "cross_disjoint": cross == 0.0,
+        "product_l1_bound": prod_l1 <= fam.M + 1e-9,
+    }
+    return FamilyReport(
+        d=d, p=fam.p, mu=fam.mu, n=n, div_field_rel=div_field, div_product_rel=div_product,
+        mean_density=mean_den, mean_field=mean_fld, product_integral_err=prod_err,
+        cross_disjointness=cross, product_l1_sum=prod_l1, measured_M=fam.M, checks=checks)
+
+
+def _assert_agrees_with_full_grid(fam):
+    rep, ref = verify_family(fam), _full_grid_verify(fam)
+    assert rep.checks == ref.checks
+    assert rep.passed
+    # relative roundoff-level figures: absolute agreement
+    for key in ("div_field_rel", "div_product_rel", "mean_density", "mean_field",
+                "product_integral_err"):
+        np.testing.assert_allclose(getattr(rep, key), getattr(ref, key), rtol=0.0,
+                                   atol=1e-12, err_msg=key)
+    assert rep.cross_disjointness == ref.cross_disjointness == 0.0
+    assert rep.product_l1_sum == pytest.approx(ref.product_l1_sum, rel=1e-12, abs=0.0)
+    assert rep.measured_M == pytest.approx(ref.measured_M, rel=1e-12, abs=0.0)
+
+
+@st.composite
+def _family_params(draw):
+    """(d, n, p, mu) of a small family at resolution factor 2."""
+    d = draw(st.sampled_from([3, 4]))
+    n = draw(st.sampled_from([16, 24, 32])) if d == 3 else 24
+    lo, hi = (6.5, n / 2) if d == 3 else (9.0, 12.0)
+    mu = draw(st.floats(lo, hi))
+    p = draw(st.floats(1.05, 3.0))
+    return d, n, p, mu
+
+
+@settings(deadline=None, max_examples=25, database=None)
+@given(_family_params())
+def test_verify_family_agrees_with_full_grid(params):
+    d, n, p, mu = params
+    try:
+        fam = build_family(d, p, mu, make_grid(d, n), resolution_factor=2.0)
+    except ValueError:
+        assume(False)
+    _assert_agrees_with_full_grid(fam)
+
+
+def test_verify_family_agrees_with_full_grid_d5():
+    # the smallest d = 5 family that builds
+    _assert_agrees_with_full_grid(
+        build_family(5, 1.3, 12.0, make_grid(5, 24), resolution_factor=2.0))
+
+
+def _noisy_density(fam):
+    # theta_0 as a full array, modulated along axis 0 inside its own tube
+    x0 = -0.5 + np.arange(fam.grid.n) / fam.grid.n
+    theta = fam.densities[0].values
+    wobble = 1.0 + 1e-3 * np.sin(2 * np.pi * x0).reshape((-1,) + (1,) * (fam.d - 1))
+    return dataclasses.replace(
+        fam, densities=(ScalarField(fam.grid, theta * wobble),) + fam.densities[1:])
+
+
+def _pipe0_on_pipe1(fam):
+    # pipe 0's transverse slices rolled so that its tube is centred where
+    # pipe 1's is, on every transverse coordinate
+    d, n = fam.d, fam.grid.n
+    shift = round(n * (_snap_offset(d, n, 2) - _snap_offset(d, n, 1)))
+
+    def moved(values):
+        t = np.roll(np.take(values, 0, axis=0), shift, axis=tuple(range(d - 1)))
+        return _expand_along(t, 0, n, d)
+
+    comps = list(fam.fields[0].components)
+    comps[0] = ScalarField(fam.grid, moved(comps[0].values))
+    return dataclasses.replace(
+        fam, densities=(ScalarField(fam.grid, moved(fam.densities[0].values)),)
+        + fam.densities[1:],
+        fields=(VectorField.from_components(comps),) + fam.fields[1:])
+
+
+@pytest.mark.parametrize("mutate, failing", [
+    (_noisy_density, "div_product"),
+    (_pipe0_on_pipe1, "cross_disjoint"),
+], ids=["not-constant-along-axis", "pipe-on-pipe"])
+def test_mutated_family_fails(family64, mutate, failing):
+    bad = mutate(family64)
+    rep, ref = verify_family(bad), _full_grid_verify(bad)
+    assert [name for name, ok in rep.checks.items() if not ok] == [failing]
+    assert rep.checks == ref.checks
