@@ -33,7 +33,6 @@ from .oscillation import (
 )
 from .mikado import (
     MikadoFamily,
-    MikadoProfile,
     build_family,
     verify_family,
     scaling_report,

@@ -6,9 +6,10 @@ Invocation: mikado-forge <experiment> --config <file> [--out <dir>] [--seed <u64
 Config files are one `key = value` per line ('#' comments).  Values parse
 as int, float, comma-separated lists, `true`/`false` (the only booleans),
 or strings.  EXPERIMENTS declares each experiment's keys; one value fills
-a list key and an int fills a float key.  `seed` and `out_dir` in the file
-override --seed and --out.  MF_THREADS caps the FFT worker pool of every
-transform (results are identical for any setting).
+a list key and an int fills a float key.  `seed` (a non-negative int) and
+`out_dir` (a path) in the file override --seed and --out.  MF_THREADS caps
+the FFT worker pool of every transform (results are identical for any
+setting).
 
 Exit codes:
 0  every named check passed.
@@ -667,8 +668,12 @@ def main(argv=None) -> int:
 
     try:
         raw = parse_config(args.config.read_text()) if args.config else {}
-        seed = int(raw.pop("seed", args.seed))
-        out_dir = Path(raw.pop("out_dir", args.out / args.experiment))
+        seed = raw.pop("seed", args.seed)
+        out_dir = raw.pop("out_dir", args.out / args.experiment)
+        if type(seed) is not int or seed < 0:
+            raise ConfigError(f"seed = {seed!r}, expected a non-negative int")
+        if not isinstance(out_dir, (str, Path)):
+            raise ConfigError(f"out_dir = {out_dir!r}, expected a path")
         code, report = run_experiment(args.experiment, raw, out_dir, seed)
     except (ConfigError, OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

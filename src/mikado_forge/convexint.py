@@ -426,7 +426,7 @@ class _StepWork:
             del a_theta, a_w
             # quadratic part: chi^2 f_j ((Theta W)_lambda - 1) along e_j
             cf = (cj * cj) * fj
-            quad_source_l1 += axis_derivative_norm(grid, cf, j, p=1.0)
+            quad_source_l1 += axis_derivative_norm(grid, cf, j)
             prod_t = _dilate_tile(fam.density_transverse(j) * fam.field_transverse(j), lam)
             q_vals = cf * (_expand_along(prod_t, j, n, d) - 1.0)
             q_hat += _axis_derivative_coeffs(grid, _fft_of(q_vals), j)

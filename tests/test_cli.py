@@ -240,6 +240,12 @@ _CI_RUN = "d = 3\nN = 64\nK = 2\nseed_kind = cascade\ndrift_lp = 500.0\nflux_amp
                  id="mu-without-lam"),
     pytest.param("ci-run", _CI_RUN + "lam_schedule = 1, 2\nstrict = no\n", "strict = 'no'",
                  id="not-a-bool"),
+    pytest.param("solve", "d = 2\nN = 16\ncases = 1\nseed = 1.5\n", "seed = 1.5",
+                 id="fractional-seed"),
+    pytest.param("solve", "d = 2\nN = 16\ncases = 1\nseed = -1\n", "seed = -1",
+                 id="negative-seed"),
+    pytest.param("solve", "d = 2\nN = 16\ncases = 1\nout_dir = 5\n", "out_dir = 5",
+                 id="out-dir-not-a-path"),
 ])
 def test_bad_config_exits_two_before_any_work(tmp_path, capsys, experiment, text, named):
     cfg = tmp_path / "bad.cfg"

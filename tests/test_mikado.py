@@ -20,7 +20,15 @@ from mikado_forge.mikado import (
     scaling_report,
     verify_family,
 )
-from mikado_forge.torus import ScalarField, TorusGrid, VectorField, make_grid, norm
+from mikado_forge import torus
+from mikado_forge.torus import (
+    ScalarField,
+    TorusGrid,
+    VectorField,
+    make_grid,
+    norm,
+    relative_divergence,
+)
 
 
 @pytest.fixture(scope="module")
@@ -283,3 +291,34 @@ def test_mutated_family_fails(family64, mutate, failing):
     rep, ref = verify_family(bad), _full_grid_verify(bad)
     assert [name for name, ok in rep.checks.items() if not ok] == [failing]
     assert rep.checks == ref.checks
+
+
+def test_cross_overlap_is_the_full_grid_max(family64):
+    bad = _pipe0_on_pipe1(family64)
+    assert verify_family(bad).cross_disjointness == _full_grid_verify(bad).cross_disjointness > 0.0
+
+
+def test_off_axis_field_component_detected(family64):
+    # field 0 gains a component along e_1 that varies along x_1, so it is
+    # no longer divergence-free although w_0,0 is untouched
+    g = family64.grid
+    x = -0.5 + np.arange(g.n) / g.n
+    wave = np.sin(2 * np.pi * x)
+    comps = list(family64.fields[0].components)
+    comps[1] = ScalarField(g, np.broadcast_to(wave[None, :, None] * wave[:, None, None], g.shape))
+    bad = dataclasses.replace(
+        family64, fields=(VectorField.from_components(comps),) + family64.fields[1:])
+    assert relative_divergence(bad.fields[0]) > 0.01
+    rep = verify_family(bad)
+    assert rep.div_field_rel[0] > 0.0 and rep.div_product_rel[0] > 0.0
+    assert rep.div_field_rel[1:] == [0.0, 0.0]
+    assert not rep.checks["div_field"] and not rep.checks["div_product"]
+
+
+def test_verify_family_makes_no_transform(family64, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify_family made a transform")
+
+    monkeypatch.setattr(torus, "_rfftn", refuse)
+    monkeypatch.setattr(sfft, "rfft", refuse)
+    assert verify_family(family64).passed
