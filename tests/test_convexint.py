@@ -2,6 +2,7 @@
 estimates, parameter search, and the surrogate iteration laws."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -158,6 +159,33 @@ def test_step_structure_and_residuals(toy64):
     # the seed itself is band-limited: both residual measures vanish
     assert sampled_residual(t0) <= 1e-12
     assert equation_residual(t0) <= 1e-12
+
+
+def test_step_and_residual_memory_in_fields():
+    # extra memory of one step and of the de-aliased residual at 64^3, in
+    # units of one full-grid float64 field (measured 16.61 and 16.74).
+    # tracemalloc sees numpy's allocations but not glibc's heap layout, so
+    # a change that keeps this bound can still raise the peak RSS
+    g = make_grid(3, 64)
+    t0 = shifted_cosine_seed(g, u_amp=0.5, flux_shift=2048.0)
+    fam = build_family(3, 1.5, 8.0, g, resolution_factor=8.0)
+    params = StepParams(delta=t0.f_l1() / 16, lam=1, mu=8.0, mode="W1R", r=1.1)
+    field = g.n ** g.dim * 8
+
+    def peak_fields(fn, *args, **kwargs):
+        tracemalloc.start()
+        try:
+            out = fn(*args, **kwargs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return out, peak / field
+
+    (t1, _), step_peak = peak_fields(assemble_step, t0, params, fam,
+                                     eps_target=0.25 * t0.f_l1())
+    _, resid_peak = peak_fields(equation_residual, t1)
+    assert step_peak <= 17.0
+    assert resid_peak <= 17.0
 
 
 def test_perturbation_norm_line(toy64):
