@@ -44,7 +44,6 @@ from .convexint import (
     StepReport,
     BudgetExhausted,
     build_cutoffs,
-    build_perturbations,
     assemble_step,
     select_parameters,
     run_iteration,

@@ -164,11 +164,11 @@ def flux_check(fs: BallFieldSet, radii=(0.1, 0.5, 0.9)) -> dict:
     return {"radii": list(radii), "flux": fluxes, "max_abs": max(abs(f) for f in fluxes)}
 
 
-def _radial_power_integral(q: float, lo: float, hi: float, n: int = 96,
-                           grading: float = 5.0) -> float:
-    """int_lo^hi r^q dr by Gauss quadrature in the graded variable
+def _radial_power_integral(q: float, lo: float, hi: float) -> float:
+    """int_lo^hi r^q dr by 96-node Gauss quadrature in the graded variable
     r = lo + (hi - lo) t^grading (accurate for endpoint singularities)."""
-    t, wt = _gauss01(n)
+    grading = 5.0
+    t, wt = _gauss01(96)
     r = lo + (hi - lo) * t ** grading
     dr = (hi - lo) * grading * t ** (grading - 1.0)
     return float(((r ** q) * dr * wt).sum())

@@ -45,6 +45,8 @@ from .ball import (
     singular_norm_report,
 )
 from .convexint import (
+    DIV_B_TOL,
+    MEAN_U_TOL,
     BudgetExhausted,
     StepParams,
     assemble_step,
@@ -381,8 +383,8 @@ def _exp_ci_step(cfg: dict, out: Path, rng) -> dict:
         "increment_bound": rep.increment_ok,
         "smallness": rep.smallness_ok,
         "cutoff_budget": rep.cutoff_part_ok,
-        "div_b1": rep.div_b1_rel <= 1e-9,
-        "mean_u1": rep.mean_u1_rel <= 1e-10,
+        "div_b1": rep.div_b1_rel <= DIV_B_TOL,
+        "mean_u1": rep.mean_u1_rel <= MEAN_U_TOL,
     }
     report = {"experiment": "ci-step", "d": cfg["d"], "N": cfg["N"], "p": cfg["p"],
               "step": _step_report_dict(rep),

@@ -70,7 +70,6 @@ __all__ = [
     "ConvergenceReport",
     "BudgetExhausted",
     "build_cutoffs",
-    "build_perturbations",
     "assemble_step",
     "select_parameters",
     "run_iteration",
@@ -85,6 +84,12 @@ __all__ = [
 
 DIV_B_TOL = 1e-9
 MEAN_U_TOL = 1e-10
+# the iteration asks every step to divide ||f||_1 by at least this factor
+F_DECREASE = 4.0
+
+
+def _structure_ok(div_b_rel: float, mean_u_rel: float) -> bool:
+    return div_b_rel <= DIV_B_TOL and mean_u_rel <= MEAN_U_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +165,7 @@ class IterateTriple:
     def check_structure(self) -> dict:
         rd = relative_divergence(self.b)
         mu_ = abs(self.u.mean) / max(1.0, self.u.max_abs())
-        return {"div_b_rel": rd, "mean_u_rel": mu_,
-                "ok": rd <= DIV_B_TOL and mu_ <= MEAN_U_TOL}
+        return {"div_b_rel": rd, "mean_u_rel": mu_, "ok": _structure_ok(rd, mu_)}
 
 
 @dataclass(frozen=True)
@@ -203,7 +207,7 @@ class StepReport:
     quad_source_freq: float = 0.0
     residual_out: float | None = None
     # set by run_iteration: the lambda the decline law asks for
-    # (f_decrease * quad_source_freq) and the largest lambda the grid admits
+    # (F_DECREASE * quad_source_freq) and the largest lambda the grid admits
     lam_needed: float | None = None
     lam_grid_max: int | None = None
 
@@ -375,102 +379,14 @@ def equation_residual(t: IterateTriple) -> float:
 # ---------------------------------------------------------------------------
 # perturbations and the step
 
-def _mode_norm_parts(mode: str, r: float | None,
-                     du_lp: dict, grad_theta_norms: dict) -> float:
-    if mode == "H1":
-        return math.hypot(du_lp[2.0], grad_theta_norms[2.0])
-    return du_lp[r] + grad_theta_norms[r]
-
-
-class _StepWork:
-    """Shared construction for build_perturbations / assemble_step."""
-
-    def __init__(self, t: IterateTriple, params: StepParams, fam: MikadoFamily):
-        grid = t.grid
-        n, d = grid.n, grid.dim
-        lam = params.lam
-        if n % lam != 0:
-            raise ValueError(f"lambda = {lam} must divide n = {n}")
-        if fam.grid.n != n // lam:
-            raise ValueError(
-                f"family grid {fam.grid.n} does not match n/lambda = {n // lam}")
-        if fam.d != d:
-            raise ValueError("family dimension mismatch")
-        self.t, self.params, self.fam = t, params, fam
-        self.grid, self.n, self.d, self.lam = grid, n, d, lam
-
-        p = fam.p
-        pc = fam.p_conj
-        delta = params.delta
-        chi = build_cutoffs(t.f, delta)
-
-        theta_vals = np.zeros(grid.shape)
-        w_comps: list[np.ndarray] = [None] * d
-        q_hat = np.zeros(grid.half_shape, dtype=np.complex128)
-        gchi_comps: list[np.ndarray] = [None] * d
-        gchi_l1_sq = np.zeros(grid.shape)
-        quad_source_l1 = 0.0
-
-        clamp_lo = delta / (4.0 * d)
-        for j in range(d):
-            fj = t.f[j].values
-            cj = chi[j].values
-            absf = np.abs(fj)
-            absf = np.where(absf <= clamp_lo, 0.0, absf)
-            a_theta = cj * np.sign(fj) * absf ** (1.0 / pc)
-            a_w = cj * absf ** (1.0 / p)
-            theta_t = _dilate_tile(fam.density_transverse(j), lam)
-            w_t = _dilate_tile(fam.field_transverse(j), lam)
-            theta_vals += a_theta * _expand_along(theta_t, j, n, d)
-            w_comps[j] = a_w * _expand_along(w_t, j, n, d)
-            del a_theta, a_w
-            # quadratic part: chi^2 f_j ((Theta W)_lambda - 1) along e_j
-            cf = (cj * cj) * fj
-            quad_source_l1 += axis_derivative_norm(grid, cf, j)
-            prod_t = _dilate_tile(fam.density_transverse(j) * fam.field_transverse(j), lam)
-            q_vals = cf * (_expand_along(prod_t, j, n, d) - 1.0)
-            q_hat += _axis_derivative_coeffs(grid, _fft_of(q_vals), j)
-            del q_vals, prod_t
-            gchi_comps[j] = cf - fj
-            gchi_l1_sq += gchi_comps[j] ** 2
-            del cf, cj
-        del chi
-
-        self.theta_vals = theta_vals
-        self.theta_c = -float(theta_vals.mean())
-        self.w_comps = w_comps
-        self.q_hat = q_hat
-        self.gchi_comps = gchi_comps
-        self.gchi_l1 = float(np.sqrt(gchi_l1_sq).mean())
-        self.quad_source_l1 = quad_source_l1
-        del gchi_l1_sq
-
-        # corrector restoring div b1 = 0: antidivergence of the measured div w
-        wdiv_hat = _divergence_coeffs(grid, map(_fft_of, w_comps))
-        self.wc_comps = [-c for c in _antidivergence_values(grid, wdiv_hat)]
-        del wdiv_hat
-
-    def perturbations(self):
-        grid = self.grid
-        theta = ScalarField(grid, self.theta_vals)
-        w = VectorField.from_arrays(grid, [c.copy() for c in self.w_comps])
-        w_c = VectorField.from_arrays(grid, [c.copy() for c in self.wc_comps])
-        return theta, self.theta_c, w, w_c
-
-
-def build_perturbations(t: IterateTriple, params: StepParams, fam: MikadoFamily):
-    """The pipe perturbation (theta, theta_c, w, w_c) for one step."""
-    return _StepWork(t, params, fam).perturbations()
-
-
 def assemble_step(
     t: IterateTriple,
     params: StepParams,
     fam: MikadoFamily,
     eps_target: float = math.inf,
-    with_residual: bool = False,
 ) -> tuple[IterateTriple, StepReport]:
-    """Run one full step: perturb, correct, and assemble the new flux error
+    """Run one full step: build the pipe perturbation theta, w and the
+    corrector w_c, perturb, and assemble the new flux error
 
         f1 = g_quad + g_cutoff + g_laplace + g_linear + g_corrector,
 
@@ -480,20 +396,66 @@ def assemble_step(
         raise ValueError(f"mode {params.mode} needs the Sobolev exponent r")
     if params.mode == "W1R_W1Q" and params.q is None:
         raise ValueError("mode W1R_W1Q needs the drift exponent q")
-    work = _StepWork(t, params, fam)
-    grid, d = work.grid, work.d
+    grid = t.grid
+    n, d = grid.n, grid.dim
+    lam = params.lam
+    if n % lam != 0:
+        raise ValueError(f"lambda = {lam} must divide n = {n}")
+    if fam.grid.n != n // lam:
+        raise ValueError(
+            f"family grid {fam.grid.n} does not match n/lambda = {n // lam}")
+    if fam.d != d:
+        raise ValueError("family dimension mismatch")
     p, pc = fam.p, fam.p_conj
     u0, b0 = t.u, t.b
+    delta = params.delta
+    chi = build_cutoffs(t.f, delta)
 
-    theta_vals = work.theta_vals
-    theta_c = work.theta_c
-    w_comps = work.w_comps
-    wc_comps = work.wc_comps
+    theta_vals = np.zeros(grid.shape)
+    w_comps: list[np.ndarray] = [None] * d
+    q_hat = np.zeros(grid.half_shape, dtype=np.complex128)
+    # the cutoff part chi^2 f - f seeds the flux accumulator
+    f1_comps: list[np.ndarray] = [None] * d
+    gchi_l1_sq = np.zeros(grid.shape)
+    quad_source_l1 = 0.0
 
-    # the cutoff part seeds the flux accumulator (ownership moves here)
-    f1_comps = work.gchi_comps
-    work.gchi_comps = None
-    g_parts: dict[str, float] = {"cutoff": work.gchi_l1}
+    clamp_lo = delta / (4.0 * d)
+    for j in range(d):
+        fj = t.f[j].values
+        cj = chi[j].values
+        absf = np.abs(fj)
+        absf = np.where(absf <= clamp_lo, 0.0, absf)
+        a_theta = cj * np.sign(fj) * absf ** (1.0 / pc)
+        a_w = cj * absf ** (1.0 / p)
+        theta_t = _dilate_tile(fam.density_transverse(j), lam)
+        w_t = _dilate_tile(fam.field_transverse(j), lam)
+        theta_vals += a_theta * _expand_along(theta_t, j, n, d)
+        w_comps[j] = a_w * _expand_along(w_t, j, n, d)
+        del a_theta, a_w
+        # quadratic part: chi^2 f_j ((Theta W)_lambda - 1) along e_j
+        cf = (cj * cj) * fj
+        quad_source_l1 += axis_derivative_norm(grid, cf, j)
+        prod_t = _dilate_tile(fam.density_transverse(j) * fam.field_transverse(j), lam)
+        q_vals = cf * (_expand_along(prod_t, j, n, d) - 1.0)
+        q_hat += _axis_derivative_coeffs(grid, _fft_of(q_vals), j)
+        del q_vals, prod_t
+        f1_comps[j] = cf - fj
+        gchi_l1_sq += f1_comps[j] ** 2
+        del cf, cj
+    del chi
+
+    theta_c = -float(theta_vals.mean())
+    g_parts: dict[str, float] = {"cutoff": float(np.sqrt(gchi_l1_sq).mean())}
+    del gchi_l1_sq
+
+    # corrector restoring div b1 = 0: antidivergence of the measured div w
+    wdiv_hat = _divergence_coeffs(grid, map(_fft_of, w_comps))
+    wc_comps = [-c for c in _antidivergence_values(grid, wdiv_hat)]
+    # the last absf is freed here on purpose: freeing it inside the loop or
+    # keeping it to the end leaves the traced peak alone but raised the
+    # peak RSS of a 64^3 step refined to 128^3 from 556 to 630 or 611 MB
+    # (glibc heap layout, x86-64)
+    del wdiv_hat, absf, theta_t, w_t
 
     def add_part(name: str, comps: list[np.ndarray]) -> None:
         mag = np.zeros(grid.shape)
@@ -504,8 +466,8 @@ def assemble_step(
         g_parts[name] = float(np.sqrt(mag, out=mag).mean())
 
     # quadratic remainder through the antidivergence
-    add_part("quad", _antidivergence_values(grid, work.q_hat))
-    work.q_hat = None
+    add_part("quad", _antidivergence_values(grid, q_hat))
+    del q_hat
 
     # laplacian part: grad theta (its magnitude feeds the mode norms)
     grad_theta = _grad_values(grid, _fft_of(theta_vals))
@@ -532,7 +494,7 @@ def assemble_step(
     # displacements and the new iterate; the separate w / w_c arrays are
     # released as soon as the sum is formed
     dw_comps = [w_comps[i] + wc_comps[i] for i in range(d)]
-    work.w_comps = work.wc_comps = w_comps = wc_comps = None
+    del w_comps, wc_comps
     b1 = VectorField.from_arrays(grid, [b0[i].values + dw_comps[i] for i in range(d)])
     u1_vals = u0.values + theta_vals + theta_c
     u1_vals -= u1_vals.mean()
@@ -552,8 +514,9 @@ def assemble_step(
     du_lp = {r: _lp_of_values(du_vals, r) for r in needed}
     gt_lp = {r: _lp_of_values(gt_mag, r) for r in needed}
     del gt_mag
-    mode_inc = _mode_norm_parts(params.mode, params.r, du_lp, gt_lp)
     theta_h1 = math.hypot(du_lp[2.0], gt_lp[2.0])
+    mode_inc = (theta_h1 if params.mode == "H1"
+                else du_lp[params.r] + gt_lp[params.r])
     f1_l1 = norm(f1, p=1)
 
     b_inc_w1q = None
@@ -561,7 +524,8 @@ def assemble_step(
         dw = VectorField.from_arrays(grid, dw_comps)
         b_inc_w1q = norm(dw, p=params.q, flavor="W1p")
         del dw
-    del dw_comps, dw_mag, du_vals, theta_vals
+    del dw_comps, dw_mag, du_vals
+    structure = t1.check_structure()
 
     report = StepReport(
         params=params,
@@ -577,11 +541,10 @@ def assemble_step(
         g_parts=g_parts,
         theta_c=theta_c,
         theta_h1=theta_h1,
-        div_b1_rel=relative_divergence(b1),
-        mean_u1_rel=abs(u1.mean) / max(1.0, u1.max_abs()),
-        quad_source_freq=(work.quad_source_l1 / (2.0 * math.pi * f0_l1)
+        div_b1_rel=structure["div_b_rel"],
+        mean_u1_rel=structure["mean_u_rel"],
+        quad_source_freq=(quad_source_l1 / (2.0 * math.pi * f0_l1)
                           if f0_l1 > 0.0 else 0.0),
-        residual_out=equation_residual(t1) if with_residual else None,
     )
     return t1, report
 
@@ -711,7 +674,6 @@ def run_iteration(
     r: float | None = None,
     q: float | None = None,
     resolution_factor: float = 8.0,
-    f_decrease: float = 4.0,
     strict: bool = True,
     seed: IterateTriple | None = None,
     lam_schedule: Sequence[int] | None = None,
@@ -719,7 +681,7 @@ def run_iteration(
 ) -> tuple[VectorField, ScalarField, ConvergenceReport]:
     """K perturbation steps from the seed (b0, u0), targeting the desk-scale
     surrogate laws: every step should multiply ||f||_1 by at most
-    1/f_decrease, the final mode norm must stay above half the seed's, and
+    1/F_DECREASE, the final mode norm must stay above half the seed's, and
     the total drift displacement below eps.
 
     The asymptotic epsilon-schedule (with the measured family constant) is
@@ -733,7 +695,7 @@ def run_iteration(
     The decline law is promised only once lambda is far above the
     frequency of the quadratic source chi_j^2 f_j (see
     docs/criterion5.md), so each step also records the lambda the law asks
-    for, f_decrease * quad_source_freq, next to the largest lambda the grid
+    for, F_DECREASE * quad_source_freq, next to the largest lambda the grid
     admits at this resolution factor.
     """
     d = u0.grid.dim
@@ -755,7 +717,7 @@ def run_iteration(
     m_const = None
     for k in range(1, K + 1):
         mode_cap = 2.0 ** (-(k + 1)) * u0_mode
-        f_cap = f_hist[-1] / f_decrease
+        f_cap = f_hist[-1] / F_DECREASE
         if m_const is None:
             probe_mu = 2.0 * d + 1.0
             m_const = _family(d, p, probe_mu, t.grid.n, 2.0).M
@@ -787,7 +749,7 @@ def run_iteration(
                               resolution_factor)
                 status = "best_effort"
         t, rep = assemble_step(t, params, fam, eps_target=target)
-        rep.lam_needed = f_decrease * rep.quad_source_freq
+        rep.lam_needed = F_DECREASE * rep.quad_source_freq
         rep.lam_grid_max = grid_lambda_max(t.grid.n, d, resolution_factor)
         m_const = fam.M
         steps.append(rep)
@@ -798,9 +760,9 @@ def run_iteration(
     assertions = {
         "increment_bound_each_step": all(s.increment_ok for s in steps),
         "cutoff_budget_each_step": all(s.cutoff_part_ok for s in steps),
-        "structure_each_step": all(
-            s.div_b1_rel <= DIV_B_TOL and s.mean_u1_rel <= MEAN_U_TOL for s in steps),
-        "f_decrease": bool(steps) and all(b <= a / f_decrease * (1 + 1e-9)
+        "structure_each_step": all(_structure_ok(s.div_b1_rel, s.mean_u1_rel)
+                                   for s in steps),
+        "f_decrease": bool(steps) and all(b <= a / F_DECREASE * (1 + 1e-9)
                                           for a, b in zip(f_hist, f_hist[1:])),
         "u_mode_lower_bound": u_hist[-1] >= u0_mode / 2.0,
         "drift_distance": drift_dist <= eps,

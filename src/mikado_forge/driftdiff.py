@@ -179,10 +179,9 @@ def solve(b: VectorField, f: ScalarField, cfg: SolveConfig = SolveConfig()) -> S
             raise NonConvergence(achieved, matvecs, cfg, "a round failed to halve the true residual")
 
 
-def energy_check(u: ScalarField, b: VectorField, f: ScalarField,
-                 tol: float = 1e-8) -> dict:
+def energy_check(u: ScalarField, b: VectorField, f: ScalarField) -> dict:
     """Defect of the energy identity int |grad u|^2 = (f, u) for function
-    data, and whether the energy inequality holds at the tolerance."""
+    data, and whether the energy inequality holds to 1e-8 relative."""
     grad_energy = norm(u, flavor="H1") ** 2 - norm(u, p=2) ** 2
     pairing = float((f.values * u.values).mean())
     defect = grad_energy - pairing
@@ -192,7 +191,7 @@ def energy_check(u: ScalarField, b: VectorField, f: ScalarField,
         "pairing": pairing,
         "identity_defect": defect,
         "relative_defect": defect / scale,
-        "inequality_ok": bool(defect <= tol * scale),
+        "inequality_ok": bool(defect <= 1e-8 * scale),
     }
 
 
@@ -236,10 +235,10 @@ _CD_MARGIN = 1.15
 
 
 @functools.cache
-def max_principle_constant(d: int, n: int = 32) -> float:
+def max_principle_constant(d: int) -> float:
     """Dimension-only bound for ||u||_inf / ||f||_inf, fitted once on a
-    seeded calibration family of drifts and forcings, then frozen."""
-    grid = TorusGrid(dim=d, n=n)
+    seeded calibration family of drifts and forcings at n = 32, then frozen."""
+    grid = TorusGrid(dim=d, n=32)
     rng = np.random.default_rng(_CD_SEED + d)
     worst = 0.0
     cfg = SolveConfig(tol=1e-9)
@@ -298,10 +297,10 @@ _GNS_MARGIN = 1.10
 
 
 @functools.cache
-def gns_constant(d: int, n: int = 32) -> float:
+def gns_constant(d: int) -> float:
     """C_d with ||g||_2^2 <= eps ||grad g||_2^2 + C_d eps^(-d/2) ||g||_1^2,
-    fitted once on a seeded corpus and frozen."""
-    grid = TorusGrid(dim=d, n=n)
+    fitted once on a seeded corpus at n = 32 and frozen."""
+    grid = TorusGrid(dim=d, n=32)
     rng = np.random.default_rng(_GNS_SEED + d)
     worst = 0.0
     for _ in range(20):
@@ -397,10 +396,11 @@ def _grad_rho(d: int, coords: list[np.ndarray]) -> list[np.ndarray]:
     return [rho * fac * ci for ci in coords]
 
 
-def mollifier_moment_matrix(d: int, fine: int = 201) -> np.ndarray:
+def mollifier_moment_matrix(d: int) -> np.ndarray:
     """int z_j d_i rho(z) dz by quadrature with the analytic gradient of the
     normalised standard bump, summed in slabs of fixed z_1 (no fine^d
     temporaries); integration by parts predicts -delta_ij."""
+    fine = 201
     rest, w = _zgrid(d - 1, fine)
     z = np.linspace(-1.0, 1.0, fine)
     mom = np.zeros((d, d))

@@ -2,8 +2,8 @@
 
 The iteration's desk-scale laws prefer seeds with controlled geometry:
 
-* a localized mean-zero profile u0 (difference of Gaussians, so the mean
-  vanishes by mass matching rather than by a global constant shift);
+* a localized mean-zero profile u0 (difference of compact bumps, so the
+  mean vanishes by mass matching rather than by a global constant shift);
 * a strong "column" drift pointing along one axis and constant along it
   (exactly divergence-free), whose support the flux bumps avoid in the
   shared coordinates, so pipe perturbations never touch it;
@@ -26,25 +26,16 @@ from .torus import (
     VectorField,
     derivative,
     gradient,
-    lowpass,
     norm,
 )
 
 __all__ = [
-    "gaussian_1d",
-    "gaussian_blob",
     "dog_scalar",
     "column_drift",
     "transverse_bump",
     "cascade_seed",
     "shifted_cosine_seed",
 ]
-
-
-def gaussian_1d(grid: TorusGrid, center: float, sigma: float) -> np.ndarray:
-    x = grid.x1
-    w = (x - center + 0.5) % 1.0 - 0.5
-    return np.exp(-w * w / (2.0 * sigma * sigma))
 
 
 def bump_1d(grid: TorusGrid, center: float, radius: float) -> np.ndarray:
@@ -58,53 +49,33 @@ def bump_1d(grid: TorusGrid, center: float, radius: float) -> np.ndarray:
     return out
 
 
-def _product_blob(grid: TorusGrid, center, width: float, axes,
-                  factory) -> np.ndarray:
+def compact_blob(grid: TorusGrid, center, radius: float,
+                 axes=None) -> np.ndarray:
+    """Product of compact bumps over the given axes (all by default),
+    broadcast to the full grid: support is exactly the coordinate box
+    center +- radius on those axes.  Constant along omitted axes; stride-0
+    there."""
     axes = list(range(grid.dim)) if axes is None else list(axes)
     center = list(np.broadcast_to(center, (len(axes),)))
     out = None
     for ax, c in zip(axes, center):
         shape = [1] * grid.dim
         shape[ax] = grid.n
-        fac = factory(grid, float(c), width).reshape(shape)
+        fac = bump_1d(grid, float(c), radius).reshape(shape)
         out = fac if out is None else out * fac
     return np.broadcast_to(out, grid.shape)
 
 
-def gaussian_blob(grid: TorusGrid, center, sigma: float,
-                  axes=None) -> np.ndarray:
-    """Product Gaussian over the given axes (all by default), broadcast to
-    the full grid.  Constant along omitted axes; stride-0 there."""
-    return _product_blob(grid, center, sigma, axes, gaussian_1d)
+def dog_scalar(grid: TorusGrid, center, radius_in: float,
+               radius_out: float) -> ScalarField:
+    """Localized, exactly mean-zero difference of compact blobs."""
+    inner = compact_blob(grid, center, radius_in)
+    outer = compact_blob(grid, center, radius_out)
+    return ScalarField(grid, inner - (inner.mean() / outer.mean()) * outer)
 
 
-def compact_blob(grid: TorusGrid, center, radius: float,
-                 axes=None) -> np.ndarray:
-    """Product of compact bumps: support is exactly the coordinate box
-    center +- radius on the given axes."""
-    return _product_blob(grid, center, radius, axes, bump_1d)
-
-
-def dog_scalar(grid: TorusGrid, center, sigma_in: float, sigma_out: float,
-               bandwidth: int | None = None, compact: bool = False) -> ScalarField:
-    """Localized, exactly mean-zero difference of blobs; optionally
-    band-limited (useful to keep products representable) or compactly
-    supported (exact-zero tails)."""
-    blob = compact_blob if compact else gaussian_blob
-    inner = blob(grid, center, sigma_in)
-    outer = blob(grid, center, sigma_out)
-    vals = inner - (inner.mean() / outer.mean()) * outer
-    f = ScalarField(grid, vals)
-    if bandwidth is not None:
-        f = lowpass(f, bandwidth)
-        f = f - f.mean
-    return f
-
-
-def column_drift(grid: TorusGrid, center, sigma: float, axis: int = -1,
-                 bandwidth: int | None = None,
-                 lp_norm: tuple[float, float] | None = None,
-                 compact: bool = False) -> VectorField:
+def column_drift(grid: TorusGrid, center, radius: float, axis: int = -1,
+                 lp_norm: tuple[float, float] | None = None) -> VectorField:
     """Drift B(x_perp) e_axis, constant along its own axis: exactly
     divergence-free, supported in a coordinate column.
 
@@ -114,17 +85,7 @@ def column_drift(grid: TorusGrid, center, sigma: float, axis: int = -1,
     """
     axis = axis % grid.dim
     grid_t = TorusGrid(dim=grid.dim - 1, n=grid.n)
-    center = list(np.broadcast_to(center, (grid.dim - 1,)))
-    factory = bump_1d if compact else gaussian_1d
-    vals_t = None
-    for ax, c in enumerate(center):
-        shape = [1] * grid_t.dim
-        shape[ax] = grid_t.n
-        fac = factory(grid_t, float(c), sigma).reshape(shape)
-        vals_t = fac if vals_t is None else vals_t * fac
-    comp_t = ScalarField(grid_t, np.broadcast_to(vals_t, grid_t.shape))
-    if bandwidth is not None:
-        comp_t = lowpass(comp_t, bandwidth)
+    comp_t = ScalarField(grid_t, compact_blob(grid_t, center, radius))
     if lp_norm is not None:
         p, target = lp_norm
         comp_t = comp_t * (target / norm(comp_t, p=p))
@@ -133,22 +94,16 @@ def column_drift(grid: TorusGrid, center, sigma: float, axis: int = -1,
     return VectorField.from_components(comps)
 
 
-def transverse_bump(grid: TorusGrid, amp: float, center, sigma: float,
-                    axis: int, compact: bool = False) -> np.ndarray:
+def transverse_bump(grid: TorusGrid, amp: float, center, radius: float,
+                    axis: int) -> np.ndarray:
     """Flux bump for component `axis`: constant along that axis (hence the
     component field amp * bump e_axis is divergence-free)."""
     other = [ax for ax in range(grid.dim) if ax != axis]
-    blob = compact_blob if compact else gaussian_blob
-    return amp * blob(grid, center, sigma, axes=other)
+    return amp * compact_blob(grid, center, radius, axes=other)
 
 
-def cascade_seed(
-    grid: TorusGrid,
-    u_amp: float = 0.5,
-    drift_lp: float = 4000.0,
-    flux_amp: float = 2048.0,
-    p: float = 1.5,
-) -> IterateTriple:
+def cascade_seed(grid: TorusGrid, u_amp: float, drift_lp: float,
+                 flux_amp: float, p: float) -> IterateTriple:
     """Iteration seed with separated supports (d = 3 geometry).
 
     The drift is a column along e3 around (x1, x2) = (0.3, 0.3); the flux
@@ -160,11 +115,10 @@ def cascade_seed(
     """
     if grid.dim != 3:
         raise ValueError("cascade_seed is a d = 3 construction")
-    u0 = u_amp * dog_scalar(grid, (-0.35, -0.35, -0.35), 0.06, 0.12, compact=True)
-    b0 = column_drift(grid, (0.3, 0.3), 0.12, axis=2, compact=True,
-                      lp_norm=(p, drift_lp))
-    h1 = transverse_bump(grid, flux_amp, (0.0, 0.15), 0.1, axis=0, compact=True)
-    h2 = transverse_bump(grid, flux_amp, (0.0, -0.1), 0.1, axis=1, compact=True)
+    u0 = u_amp * dog_scalar(grid, (-0.35, -0.35, -0.35), 0.06, 0.12)
+    b0 = column_drift(grid, (0.3, 0.3), 0.12, axis=2, lp_norm=(p, drift_lp))
+    h1 = transverse_bump(grid, flux_amp, (0.0, 0.15), 0.1, axis=0)
+    h2 = transverse_bump(grid, flux_amp, (0.0, -0.1), 0.1, axis=1)
     comps = []
     for i, h in enumerate((h1, h2, None)):
         vals = -derivative(u0, i).values - b0[i].values * u0.values

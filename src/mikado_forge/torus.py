@@ -230,7 +230,8 @@ class ScalarField:
                              f"shape {grid.half_shape}")
         vals = _irfftn(coeffs * (grid.n ** grid.dim), s=grid.shape)
         f = cls(grid=grid, values=vals)
-        object.__setattr__(f, "_coeffs", np.ascontiguousarray(coeffs))
+        # fills the `coeffs` cache, which a cached_property keeps in __dict__
+        object.__setattr__(f, "coeffs", np.ascontiguousarray(coeffs))
         return f
 
     @classmethod
@@ -249,10 +250,7 @@ class ScalarField:
     def coeffs(self) -> np.ndarray:
         """Normalised Fourier coefficients in the half layout (shape
         `grid.half_shape`); c_{-k} = conj(c_k) gives the other half."""
-        c = getattr(self, "_coeffs", None)
-        if c is None:
-            c = _fft_of(self.values)
-        return c
+        return _fft_of(self.values)
 
     @property
     def mean(self) -> float:
@@ -353,7 +351,7 @@ def _fft_of(x: ScalarField | np.ndarray) -> np.ndarray:
     without filling its cache (keeps the large-grid paths from retaining
     duplicate spectral arrays), or of a value array."""
     if isinstance(x, ScalarField):
-        c = x.__dict__.get("coeffs", x.__dict__.get("_coeffs"))
+        c = x.__dict__.get("coeffs")
         if c is not None:
             return c
         x = x.values
@@ -519,7 +517,6 @@ def norm(f: Field, p: float = 2.0, flavor: str = "Lp") -> float:
       Lp   -- (mean |f|^p)^(1/p), p = inf gives the grid max
       W1p  -- ||f||_p + ||grad f||_p  (additive Sobolev convention)
       H1   -- (||f||_2^2 + ||grad f||_2^2)^(1/2)
-      C0   -- grid max of |f|          (requires bandwidth <= n/3)
       C1   -- max|f| + max|grad f|     (requires bandwidth <= n/3)
 
     Vector fields use the pointwise Euclidean magnitude; their gradient uses
@@ -535,30 +532,27 @@ def norm(f: Field, p: float = 2.0, flavor: str = "Lp") -> float:
         a = _lp_of_values(_pointwise_magnitude(f), 2.0)
         b = _lp_of_values(grad_magnitude(f), 2.0)
         return float(np.hypot(a, b))
-    if flavor in ("C0", "C1"):
+    if flavor == "C1":
         bw = bandwidth(f)
         if bw > f.grid.n / 3:
             raise ValueError(
                 f"C-norms need bandwidth <= n/3 (grid max is only then a sup proxy); "
                 f"field has bandwidth {bw} on n = {f.grid.n}"
             )
-        c0 = float(_pointwise_magnitude(f).max())
-        if flavor == "C0":
-            return c0
-        return c0 + float(grad_magnitude(f).max())
+        return float(_pointwise_magnitude(f).max()) + float(grad_magnitude(f).max())
     raise ValueError(f"unknown norm flavor {flavor!r}")
 
 
-def bandwidth(f: Field, rel_tol: float = 1e-10) -> int:
+def bandwidth(f: Field) -> int:
     """Effective bandwidth: largest |k_i| carrying a coefficient above
-    rel_tol * max|coeff| on any axis."""
+    1e-10 * max|coeff| on any axis."""
     if isinstance(f, VectorField):
-        return max(bandwidth(c, rel_tol) for c in f.components)
+        return max(bandwidth(c) for c in f.components)
     mag = np.abs(f.coeffs)
     peak = mag.max()
     if peak == 0.0:
         return 0
-    mask = mag > rel_tol * peak
+    mask = mag > 1e-10 * peak
     grid = f.grid
     bw = 0
     for ax in range(grid.dim):
@@ -737,14 +731,12 @@ def random_solenoidal(
     grid: TorusGrid,
     bmax: int,
     rng: np.random.Generator,
-    mean_zero: bool = True,
 ) -> VectorField:
-    """Random divergence-free drift: Leray projection of a random field."""
-    comps = [random_scalar(grid, bmax, rng, mean_zero=mean_zero, unit_l2=False)
-             for _ in range(grid.dim)]
+    """Random mean-zero divergence-free drift: Leray projection of a random
+    field, unit in L2."""
+    comps = [random_scalar(grid, bmax, rng, unit_l2=False) for _ in range(grid.dim)]
     b = leray_project(VectorField.from_components(comps))
-    if mean_zero:
-        b = VectorField.from_components(tuple(c - c.mean for c in b.components))
+    b = VectorField.from_components(tuple(c - c.mean for c in b.components))
     l2 = norm(b, p=2)
     if l2 > 0:
         b = b * (1.0 / l2)

@@ -195,7 +195,7 @@ def test_criterion_5_iteration_flux_decline():
     docs/criterion5.md.
     """
     grid = make_grid(3, 224)
-    t0 = cascade_seed(grid, u_amp=0.01, drift_lp=4000.0, flux_amp=16384.0)
+    t0 = cascade_seed(grid, u_amp=0.01, drift_lp=4000.0, flux_amp=16384.0, p=1.5)
     eps = 0.1 * norm(t0.b, p=1.5)
     b, u, conv = run_iteration(
         t0.b, t0.u, eps=eps, K=3, mode="W1R", p=1.5, r=1.1,

@@ -13,7 +13,6 @@ from mikado_forge.convexint import (
     StepParams,
     assemble_step,
     build_cutoffs,
-    build_perturbations,
     equation_residual,
     grid_lambda_max,
     h1_window,
@@ -192,14 +191,16 @@ def test_perturbation_norm_line(toy64):
     t0, _, _, fam = toy64
     params = StepParams(delta=t0.f_l1() / 16, lam=2, mu=8.0, mode="W1R", r=1.1)
     fam2 = build_family(3, 1.5, 8.0, make_grid(3, 32), resolution_factor=4.0)
-    theta, theta_c, w, w_c = build_perturbations(t0, params, fam2)
+    t1, _ = assemble_step(t0, params, fam2)
+    # the step's increments are theta + theta_c and w + w_c
+    du, dw = t1.u - t0.u, t1.b - t0.b
     s = t0.f_l1()
     pc = 3.0
-    assert norm(theta + theta_c, p=pc) <= fam2.M / 3 * s ** (1 / pc) * 1.05
-    assert norm(w + w_c, p=1.5) <= fam2.M / 3 * s ** (1 / 1.5) * 1.05
-    assert abs((theta + theta_c).mean) <= 1e-12
+    assert norm(du, p=pc) <= fam2.M / 3 * s ** (1 / pc) * 1.05
+    assert norm(dw, p=1.5) <= fam2.M / 3 * s ** (1 / 1.5) * 1.05
+    assert abs(du.mean) <= 1e-12
     from mikado_forge.torus import relative_divergence
-    assert relative_divergence(w + w_c) <= 1e-9
+    assert relative_divergence(dw) <= 1e-9
 
 
 def test_theta_constant_decays_with_oscillation():
@@ -216,8 +217,8 @@ def test_theta_constant_decays_with_oscillation():
                            resolution_factor=2.0)
         params = StepParams(delta=t0.f_l1() / 16, lam=lam, mu=7.0,
                             mode="W1R", r=1.1)
-        _, tc, _, _ = build_perturbations(t0, params, fam)
-        tcs.append(abs(tc))
+        _, rep = assemble_step(t0, params, fam)
+        tcs.append(abs(rep.theta_c))
     assert tcs[0] >= tcs[1] >= tcs[2]
     assert fit_loglog(lams, tcs) <= -1.0 + 0.15
 
@@ -276,7 +277,7 @@ def test_quad_source_frequency_vanishes_on_cascade_seed():
     # amplitude the cutoff also sits above |grad u0|, so nothing else
     # survives it and the quadratic source has no frequency at all
     g = make_grid(3, 64)
-    t0 = cascade_seed(g, u_amp=0.01, drift_lp=500.0, flux_amp=16384.0)
+    t0 = cascade_seed(g, u_amp=0.01, drift_lp=500.0, flux_amp=16384.0, p=1.5)
     fam = build_family(3, 1.5, 7.0, g, resolution_factor=4.0)
     params = StepParams(delta=t0.f_l1() / 32, lam=1, mu=7.0, mode="W1R", r=1.1)
     _, rep = assemble_step(t0, params, fam)
@@ -340,7 +341,7 @@ def test_select_parameters_budget_exhausted():
 
 def test_cascade_seed_geometry():
     g = make_grid(3, 64)
-    t0 = cascade_seed(g, u_amp=0.01, drift_lp=500.0, flux_amp=2048.0)
+    t0 = cascade_seed(g, u_amp=0.01, drift_lp=500.0, flux_amp=2048.0, p=1.5)
     assert t0.check_structure()["ok"]
     # drift support and profile support are exactly disjoint
     assert np.all(t0.b[2].values * t0.u.values == 0.0)
@@ -358,7 +359,7 @@ def test_shifted_cosine_seed_structure():
 
 def test_iteration_single_step_passes_surrogates():
     g = make_grid(3, 64)
-    t0 = cascade_seed(g, u_amp=0.01, drift_lp=500.0, flux_amp=2048.0)
+    t0 = cascade_seed(g, u_amp=0.01, drift_lp=500.0, flux_amp=2048.0, p=1.5)
     b, u, conv = run_iteration(
         t0.b, t0.u, eps=0.1 * norm(t0.b, p=1.5), K=1, mode="W1R", p=1.5, r=1.1,
         resolution_factor=4.0, strict=False, seed=t0,
@@ -377,7 +378,7 @@ def test_iteration_best_effort_records_shortfall():
     # quadratic and linear parts then dominate the new flux.  Best-effort
     # mode must complete and record the failed law instead of raising
     g = make_grid(3, 64)
-    t0 = cascade_seed(g, u_amp=0.01, drift_lp=500.0, flux_amp=2048.0)
+    t0 = cascade_seed(g, u_amp=0.01, drift_lp=500.0, flux_amp=2048.0, p=1.5)
     b, u, conv = run_iteration(
         t0.b, t0.u, eps=0.1 * norm(t0.b, p=1.5), K=2, mode="W1R", p=1.5, r=1.1,
         resolution_factor=4.0, strict=False, seed=t0,
