@@ -47,7 +47,6 @@ from .convexint import (
     assemble_step,
     select_parameters,
     run_iteration,
-    seed_triple,
     equation_residual,
     sampled_residual,
     h1_window,
@@ -55,6 +54,7 @@ from .convexint import (
     w1q_window,
     validate_mode,
 )
+from .seeds import seed_triple
 from .driftdiff import (
     SolveConfig,
     TruncationSchedule,

@@ -15,10 +15,10 @@ Exit codes:
 0  every named check passed.
 1  a check failed; report.json names it.
 2  the config was rejected and no report.json is written: the file is
-   unreadable, load_config found an unknown key, a wrong type or a value
-   out of range before any work, or a constructor raised a
-   parameter-domain ValueError such as build_family's tube-resolution
-   check.  osc-verify needs N >= 162: its fixed Riemann-Lebesgue
+   unreadable, load_config found an unknown key, a wrong type, a
+   non-finite float (nan, inf) or a value out of range before any work,
+   or a constructor raised a parameter-domain ValueError such as
+   build_family's tube-resolution check.  osc-verify needs N >= 162: its fixed Riemann-Lebesgue
    frequencies 3, 9 and 27 at bandwidth 3 must fit in n/2, so at N = 64
    it exits 2 with "aliasing: lam * bandwidth = 27*3 exceeds n/2 = 32".
 3  a budget ran out, of the parameter search or of the solver's matvecs;
@@ -28,6 +28,7 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -49,6 +50,7 @@ from .convexint import (
     MEAN_U_TOL,
     BudgetExhausted,
     StepParams,
+    StepReport,
     assemble_step,
     equation_residual,
     run_iteration,
@@ -205,7 +207,7 @@ _RANGES = {
 def load_config(experiment: str, raw: dict) -> dict:
     """Every key of the experiment, converted to its declared type or set to its
     default; a W1R mode's r defaults to 1.1.  Raises ConfigError naming the key
-    on an unknown key, a wrong type, or a value out of range."""
+    on an unknown key, a wrong type, a non-finite float, or a value out of range."""
     keys = EXPERIMENTS[experiment][1]
     unknown = sorted(set(raw) - set(keys))
     if unknown:
@@ -222,9 +224,11 @@ def load_config(experiment: str, raw: dict) -> dict:
         items = value if listed and isinstance(value, list) else [value]
         rule, text = _RANGES.get(key, (lambda v: True, ""))
         for v in items:
-            if not (type(v) is kind or kind is float and type(v) is int) or not rule(v):
+            if (not (type(v) is kind or kind is float and type(v) is int) or not rule(v)
+                    or kind is float and not math.isfinite(v)):
                 raise ConfigError(f"{experiment}: {key} = {value!r}, expected "
-                                  f"{'list of ' if listed else ''}{kind.__name__}{text}")
+                                  f"{'list of ' if listed else ''}"
+                                  f"{'finite ' if kind is float else ''}{kind.__name__}{text}")
         items = [float(v) for v in items] if kind is float else items
         cfg[key] = items if listed else items[0]
     for key in ("lam_schedule", "mu_schedule"):    # ci-run's schedules, one entry a step
@@ -352,27 +356,17 @@ def _ci_step_at(cfg: dict, n: int, eps: float | None = None):
     return t1, rep, eps
 
 
-def _step_report_dict(rep) -> dict:
-    return {
-        "delta": rep.params.delta, "lambda": rep.params.lam, "mu": rep.params.mu,
-        "mode": rep.params.mode, "r": rep.params.r, "q": rep.params.q,
-        "family_M": rep.family_M,
-        "f0_l1": rep.f0_l1, "f1_l1": rep.f1_l1,
-        "increment_lp": rep.increment_lp,
-        "increment_lp_bound": rep.increment_lp_bound,
-        "mode_increment": rep.mode_increment,
-        "smallness_lhs": rep.smallness_lhs,
-        "smallness_target": rep.smallness_target,
-        "b_increment_w1q": rep.b_increment_w1q,
-        "g_parts": rep.g_parts,
-        "dominant_part": rep.dominant_part,
-        "quad_source_freq": rep.quad_source_freq,
-        "lam_needed": rep.lam_needed,
-        "lam_grid_max": rep.lam_grid_max,
-        "theta_c": rep.theta_c, "theta_h1": rep.theta_h1,
-        "div_b1_rel": rep.div_b1_rel, "mean_u1_rel": rep.mean_u1_rel,
-        "residual_out": rep.residual_out,
-    }
+def _fields_dict(obj) -> dict:
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+
+
+def _step_report_dict(rep: StepReport) -> dict:
+    """Every field of the step and of its parameters (lam as "lambda"), and
+    the dominant flux part."""
+    out = {"lambda" if k == "lam" else k: v for k, v in _fields_dict(rep.params).items()}
+    out.update(_fields_dict(rep), dominant_part=rep.dominant_part)
+    del out["params"]
+    return out
 
 
 def _exp_ci_step(cfg: dict, out: Path, rng) -> dict:
@@ -410,29 +404,22 @@ def _exp_ci_run(cfg: dict, out: Path, rng) -> dict:
     d, n, p, mode, r, q, K = (cfg[k] for k in ("d", "N", "p", "mode", "r", "q", "K"))
     t0 = _ci_seed(cfg, TorusGrid(dim=d, n=n))
     eps = cfg["eps_frac"] * norm(t0.b, p=p)
-    b_fin, u_fin, conv = run_iteration(
-        t0.b, t0.u, eps, K, mode=mode, p=p, r=r, q=q,
+    t_fin, conv = run_iteration(
+        t0, eps, K, mode=mode, p=p, r=r, q=q,
         resolution_factor=cfg["resolution_factor"], strict=cfg["strict"],
-        seed=t0, lam_schedule=cfg["lam_schedule"], mu_schedule=cfg["mu_schedule"])
-    for idx, srep in enumerate(conv.steps, start=1):
+        lam_schedule=cfg["lam_schedule"], mu_schedule=cfg["mu_schedule"])
+    steps = [_step_report_dict(s) for s in conv.steps]
+    for idx, step in enumerate(steps, start=1):
         step_dir = out / f"step_{idx}"
         step_dir.mkdir(parents=True, exist_ok=True)
-        write_report(step_dir / "report.json", _step_report_dict(srep))
+        write_report(step_dir / "report.json", step)
     if cfg["write_fields"]:
-        fieldio.write_field(out / "b_final.bin", b_fin)
-        fieldio.write_field(out / "u_final.bin", u_fin)
-    report = {
-        "experiment": "ci-run", "d": d, "N": n, "p": p, "mode": mode,
-        "r": r, "q": q, "K": K, "eps": eps, "status": conv.status,
-        "schedule": conv.schedule,
-        "f_history": conv.f_history,
-        "u_mode_history": conv.u_mode_history,
-        "drift_distance": conv.drift_distance,
-        "u_mode_initial": conv.u_mode_initial,
-        "u_mode_final": conv.u_mode_final,
-        "steps": [_step_report_dict(s) for s in conv.steps],
-        "checks": {k: bool(v) for k, v in conv.assertions.items()},
-    }
+        fieldio.write_field(out / "b_final.bin", t_fin.b)
+        fieldio.write_field(out / "u_final.bin", t_fin.u)
+    report = {"experiment": "ci-run", "d": d, "N": n, "p": p, "mode": mode,
+              "r": r, "q": q, "K": K, "eps": eps, **_fields_dict(conv), "steps": steps,
+              "checks": {k: bool(v) for k, v in conv.assertions.items()}}
+    del report["assertions"]
     write_csv(out / "f_history.csv", "columns: step index k, ||f_k||_1",
               {"k": list(range(len(conv.f_history))), "f_l1": conv.f_history})
     return report

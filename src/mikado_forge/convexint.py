@@ -58,7 +58,7 @@ from .torus import (
     _rfftn,
     _split_symbol,
     axis_derivative_norm,
-    gradient,
+    grad_magnitude,
     norm,
     relative_divergence,
 )
@@ -74,7 +74,6 @@ __all__ = [
     "select_parameters",
     "run_iteration",
     "grid_lambda_max",
-    "seed_triple",
     "equation_residual",
     "h1_window",
     "w1r_window",
@@ -233,14 +232,13 @@ class BudgetExhausted(RuntimeError):
     """The parameter ladders hit the grid's aliasing/resolution ceiling."""
 
     def __init__(self, achieved: float, target: float,
-                 best_params: StepParams | None = None, partial=None):
+                 best_params: StepParams | None = None):
         super().__init__(
             f"parameter search exhausted: best achievable smallness {achieved:.4g} "
             f"vs target {target:.4g}")
         self.achieved = achieved
         self.target = target
         self.best_params = best_params
-        self.partial = partial
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +377,15 @@ def equation_residual(t: IterateTriple) -> float:
 # ---------------------------------------------------------------------------
 # perturbations and the step
 
+def _mode_norm(mode: str, r: float | None, values: np.ndarray,
+               grad_mag: np.ndarray) -> float:
+    """The mode's norm of a scalar from its values and the pointwise size of
+    its gradient: H1 in the H1 mode, the additive W^{1,r} norm otherwise."""
+    if mode == "H1":
+        return math.hypot(_lp_of_values(values, 2.0), _lp_of_values(grad_mag, 2.0))
+    return _lp_of_values(values, r) + _lp_of_values(grad_mag, r)
+
+
 def assemble_step(
     t: IterateTriple,
     params: StepParams,
@@ -508,15 +515,10 @@ def assemble_step(
     inc = _lp_of_values(dw_mag, p) + _lp_of_values(du_vals, pc)
     inc_bound = fam.M * max(f0_l1 ** (1.0 / pc), f0_l1 ** (1.0 / p))
 
-    needed = {2.0}
-    if params.mode in ("W1R", "W1R_W1Q"):
-        needed.add(params.r)
-    du_lp = {r: _lp_of_values(du_vals, r) for r in needed}
-    gt_lp = {r: _lp_of_values(gt_mag, r) for r in needed}
-    del gt_mag
-    theta_h1 = math.hypot(du_lp[2.0], gt_lp[2.0])
+    theta_h1 = _mode_norm("H1", None, du_vals, gt_mag)
     mode_inc = (theta_h1 if params.mode == "H1"
-                else du_lp[params.r] + gt_lp[params.r])
+                else _mode_norm(params.mode, params.r, du_vals, gt_mag))
+    del gt_mag
     f1_l1 = norm(f1, p=1)
 
     b_inc_w1q = None
@@ -629,26 +631,8 @@ def select_parameters(
     raise BudgetExhausted(achieved, eps, best[1] if best else None)
 
 
-def seed_triple(b0: VectorField, u0: ScalarField,
-                flux_shift: float = 0.0) -> IterateTriple:
-    """Initial triple for a given drift and profile: f0 = -grad u0 - b0 u0,
-    optionally shifted by a constant vector (constants are divergence-free,
-    so the equation is unchanged; a shift pushes every |f_j| above the
-    cutoff thresholds, which removes the ramp regions from the first step)."""
-    grid = u0.grid
-    gu = gradient(u0)
-    comps = [ScalarField(grid, -gu[i].values - b0[i].values * u0.values + flux_shift)
-             for i in range(grid.dim)]
-    return IterateTriple(b=b0, u=u0 - u0.mean, f=VectorField.from_components(comps))
-
-
 @dataclass
 class ConvergenceReport:
-    mode: str
-    p: float
-    r: float | None
-    q: float | None
-    eps: float
     schedule: list[float]
     steps: list[StepReport]
     f_history: list[float]
@@ -659,14 +643,9 @@ class ConvergenceReport:
     status: str
     assertions: dict
 
-    @property
-    def passed(self) -> bool:
-        return self.status == "completed" and all(self.assertions.values())
-
 
 def run_iteration(
-    b0: VectorField,
-    u0: ScalarField,
+    t0: IterateTriple,
     eps: float,
     K: int,
     mode: str = "W1R",
@@ -675,11 +654,10 @@ def run_iteration(
     q: float | None = None,
     resolution_factor: float = 8.0,
     strict: bool = True,
-    seed: IterateTriple | None = None,
     lam_schedule: Sequence[int] | None = None,
     mu_schedule: Sequence[float] | None = None,
-) -> tuple[VectorField, ScalarField, ConvergenceReport]:
-    """K perturbation steps from the seed (b0, u0), targeting the desk-scale
+) -> tuple[IterateTriple, ConvergenceReport]:
+    """K perturbation steps from the seed triple t0, targeting the desk-scale
     surrogate laws: every step should multiply ||f||_1 by at most
     1/F_DECREASE, the final mode norm must stay above half the seed's, and
     the total drift displacement below eps.
@@ -687,10 +665,9 @@ def run_iteration(
     The asymptotic epsilon-schedule (with the measured family constant) is
     evaluated and recorded per step; parameter ladders are searched for each
     step.  When the grid cannot meet a step's budget, strict mode raises
-    BudgetExhausted with the partial trajectory attached, while best-effort
-    mode accepts the best candidate and lets the final assertion table
-    record the shortfall.  Fixed per-step (lambda, mu) schedules bypass the
-    search.
+    BudgetExhausted, while best-effort mode accepts the best candidate and
+    lets the final assertion table record the shortfall.  Fixed per-step
+    (lambda, mu) schedules bypass the search.
 
     The decline law is promised only once lambda is far above the
     frequency of the quadratic source chi_j^2 f_j (see
@@ -698,16 +675,10 @@ def run_iteration(
     for, F_DECREASE * quad_source_freq, next to the largest lambda the grid
     admits at this resolution factor.
     """
-    d = u0.grid.dim
+    d = t0.grid.dim
     validate_mode(d, p, mode, r, q)
-    t = seed if seed is not None else seed_triple(b0, u0)
-
-    def mode_norm(field) -> float:
-        if mode == "H1":
-            return norm(field, flavor="H1")
-        return norm(field, p=r, flavor="W1p")
-
-    u0_mode = mode_norm(t.u)
+    t = t0
+    u0_mode = _mode_norm(mode, r, t.u.values, grad_magnitude(t.u))
     f_hist = [t.f_l1()]
     u_hist = [u0_mode]
     steps: list[StepReport] = []
@@ -739,7 +710,6 @@ def run_iteration(
                     mode_cap=mode_cap, f1_cap=f_cap)
             except BudgetExhausted as exc:
                 if strict:
-                    exc.partial = (t, steps)
                     raise
                 if exc.best_params is None:
                     status = "budget_exhausted"
@@ -754,9 +724,9 @@ def run_iteration(
         m_const = fam.M
         steps.append(rep)
         f_hist.append(rep.f1_l1)
-        u_hist.append(mode_norm(t.u))
+        u_hist.append(_mode_norm(mode, r, t.u.values, grad_magnitude(t.u)))
 
-    drift_dist = norm(t.b - b0, p=p)
+    drift_dist = norm(t.b - t0.b, p=p)
     assertions = {
         "increment_bound_each_step": all(s.increment_ok for s in steps),
         "cutoff_budget_each_step": all(s.cutoff_part_ok for s in steps),
@@ -769,11 +739,10 @@ def run_iteration(
         "completed_all_steps": len(steps) == K,
     }
     report = ConvergenceReport(
-        mode=mode, p=p, r=r, q=q, eps=eps,
         schedule=schedule, steps=steps,
         f_history=f_hist, u_mode_history=u_hist,
         drift_distance=drift_dist,
         u_mode_final=u_hist[-1], u_mode_initial=u0_mode,
         status=status, assertions=assertions,
     )
-    return t.b, t.u, report
+    return t, report

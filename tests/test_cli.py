@@ -89,6 +89,17 @@ def test_determinism_byte_identical(tmp_path):
     assert ca == cb
 
 
+# the keys of a step report: the step's parameters, its estimates and
+# flux parts, and the dominant part
+STEP_KEYS = {
+    "delta", "lambda", "mu", "mode", "r", "q", "family_M", "f0_l1", "f1_l1",
+    "increment_lp", "increment_lp_bound", "mode_increment", "smallness_lhs",
+    "smallness_target", "b_increment_w1q", "g_parts", "dominant_part",
+    "quad_source_freq", "lam_needed", "lam_grid_max", "theta_c", "theta_h1",
+    "div_b1_rel", "mean_u1_rel", "residual_out",
+}
+
+
 def test_failing_experiment_exits_one(tmp_path):
     # two-step run on a small grid: the second step's quadratic source
     # carries the first step's pipes, so the fourfold decrease would need
@@ -103,6 +114,8 @@ def test_failing_experiment_exits_one(tmp_path):
     assert report["checks"]["f_decrease"] is False
     assert (tmp_path / "step_1" / "report.json").exists()
     step2 = report["steps"][1]
+    assert set(step2) == STEP_KEYS
+    assert set(json.loads((tmp_path / "step_2" / "report.json").read_text())) == STEP_KEYS
     assert step2["lam_needed"] > step2["lam_grid_max"] == 2
     assert step2["dominant_part"] in step2["g_parts"]
     assert (tmp_path / "f_history.csv").exists()
@@ -246,6 +259,11 @@ _CI_RUN = "d = 3\nN = 64\nK = 2\nseed_kind = cascade\ndrift_lp = 500.0\nflux_amp
                  id="negative-seed"),
     pytest.param("solve", "d = 2\nN = 16\ncases = 1\nout_dir = 5\n", "out_dir = 5",
                  id="out-dir-not-a-path"),
+    pytest.param("solve", "d = 2\nN = 16\ncases = 1\ntol = nan\n", "tol = nan",
+                 id="nan-tolerance"),
+    pytest.param("solve", "d = 2\nN = 16\ncases = 1\ndrift_scale = inf\n",
+                 "drift_scale = inf", id="infinite-drift"),
+    pytest.param("mikado-verify", "d = 3\nN = 32\np = nan\n", "p = nan", id="nan-exponent"),
 ])
 def test_bad_config_exits_two_before_any_work(tmp_path, capsys, experiment, text, named):
     cfg = tmp_path / "bad.cfg"

@@ -18,7 +18,6 @@ from mikado_forge.convexint import (
     h1_window,
     run_iteration,
     sampled_residual,
-    seed_triple,
     select_parameters,
     validate_mode,
     w1q_window,
@@ -26,7 +25,7 @@ from mikado_forge.convexint import (
 )
 from mikado_forge.mikado import build_family
 from mikado_forge.ratefit import fit_loglog
-from mikado_forge.seeds import cascade_seed, shifted_cosine_seed
+from mikado_forge.seeds import cascade_seed, seed_triple, shifted_cosine_seed
 from mikado_forge.torus import (
     ScalarField,
     VectorField,
@@ -209,7 +208,7 @@ def test_theta_constant_decays_with_oscillation():
         g, lambda x, y, z: 0.3 * np.cos(2 * np.pi * (x + y + z))
         + 0.2 * np.sin(2 * np.pi * (x - 2 * y + z)))
     u0 = u0 - u0.mean
-    t0 = seed_triple(VectorField.zero(g), u0, flux_shift=64.0)
+    t0 = seed_triple(VectorField.zero(g), u0, (64.0,) * 3)
     lams = [2, 4, 8]
     tcs = []
     for lam in lams:
@@ -296,7 +295,7 @@ def test_grid_lambda_max():
 def test_step_mode_validation():
     g = make_grid(3, 32)
     fam = build_family(3, 1.5, 7.0, g, resolution_factor=2.0)
-    t0 = shifted_cosine_seed(g, flux_shift=64.0)
+    t0 = shifted_cosine_seed(g, u_amp=0.5, flux_shift=64.0)
     with pytest.raises(ValueError):
         assemble_step(t0, StepParams(delta=1.0, lam=1, mu=7.0, mode="W1R"), fam)
     with pytest.raises(ValueError):
@@ -360,9 +359,9 @@ def test_shifted_cosine_seed_structure():
 def test_iteration_single_step_passes_surrogates():
     g = make_grid(3, 64)
     t0 = cascade_seed(g, u_amp=0.01, drift_lp=500.0, flux_amp=2048.0, p=1.5)
-    b, u, conv = run_iteration(
-        t0.b, t0.u, eps=0.1 * norm(t0.b, p=1.5), K=1, mode="W1R", p=1.5, r=1.1,
-        resolution_factor=4.0, strict=False, seed=t0,
+    _, conv = run_iteration(
+        t0, eps=0.1 * norm(t0.b, p=1.5), K=1, mode="W1R", p=1.5, r=1.1,
+        resolution_factor=4.0, strict=False,
         lam_schedule=[1], mu_schedule=[7.0])
     assert conv.assertions["f_decrease"]
     assert conv.assertions["drift_distance"]
@@ -379,9 +378,9 @@ def test_iteration_best_effort_records_shortfall():
     # mode must complete and record the failed law instead of raising
     g = make_grid(3, 64)
     t0 = cascade_seed(g, u_amp=0.01, drift_lp=500.0, flux_amp=2048.0, p=1.5)
-    b, u, conv = run_iteration(
-        t0.b, t0.u, eps=0.1 * norm(t0.b, p=1.5), K=2, mode="W1R", p=1.5, r=1.1,
-        resolution_factor=4.0, strict=False, seed=t0,
+    _, conv = run_iteration(
+        t0, eps=0.1 * norm(t0.b, p=1.5), K=2, mode="W1R", p=1.5, r=1.1,
+        resolution_factor=4.0, strict=False,
         lam_schedule=[1, 2], mu_schedule=[7.0, 7.0])
     assert conv.assertions["completed_all_steps"]
     assert not conv.assertions["f_decrease"]
@@ -395,12 +394,12 @@ def test_iteration_strict_raises_on_exhaustion():
     g = make_grid(3, 32)
     t0 = shifted_cosine_seed(g, u_amp=0.5, flux_shift=512.0)
     with pytest.raises(BudgetExhausted):
-        run_iteration(t0.b, t0.u, eps=1e-12, K=1, mode="W1R", p=1.5, r=1.1,
-                      resolution_factor=4.0, strict=True, seed=t0)
+        run_iteration(t0, eps=1e-12, K=1, mode="W1R", p=1.5, r=1.1,
+                      resolution_factor=4.0, strict=True)
 
 
 def test_iteration_mode_window_validation():
     g = make_grid(3, 32)
-    t0 = shifted_cosine_seed(g)
+    t0 = shifted_cosine_seed(g, u_amp=0.5, flux_shift=2048.0)
     with pytest.raises(ValueError):
-        run_iteration(t0.b, t0.u, eps=1.0, K=1, mode="H1", p=1.1, seed=t0)
+        run_iteration(t0, eps=1.0, K=1, mode="H1", p=1.1)

@@ -1,7 +1,8 @@
 """The package has one spectral layer: only `torus` imports scipy.fft,
 no module calls a complex transform (every field is real, so real
 transforms and the half spectrum serve throughout), and no other module
-keeps its own relative divergence or antidivergence."""
+keeps its own relative divergence or antidivergence.  Likewise an iterate
+triple is built in two places only: the seed and the step."""
 
 import ast
 from pathlib import Path
@@ -61,3 +62,16 @@ def test_no_complex_transforms():
     torus = dict(_modules())["torus.py"]
     defined = {node.name for node in ast.walk(torus) if isinstance(node, ast.FunctionDef)}
     assert defined.isdisjoint(COMPLEX_TRANSFORMS)
+
+
+def test_iterate_triples_are_built_by_the_seed_and_the_step_only():
+    builders = [
+        (name, func.name)
+        for name, tree in _modules()
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) == "IterateTriple"
+    ]
+    assert sorted(builders) == [("convexint.py", "assemble_step"), ("seeds.py", "seed_triple")]
