@@ -4,6 +4,7 @@ d in {2, 3, 4} and n in {8, 16}."""
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from mikado_forge.convexint import _mode_norm
 from mikado_forge.driftdiff import SolveConfig, _split_symbol, _split_system, solve
 from mikado_forge.oscillation import antidivergence
 from mikado_forge.torus import (
@@ -15,6 +16,7 @@ from mikado_forge.torus import (
     _divergence_coeffs,
     _fft_of,
     _grad_values,
+    _lp_of_values,
     _parseval_sum,
     divergence,
     gradient,
@@ -133,6 +135,45 @@ def test_parseval_sum_counts_each_conjugate_pair_once_per_member(case):
     grad_sq = float(np.mean(grad_magnitude(ScalarField(grid, v)) ** 2))
     weighted = 4 * np.pi ** 2 * _parseval_sum(_fft_of(v), grid.k_squared_diff)
     assert abs(weighted - grad_sq) <= 1e-12 * grad_sq
+
+
+# The Sobolev norms are put together in one place, _mode_norm, from the
+# values and the pointwise gradient size; the gradient energy is the squared
+# L2 norm of that size.  The references are the formulas they replaced.
+
+def _lp(v, p):
+    return float(np.mean(np.abs(v) ** p) ** (1.0 / p))
+
+
+@PROPERTY_SETTINGS
+@given(band_limited(), st.sampled_from([1.0, 1.1, 1.5, 2.0, 3.0]), st.booleans())
+def test_mode_norm_matches_the_w1p_and_h1_formulas(case, r, vector):
+    grid, bmax, rng = case
+    if vector:
+        f = VectorField.from_components(
+            [random_scalar(grid, bmax, rng) for _ in range(grid.dim)])
+        values = f.magnitude().values
+    else:
+        f = random_scalar(grid, bmax, rng)
+        values = f.values
+    grad_mag = grad_magnitude(f)
+    w1p = _lp(values, r) + _lp(grad_mag, r)
+    h1 = float(np.hypot(_lp(values, 2.0), _lp(grad_mag, 2.0)))
+    assert abs(_mode_norm("W1R", r, values, grad_mag) - w1p) <= 1e-12 * w1p
+    assert abs(_mode_norm("H1", None, values, grad_mag) - h1) <= 1e-12 * h1
+
+
+@PROPERTY_SETTINGS
+@given(band_limited(), st.floats(-0.5, 0.5))
+def test_gradient_energy_is_h1_squared_minus_l2_squared(case, shift):
+    # a unit, mean-free field plus a constant, as gns_constant draws them
+    grid, bmax, rng = case
+    u = random_scalar(grid, bmax, rng) + shift
+    grad_mag = grad_magnitude(u)
+    l2 = _lp(u.values, 2.0)
+    old = float(np.hypot(l2, _lp(grad_mag, 2.0))) ** 2 - l2 ** 2
+    direct = _lp_of_values(grad_mag, 2.0) ** 2
+    assert abs(direct - old) <= 1e-12 * direct
 
 
 # The split-preconditioned drift-diffusion system B = P A P of
