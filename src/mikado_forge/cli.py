@@ -16,8 +16,9 @@ Exit codes:
 1  a check failed; report.json names it.
 2  the config was rejected and no report.json is written: the file is
    unreadable, load_config found an unknown key, a wrong type, a
-   non-finite float (nan, inf) or a value out of range before any work,
-   or a constructor raised a parameter-domain ValueError such as
+   non-finite float (nan, inf), a value out of range or a Nash-step mode
+   outside its exponent window (validate_mode) before any work, or a
+   constructor raised a parameter-domain ValueError such as
    build_family's tube-resolution check.  osc-verify needs N >= 162: its fixed Riemann-Lebesgue
    frequencies 3, 9 and 27 at bandwidth 3 must fit in n/2, so at N = 64
    it exits 2 with "aliasing: lam * bandwidth = 27*3 exceeds n/2 = 32".
@@ -55,6 +56,7 @@ from .convexint import (
     equation_residual,
     run_iteration,
     sampled_residual,
+    validate_mode,
 )
 from .driftdiff import (
     NonConvergence,
@@ -207,7 +209,8 @@ _RANGES = {
 def load_config(experiment: str, raw: dict) -> dict:
     """Every key of the experiment, converted to its declared type or set to its
     default; a W1R mode's r defaults to 1.1.  Raises ConfigError naming the key
-    on an unknown key, a wrong type, a non-finite float, or a value out of range."""
+    on an unknown key, a wrong type, a non-finite float, or a value out of range,
+    and on a mode whose exponents lie outside its window (`validate_mode`)."""
     keys = EXPERIMENTS[experiment][1]
     unknown = sorted(set(raw) - set(keys))
     if unknown:
@@ -236,8 +239,13 @@ def load_config(experiment: str, raw: dict) -> dict:
         if sched is not None and (len(sched) != cfg["K"] or cfg["lam_schedule"] is None):
             raise ConfigError(f"{experiment}: {key} = {sched!r}, expected K = {cfg['K']} "
                               "entries (mu_schedule needs lam_schedule)")
-    if "mode" in cfg and cfg["r"] is None and cfg["mode"].startswith("W1R"):
-        cfg["r"] = 1.1
+    if "mode" in cfg:
+        if cfg["r"] is None and cfg["mode"].startswith("W1R"):
+            cfg["r"] = 1.1
+        try:
+            validate_mode(cfg["d"], cfg["p"], cfg["mode"], cfg["r"], cfg["q"])
+        except ValueError as exc:
+            raise ConfigError(f"{experiment}: {exc}") from None
     return cfg
 
 

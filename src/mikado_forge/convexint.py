@@ -54,6 +54,7 @@ from .torus import (
     _grad_values,
     _irfftn,
     _lp_of_values,
+    _mode_norm,
     _parseval_sum,
     _rfftn,
     _split_symbol,
@@ -229,16 +230,17 @@ class StepReport:
 
 
 class BudgetExhausted(RuntimeError):
-    """The parameter ladders hit the grid's aliasing/resolution ceiling."""
+    """The parameter ladders hit the grid's aliasing/resolution ceiling;
+    best_step is the (triple, report) of the trial of least smallness."""
 
     def __init__(self, achieved: float, target: float,
-                 best_params: StepParams | None = None):
+                 best_step: tuple[IterateTriple, StepReport] | None = None):
         super().__init__(
             f"parameter search exhausted: best achievable smallness {achieved:.4g} "
             f"vs target {target:.4g}")
         self.achieved = achieved
         self.target = target
-        self.best_params = best_params
+        self.best_step = best_step
 
 
 # ---------------------------------------------------------------------------
@@ -377,15 +379,6 @@ def equation_residual(t: IterateTriple) -> float:
 # ---------------------------------------------------------------------------
 # perturbations and the step
 
-def _mode_norm(mode: str, r: float | None, values: np.ndarray,
-               grad_mag: np.ndarray) -> float:
-    """The mode's norm of a scalar from its values and the pointwise size of
-    its gradient: H1 in the H1 mode, the additive W^{1,r} norm otherwise."""
-    if mode == "H1":
-        return math.hypot(_lp_of_values(values, 2.0), _lp_of_values(grad_mag, 2.0))
-    return _lp_of_values(values, r) + _lp_of_values(grad_mag, r)
-
-
 def assemble_step(
     t: IterateTriple,
     params: StepParams,
@@ -523,9 +516,8 @@ def assemble_step(
 
     b_inc_w1q = None
     if params.mode == "W1R_W1Q":
-        dw = VectorField.from_arrays(grid, dw_comps)
-        b_inc_w1q = norm(dw, p=params.q, flavor="W1p")
-        del dw
+        b_inc_w1q = _mode_norm("W1R", params.q, dw_mag,
+                               grad_magnitude(VectorField.from_arrays(grid, dw_comps)))
     del dw_comps, dw_mag, du_vals
     structure = t1.check_structure()
 
@@ -584,13 +576,14 @@ def select_parameters(
     resolution_factor: float = 8.0,
     mode_cap: float = math.inf,
     f1_cap: float = math.inf,
-) -> tuple[StepParams, MikadoFamily]:
+) -> tuple[IterateTriple, StepReport]:
     """Greedy nested search in the order delta, then lambda, then mu.
 
     delta is the largest dyadic fraction of ||f||_1 whose cutoff budget
     delta/2 fits below eps/4; lambda and mu walk their ladders until a trial
-    step meets the smallness target (and any caller caps).  Raises
-    BudgetExhausted when the grid ceiling is reached first.
+    step meets the smallness target (and any caller caps).  Returns that
+    step, assembled with eps_target = eps.  Raises BudgetExhausted, which
+    carries the best trial's step, when the grid ceiling is reached first.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -599,8 +592,8 @@ def select_parameters(
     f_l1 = t.f_l1()
     if f_l1 == 0.0:
         fam = _family(d, p, 2.0 * d + 1.0, n, 2.0)
-        return StepParams(delta=max(eps, 1e-300), lam=1, mu=fam.mu,
-                          mode=mode, r=r, q=q), fam
+        return assemble_step(t, StepParams(delta=max(eps, 1e-300), lam=1, mu=fam.mu,
+                                           mode=mode, r=r, q=q), fam, eps_target=eps)
 
     delta = None
     for i in range(1, 13):
@@ -620,13 +613,15 @@ def select_parameters(
         for mu in mus:
             fam = _family(d, p, mu, n_fam, resolution_factor)
             params = StepParams(delta=delta, lam=lam, mu=mu, mode=mode, r=r, q=q)
-            _, rep = assemble_step(t, params, fam, eps_target=eps)
+            step = assemble_step(t, params, fam, eps_target=eps)
+            rep = step[1]
             achieved = rep.smallness_lhs
             if best is None or achieved < best[0]:
-                best = (achieved, params)
+                best = (achieved, step)
             if (achieved <= eps and rep.mode_increment <= mode_cap
                     and rep.f1_l1 <= f1_cap and rep.increment_ok):
-                return params, fam
+                return step
+            del step        # of the trials, only the best one's triple stays alive
     achieved = best[0] if best else math.inf
     raise BudgetExhausted(achieved, eps, best[1] if best else None)
 
@@ -702,26 +697,24 @@ def run_iteration(
             fam = _family(d, p, mu, t.grid.n // lam, resolution_factor)
             params = StepParams(delta=f_hist[-1] / 32.0, lam=lam, mu=mu,
                                 mode=mode, r=r, q=q)
+            t, rep = assemble_step(t, params, fam, eps_target=target)
         else:
             try:
-                params, fam = select_parameters(
+                t, rep = select_parameters(
                     t, target, mode=mode, r=r, q=q, p=p,
                     resolution_factor=resolution_factor,
                     mode_cap=mode_cap, f1_cap=f_cap)
             except BudgetExhausted as exc:
                 if strict:
                     raise
-                if exc.best_params is None:
+                if exc.best_step is None:
                     status = "budget_exhausted"
                     break
-                params = exc.best_params
-                fam = _family(d, p, params.mu, t.grid.n // params.lam,
-                              resolution_factor)
+                t, rep = exc.best_step
                 status = "best_effort"
-        t, rep = assemble_step(t, params, fam, eps_target=target)
         rep.lam_needed = F_DECREASE * rep.quad_source_freq
         rep.lam_grid_max = grid_lambda_max(t.grid.n, d, resolution_factor)
-        m_const = fam.M
+        m_const = rep.family_M
         steps.append(rep)
         f_hist.append(rep.f1_l1)
         u_hist.append(_mode_norm(mode, r, t.u.values, grad_magnitude(t.u)))

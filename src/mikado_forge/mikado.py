@@ -42,6 +42,7 @@ from .torus import (
     VectorField,
     _bump,
     _lp_of_values,
+    _mode_norm,
     grad_magnitude,
     norm,
 )
@@ -155,7 +156,8 @@ def _measure_m(d: int, p: float, mu: float, grid_t: TorusGrid,
         comp[f"w_r{r:g}"] = 3.0 * sw / mu ** ew
         candidates += [comp[f"theta_r{r:g}"], comp[f"w_r{r:g}"]]
     if gamma > 0:
-        sh = d * norm(ScalarField(grid_t, prof_theta), flavor="H1")
+        sh = d * _mode_norm("H1", None, prof_theta,
+                            grad_magnitude(ScalarField(grid_t, prof_theta)))
         comp["theta_h1"] = sh / mu ** (-gamma)
         candidates.append(comp["theta_h1"])
     return max(candidates), comp
@@ -387,7 +389,9 @@ def scaling_report(
             gr = _lp_of_values(grad_magnitude(prof), r)
             th.append(d * a_theta * gr)
             w.append(d * a_w * gr)
-        h1.append(d * a_theta * norm(prof, flavor="H1"))
+        # the amplitude goes in before the H1 norm, as in _measure_m
+        theta = ScalarField(grid_t, a_theta * prof.values)
+        h1.append(d * _mode_norm("H1", None, theta.values, grad_magnitude(theta)))
 
     fitted = {
         "theta": fit_loglog(mu_list, th),

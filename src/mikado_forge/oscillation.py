@@ -9,7 +9,6 @@ frequency-gain bounds are verified empirically by log-log rate fits.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -22,7 +21,9 @@ from .torus import (
     TorusGrid,
     VectorField,
     _antidivergence_values,
+    bandwidth,
     dilate,
+    grad_magnitude,
     lowpass,
     norm,
     random_scalar,
@@ -56,18 +57,6 @@ class OscillationReport:
         if any(m < 0 for m in self.measured):
             raise ValueError("measured magnitudes must be nonnegative")
 
-    def to_json(self) -> str:
-        payload = {
-            "lemma": self.lemma,
-            "params": self.params,
-            "lambda": self.lambda_list,
-            "measured": self.measured,
-            "bound": self.bound,
-            "fitted_rate": self.fitted_rate,
-            "pass": self.passed,
-        }
-        return json.dumps(payload, sort_keys=True)
-
 
 def antidivergence(h: ScalarField) -> VectorField:
     """Vector field u with div u = h (h mean-zero), realised as grad(invlap h)
@@ -78,6 +67,18 @@ def antidivergence(h: ScalarField) -> VectorField:
         raise ValueError(
             f"antidivergence needs a mean-zero source, got mean {h.mean:.3e}")
     return VectorField.from_arrays(h.grid, _antidivergence_values(h.grid, h.coeffs))
+
+
+def _c1_norm(f: ScalarField) -> float:
+    """max|f| + max|grad f| on the grid, a proxy for the sup norms only
+    while the bandwidth is at most n/3."""
+    bw = bandwidth(f)
+    if bw > f.grid.n / 3:
+        raise ValueError(
+            f"C-norms need bandwidth <= n/3 (grid max is only then a sup proxy); "
+            f"field has bandwidth {bw} on n = {f.grid.n}"
+        )
+    return float(np.abs(f.values).max()) + float(grad_magnitude(f).max())
 
 
 def _as_lambda_list(lam: int | Sequence[int]) -> list[int]:
@@ -124,7 +125,7 @@ def _fitted_holder_constant(dim: int, p: float) -> float:
         else:
             f = 1.0 + 0.5 * base
         g = random_scalar(grid, int(rng.integers(2, 4)), rng)
-        fc1 = norm(f, flavor="C1")
+        fc1 = _c1_norm(f)
         gp = norm(g, p=p)
         for lam in (2, 3, 4, 6, 8):
             meas = _holder_residual(f, g, lam, p)
@@ -143,7 +144,7 @@ def improved_holder_check(
     """| ||f g_lam||_p - ||f||_p ||g||_p | against C_p lam^(-1/p) ||f||_C1 ||g||_p."""
     lams = _as_lambda_list(lam)
     cp = holder_constant(f.grid.dim, p)
-    fc1 = norm(f, flavor="C1")
+    fc1 = _c1_norm(f)
     gp = norm(g, p=p)
     measured = [_holder_residual(f, g, l, p) for l in lams]
     bound = [cp * l ** (-1.0 / p) * fc1 * gp for l in lams]
@@ -174,7 +175,7 @@ def riemann_lebesgue_check(
         raise ValueError(f"riemann_lebesgue_check needs mean-zero g, got mean {g.mean:.3e}")
     lams = _as_lambda_list(lam)
     d = f.grid.dim
-    fc1 = norm(f, flavor="C1")
+    fc1 = _c1_norm(f)
     measured = [abs((f * dilate(g, l)).mean) for l in lams]
     bound = [math.sqrt(d) / l * fc1 * g1 for l in lams]
     rate = fit_loglog(lams, measured) if len(lams) >= 3 else math.nan

@@ -18,8 +18,9 @@ one worker setting `set_fft_workers`), every wavenumber symbol (the
 array-level kernels the other modules build on: coefficients without
 caching (`_fft_of`), derivative, gradient, divergence and antidivergence on
 coefficient and value arrays, the Parseval sum, the Lp quadrature of value
-arrays, and the C-infinity bump.  The field-level operators below are thin
-wrappers over those kernels.
+arrays, the one Sobolev-norm combinator `_mode_norm` (W^{1,r} or H1 from
+values and `grad_magnitude`), and the C-infinity bump.  The field-level
+operators below are thin wrappers over those kernels; `norm` is the Lp norm.
 
 All operations are pure: fields are immutable after construction.
 """
@@ -504,43 +505,24 @@ def grad_magnitude(f: Field) -> np.ndarray:
     return np.sqrt(acc)
 
 
-def _pointwise_magnitude(f: Field) -> np.ndarray:
-    if isinstance(f, ScalarField):
-        return np.abs(f.values)
-    return f.magnitude().values
+def _mode_norm(mode: str, r: float | None, values: np.ndarray,
+               grad_mag: np.ndarray) -> float:
+    """The mode's norm of a field from its values and the pointwise size of
+    its gradient: H1 in the H1 mode, the additive W^{1,r} norm
+    ||values||_r + ||grad_mag||_r otherwise."""
+    if mode == "H1":
+        return math.hypot(_lp_of_values(values, 2.0), _lp_of_values(grad_mag, 2.0))
+    return _lp_of_values(values, r) + _lp_of_values(grad_mag, r)
 
 
-def norm(f: Field, p: float = 2.0, flavor: str = "Lp") -> float:
-    """Norm of a field by grid quadrature.
-
-    flavor:
-      Lp   -- (mean |f|^p)^(1/p), p = inf gives the grid max
-      W1p  -- ||f||_p + ||grad f||_p  (additive Sobolev convention)
-      H1   -- (||f||_2^2 + ||grad f||_2^2)^(1/2)
-      C1   -- max|f| + max|grad f|     (requires bandwidth <= n/3)
-
-    Vector fields use the pointwise Euclidean magnitude; their gradient uses
-    the Frobenius norm of the Jacobian.
-    """
+def norm(f: Field, p: float = 2.0) -> float:
+    """Lp norm of a field by grid quadrature, (mean |f|^p)^(1/p); p = inf
+    gives the grid max.  Vector fields use the pointwise Euclidean
+    magnitude."""
     if not np.isinf(p) and p < 1.0:
         raise ValueError(f"p must be >= 1, got {p}")
-    if flavor == "Lp":
-        return _lp_of_values(_pointwise_magnitude(f), p)
-    if flavor == "W1p":
-        return _lp_of_values(_pointwise_magnitude(f), p) + _lp_of_values(grad_magnitude(f), p)
-    if flavor == "H1":
-        a = _lp_of_values(_pointwise_magnitude(f), 2.0)
-        b = _lp_of_values(grad_magnitude(f), 2.0)
-        return float(np.hypot(a, b))
-    if flavor == "C1":
-        bw = bandwidth(f)
-        if bw > f.grid.n / 3:
-            raise ValueError(
-                f"C-norms need bandwidth <= n/3 (grid max is only then a sup proxy); "
-                f"field has bandwidth {bw} on n = {f.grid.n}"
-            )
-        return float(_pointwise_magnitude(f).max()) + float(grad_magnitude(f).max())
-    raise ValueError(f"unknown norm flavor {flavor!r}")
+    mag = np.abs(f.values) if isinstance(f, ScalarField) else f.magnitude().values
+    return _lp_of_values(mag, p)
 
 
 def bandwidth(f: Field) -> int:

@@ -17,7 +17,7 @@ from mikado_forge.cli import (
     run_experiment,
     write_csv,
 )
-from mikado_forge import fieldio, torus
+from mikado_forge import convexint, fieldio, torus
 
 
 def test_parse_config_values():
@@ -121,6 +121,45 @@ def test_failing_experiment_exits_one(tmp_path):
     assert (tmp_path / "f_history.csv").exists()
 
 
+def test_search_assembles_each_trial_once(tmp_path, monkeypatch):
+    # a ci-run with no schedule searches (lambda, mu) in best-effort mode;
+    # the iteration takes the step the search assembled instead of
+    # assembling the accepted parameters again.  The reference run does
+    # assemble them again and must write the same bytes
+    cfg = {"d": 3, "N": 64, "K": 1, "seed_kind": "shifted-cosine", "flux_shift": 64,
+           "resolution_factor": 4}
+    assemble, search = convexint.assemble_step, convexint.select_parameters
+    calls = []
+
+    def counted(t, params, *args, **kwargs):
+        calls.append(params)
+        return assemble(t, params, *args, **kwargs)
+
+    def search_then_assemble_again(t, eps, **kw):
+        def again(step):
+            params = step[1].params
+            fam = convexint._family(3, kw["p"], params.mu, t.grid.n // params.lam,
+                                    kw["resolution_factor"])
+            return convexint.assemble_step(t, params, fam, eps_target=eps)
+        try:
+            return again(search(t, eps, **kw))
+        except convexint.BudgetExhausted as exc:
+            exc.best_step = again(exc.best_step)
+            raise
+
+    monkeypatch.setattr(convexint, "assemble_step", counted)
+    run_experiment("ci-run", dict(cfg), tmp_path / "once", seed=1)
+    assert len(calls) == len(set(calls)) == 5
+    monkeypatch.setattr(convexint, "select_parameters", search_then_assemble_again)
+    run_experiment("ci-run", dict(cfg), tmp_path / "again", seed=1)
+    assert len(calls) == 5 + 6
+    files = sorted(f.relative_to(tmp_path / "once") for f in (tmp_path / "once").rglob("*")
+                   if f.is_file())
+    assert len(files) == 3
+    for f in files:
+        assert (tmp_path / "once" / f).read_bytes() == (tmp_path / "again" / f).read_bytes()
+
+
 def test_ci_step_writes_fields(tmp_path):
     cfg = {"d": 3, "N": 32, "lambda": 1, "mu": 7, "resolution_factor": 2,
            "flux_shift": 1536, "write_fields": True}
@@ -217,9 +256,12 @@ def test_load_config_defaults_and_unknown_keys(experiment):
 @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
 def test_load_config_takes_ints_for_float_keys(experiment):
     float_keys = [k for k, v in DEFAULTS[experiment].items() if type(v) is float]
-    cfg = load_config(experiment, {k: 1 for k in float_keys})
+    raw = {k: 1 for k in float_keys}
+    if "mode" in DEFAULTS[experiment]:
+        raw.update(d=4, p=2)        # the W1R window holds no int p below d = 4
+    cfg = load_config(experiment, raw)
     for key in float_keys:
-        assert type(cfg[key]) is float and cfg[key] == 1.0
+        assert type(cfg[key]) is float and cfg[key] == raw[key]
 
 
 @pytest.mark.parametrize("experiment, raw, key, loaded", [
@@ -239,6 +281,7 @@ def test_load_config_fills_a_list_key_from_one_value(experiment, raw, key, loade
 
 _CI_RUN = "d = 3\nN = 64\nK = 2\nseed_kind = cascade\ndrift_lp = 500.0\nflux_amp = 2048.0\n" \
           "resolution_factor = 4\n"
+_CI_STEP = "d = 3\nN = 32\nlambda = 1\nmu = 7\nresolution_factor = 2\n"
 
 
 @pytest.mark.parametrize("experiment, text, named", [
@@ -264,6 +307,13 @@ _CI_RUN = "d = 3\nN = 64\nK = 2\nseed_kind = cascade\ndrift_lp = 500.0\nflux_amp
     pytest.param("solve", "d = 2\nN = 16\ncases = 1\ndrift_scale = inf\n",
                  "drift_scale = inf", id="infinite-drift"),
     pytest.param("mikado-verify", "d = 3\nN = 32\np = nan\n", "p = nan", id="nan-exponent"),
+    pytest.param("ci-step", _CI_STEP + "r = 0\n", "r in [1, 1.2), got 0.0", id="zero-r"),
+    pytest.param("ci-step", _CI_STEP + "r = 0.5\n", "r in [1, 1.2), got 0.5",
+                 id="r-below-window"),
+    pytest.param("ci-step", _CI_STEP + "mode = bogus\n", "unknown mode 'bogus'",
+                 id="unknown-mode"),
+    pytest.param("ci-step", _CI_STEP + "mode = H1\n", "H1 mode needs d >= 4",
+                 id="h1-below-d4"),
 ])
 def test_bad_config_exits_two_before_any_work(tmp_path, capsys, experiment, text, named):
     cfg = tmp_path / "bad.cfg"

@@ -310,7 +310,8 @@ def test_step_mode_validation():
 def test_select_parameters_trivial_budget():
     g = make_grid(3, 64)
     t0 = shifted_cosine_seed(g, u_amp=0.5, flux_shift=512.0)
-    params, fam = select_parameters(t0, 10 * t0.f_l1(), mode="W1R", r=1.1, p=1.5)
+    _, rep = select_parameters(t0, 10 * t0.f_l1(), mode="W1R", r=1.1, p=1.5)
+    params = rep.params
     assert params.lam == 1
     assert params.mu == 7.0                      # smallest admissible rung
     assert params.delta == pytest.approx(t0.f_l1() / 2)
@@ -320,8 +321,7 @@ def test_select_parameters_end_to_end():
     g = make_grid(3, 64)
     t0 = shifted_cosine_seed(g, u_amp=0.5, flux_shift=512.0)
     eps = 0.25 * t0.f_l1()
-    params, fam = select_parameters(t0, eps, mode="W1R", r=1.1, p=1.5)
-    _, rep = assemble_step(t0, params, fam, eps_target=eps)
+    _, rep = select_parameters(t0, eps, mode="W1R", r=1.1, p=1.5)
     assert rep.increment_ok and rep.smallness_ok
 
 
@@ -332,7 +332,9 @@ def test_select_parameters_budget_exhausted():
         select_parameters(t0, 1e-12, mode="W1R", r=1.1, p=1.5,
                           resolution_factor=4.0)
     assert exc.value.achieved > 1e-12
-    assert exc.value.best_params is not None
+    t1, rep = exc.value.best_step
+    assert rep.smallness_lhs == exc.value.achieved
+    assert t1.grid == t0.grid
 
 
 # ---------------------------------------------------------------------------

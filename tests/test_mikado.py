@@ -25,6 +25,8 @@ from mikado_forge.torus import (
     ScalarField,
     TorusGrid,
     VectorField,
+    _mode_norm,
+    grad_magnitude,
     make_grid,
     norm,
     relative_divergence,
@@ -175,6 +177,10 @@ def _axis_derivative_l2(grid, values, axis):
     return float(np.mean(dv * dv)) ** 0.5
 
 
+def _w12_norm(f):
+    return _mode_norm("W1R", 2.0, f.values, grad_magnitude(f))
+
+
 def _full_grid_verify(fam):
     """Every identity of verify_family measured on the full d-dimensional
     grid: spectral divergences along the pipe axis, full-grid means and
@@ -185,8 +191,8 @@ def _full_grid_verify(fam):
     for j in range(d):
         theta, w_j = fam.densities[j], fam.fields[j][j]
         prod_vals = theta.values * w_j.values
-        den_w = norm(ScalarField(grid_t, np.take(w_j.values, 0, axis=j)), 2.0, "W1p") or 1.0
-        den_p = norm(ScalarField(grid_t, np.take(prod_vals, 0, axis=j)), 2.0, "W1p") or 1.0
+        den_w = _w12_norm(ScalarField(grid_t, np.take(w_j.values, 0, axis=j))) or 1.0
+        den_p = _w12_norm(ScalarField(grid_t, np.take(prod_vals, 0, axis=j))) or 1.0
         div_field.append(_axis_derivative_l2(fam.grid, w_j.values, j) / den_w)
         div_product.append(_axis_derivative_l2(fam.grid, prod_vals, j) / den_p)
         mean_den.append(abs(theta.mean) / max(norm(theta, p=1), 1e-300))

@@ -1,8 +1,6 @@
 """Fast-oscillation calculus: antidivergence, improved Hoelder,
 quantitative Riemann-Lebesgue."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -157,14 +155,11 @@ def test_riemann_lebesgue_rejects_nonzero_mean():
         riemann_lebesgue_check(f, ScalarField.constant(g, 1.0), [2])
 
 
-def test_report_serialisation_and_validation():
-    rep = OscillationReport(
+def test_report_validation():
+    OscillationReport(
         lemma="riemann_lebesgue", params={"d": 2},
         lambda_list=[2, 4], measured=[0.1, 0.05], bound=[0.2, 0.1],
         fitted_rate=-1.0, passed=True)
-    data = json.loads(rep.to_json())
-    assert set(data) == {"lemma", "params", "lambda", "measured", "bound",
-                         "fitted_rate", "pass"}
     with pytest.raises(ValueError):
         OscillationReport(lemma="x", params={}, lambda_list=[4, 2],
                           measured=[0, 0], bound=[0, 0],

@@ -2,7 +2,9 @@
 no module calls a complex transform (every field is real, so real
 transforms and the half spectrum serve throughout), and no other module
 keeps its own relative divergence or antidivergence.  Likewise an iterate
-triple is built in two places only: the seed and the step."""
+triple is built in two places only: the seed and the step, and the Sobolev
+norms are put together in `torus` only: no call selects a norm by a
+`flavor` keyword, and only `torus` calls `hypot`."""
 
 import ast
 from pathlib import Path
@@ -75,3 +77,14 @@ def test_iterate_triples_are_built_by_the_seed_and_the_step_only():
         and getattr(node.func, "attr", getattr(node.func, "id", None)) == "IterateTriple"
     ]
     assert sorted(builders) == [("convexint.py", "assemble_step"), ("seeds.py", "seed_triple")]
+
+
+def test_sobolev_norms_are_put_together_in_torus_only():
+    calls = [(name, node) for name, tree in _modules()
+             for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    flavored = [(name, node.lineno) for name, node in calls
+                if any(k.arg == "flavor" for k in node.keywords)]
+    assert flavored == []
+    hypot = sorted({name for name, node in calls
+                    if getattr(node.func, "attr", getattr(node.func, "id", None)) == "hypot"})
+    assert hypot == ["torus.py"]

@@ -4,7 +4,6 @@ d in {2, 3, 4} and n in {8, 16}."""
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from mikado_forge.convexint import _mode_norm
 from mikado_forge.driftdiff import SolveConfig, _split_symbol, _split_system, solve
 from mikado_forge.oscillation import antidivergence
 from mikado_forge.torus import (
@@ -17,6 +16,7 @@ from mikado_forge.torus import (
     _fft_of,
     _grad_values,
     _lp_of_values,
+    _mode_norm,
     _parseval_sum,
     divergence,
     gradient,
