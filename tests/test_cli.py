@@ -138,7 +138,7 @@ def test_search_assembles_each_trial_once(tmp_path, monkeypatch):
     def search_then_assemble_again(t, eps, **kw):
         def again(step):
             params = step[1].params
-            fam = convexint._family(3, kw["p"], params.mu, t.grid.n // params.lam,
+            fam = convexint._family(t.grid.dim, kw["p"], params.mu, t.grid.n // params.lam,
                                     kw["resolution_factor"])
             return convexint.assemble_step(t, params, fam, eps_target=eps)
         try:
