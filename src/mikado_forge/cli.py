@@ -410,10 +410,12 @@ def _exp_ci_step(cfg: dict, out: Path, rng) -> dict:
 
 def _exp_ci_run(cfg: dict, out: Path, rng) -> dict:
     d, n, p, mode, r, q, K = (cfg[k] for k in ("d", "N", "p", "mode", "r", "q", "K"))
-    t0 = _ci_seed(cfg, TorusGrid(dim=d, n=n))
-    eps = cfg["eps_frac"] * norm(t0.b, p=p)
+    # the seed is handed over as its only reference, so run_iteration can
+    # free its u0 and f0 after the first step
+    seed = [_ci_seed(cfg, TorusGrid(dim=d, n=n))]
+    eps = cfg["eps_frac"] * norm(seed[0].b, p=p)
     t_fin, conv = run_iteration(
-        t0, eps, K, mode=mode, p=p, r=r, q=q,
+        seed.pop(), eps, K, mode=mode, p=p, r=r, q=q,
         resolution_factor=cfg["resolution_factor"], strict=cfg["strict"],
         lam_schedule=cfg["lam_schedule"], mu_schedule=cfg["mu_schedule"])
     steps = [_step_report_dict(s) for s in conv.steps]

@@ -38,7 +38,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -47,15 +47,16 @@ from .torus import (
     ScalarField,
     TorusGrid,
     VectorField,
-    _antidivergence_values,
     _axis_derivative_coeffs,
     _divergence_coeffs,
     _fft_of,
-    _grad_values,
+    _grad_magnitude_of,
+    _inverse_div_grad_coeffs,
     _irfftn,
     _lp_of_values,
     _mode_norm,
     _parseval_sum,
+    _partial_values,
     _rfftn,
     _split_symbol,
     axis_derivative_norm,
@@ -257,19 +258,23 @@ def _smoothstep(t: np.ndarray) -> np.ndarray:
     return s
 
 
+def _cutoff(fj: np.ndarray, delta: float, d: int) -> np.ndarray:
+    """Values of one component cutoff chi_j from the values of f_j."""
+    lo = delta / (4.0 * d)
+    hi = delta / (2.0 * d)
+    t = np.abs(fj)
+    t -= lo
+    t /= hi - lo
+    return _smoothstep(t)
+
+
 def build_cutoffs(f: VectorField, delta: float) -> list[ScalarField]:
     """Component cutoffs: chi_j = 1 where |f_j| >= delta/(2d), 0 where
     |f_j| <= delta/(4d), a fixed smoothstep ramp between."""
     if delta <= 0:
         raise ValueError("delta must be positive")
     d = f.grid.dim
-    lo = delta / (4.0 * d)
-    hi = delta / (2.0 * d)
-    out = []
-    for j in range(d):
-        t = (np.abs(f[j].values) - lo) / (hi - lo)
-        out.append(ScalarField(f.grid, _smoothstep(t)))
-    return out
+    return [ScalarField(f.grid, _cutoff(f[j].values, delta, d)) for j in range(d)]
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +348,8 @@ def equation_residual(t: IterateTriple) -> float:
     def pad_values(c: np.ndarray) -> np.ndarray:
         cm = np.zeros(half_m, dtype=np.complex128)
         cm[dst] = c[src]
-        return _irfftn(cm * npts_m, s=(m,) * d)
+        cm *= npts_m
+        return _irfftn(cm, s=(m,) * d)
 
     # de-aliased product part of the divergence
     u_hat = _fft_of(t.u)
@@ -351,12 +357,14 @@ def equation_residual(t: IterateTriple) -> float:
     e_hat = np.zeros(grid.half_shape, dtype=np.complex128)
     for ax in range(d):
         b_fine = pad_values(_fft_of(t.b[ax]))
-        ph = _rfftn(b_fine * u_fine)
+        b_fine *= u_fine
+        ph = _rfftn(b_fine)
         del b_fine
         block = np.zeros(grid.half_shape, dtype=np.complex128)
         block[src] = ph[dst]
         del ph
-        e_hat += (2j * np.pi / npts_m) * grid.axis_k(ax, diff=True) * block
+        np.multiply((2j * np.pi / npts_m) * grid.axis_k(ax, diff=True), block, out=block)
+        e_hat += block
         del block
     del u_fine
 
@@ -409,116 +417,145 @@ def assemble_step(
     p, pc = fam.p, fam.p_conj
     u0, b0 = t.u, t.b
     delta = params.delta
-    chi = build_cutoffs(t.f, delta)
+    clamp_lo = delta / (4.0 * d)
+
+    def magnitude(comps: list[np.ndarray]) -> np.ndarray:
+        mag = np.zeros(grid.shape)
+        for c in comps:
+            mag += c ** 2
+        return np.sqrt(mag, out=mag)
 
     theta_vals = np.zeros(grid.shape)
     w_comps: list[np.ndarray] = [None] * d
     q_hat = np.zeros(grid.half_shape, dtype=np.complex128)
     # the cutoff part chi^2 f - f seeds the flux accumulator
     f1_comps: list[np.ndarray] = [None] * d
-    gchi_l1_sq = np.zeros(grid.shape)
     quad_source_l1 = 0.0
-
-    clamp_lo = delta / (4.0 * d)
     for j in range(d):
         fj = t.f[j].values
-        cj = chi[j].values
+        cj = _cutoff(fj, delta, d)
         absf = np.abs(fj)
-        absf = np.where(absf <= clamp_lo, 0.0, absf)
-        a_theta = cj * np.sign(fj) * absf ** (1.0 / pc)
-        a_w = cj * absf ** (1.0 / p)
-        theta_t = _dilate_tile(fam.density_transverse(j), lam)
-        w_t = _dilate_tile(fam.field_transverse(j), lam)
-        theta_vals += a_theta * _expand_along(theta_t, j, n, d)
-        w_comps[j] = a_w * _expand_along(w_t, j, n, d)
-        del a_theta, a_w
-        # quadratic part: chi^2 f_j ((Theta W)_lambda - 1) along e_j
-        cf = (cj * cj) * fj
-        quad_source_l1 += axis_derivative_norm(grid, cf, j)
-        prod_t = _dilate_tile(fam.density_transverse(j) * fam.field_transverse(j), lam)
-        q_vals = cf * (_expand_along(prod_t, j, n, d) - 1.0)
-        q_hat += _axis_derivative_coeffs(grid, _fft_of(q_vals), j)
-        del q_vals, prod_t
-        f1_comps[j] = cf - fj
-        gchi_l1_sq += f1_comps[j] ** 2
-        del cf, cj
-    del chi
+        absf[absf <= clamp_lo] = 0.0
+        # theta's amplitude chi_j sgn(f_j) |f_j|^(1/p'), then w's amplitude
+        # chi_j |f_j|^(1/p) in the buffer of |f_j|
+        amp = absf ** (1.0 / pc)
+        np.copysign(amp, fj, out=amp)
+        amp *= cj
+        amp *= _expand_along(_dilate_tile(fam.density_transverse(j), lam), j, n, d)
+        theta_vals += amp
+        del amp
+        absf **= 1.0 / p
+        absf *= cj
+        absf *= _expand_along(_dilate_tile(fam.field_transverse(j), lam), j, n, d)
+        w_comps[j] = absf
+        del absf
+        # quadratic part: chi^2 f_j ((Theta W)_lambda - 1) along e_j, with
+        # chi_j^2 f_j formed in the buffer of chi_j
+        cj *= cj
+        cj *= fj
+        quad_source_l1 += axis_derivative_norm(grid, cj, j)
+        prod_t = _dilate_tile(
+            fam.density_transverse(j) * fam.field_transverse(j) - 1.0, lam)
+        q_hat += _axis_derivative_coeffs(
+            grid, _fft_of(cj * _expand_along(prod_t, j, n, d)), j)
+        del prod_t
+        cj -= fj
+        f1_comps[j] = cj
+        del cj
 
     theta_c = -float(theta_vals.mean())
-    g_parts: dict[str, float] = {"cutoff": float(np.sqrt(gchi_l1_sq).mean())}
-    del gchi_l1_sq
+    # the accumulator holds the cutoff part until the first add_part
+    g_parts: dict[str, float] = {"cutoff": float(magnitude(f1_comps).mean())}
 
-    # corrector restoring div b1 = 0: antidivergence of the measured div w
-    wdiv_hat = _divergence_coeffs(grid, map(_fft_of, w_comps))
-    wc_comps = [-c for c in _antidivergence_values(grid, wdiv_hat)]
-    # the last absf is freed here on purpose: freeing it inside the loop or
-    # keeping it to the end leaves the traced peak alone but raised the
-    # peak RSS of a 64^3 step refined to 128^3 from 556 to 630 or 611 MB
-    # (glibc heap layout, x86-64)
-    del wdiv_hat, absf, theta_t, w_t
-
-    def add_part(name: str, comps: list[np.ndarray]) -> None:
+    def add_part(name: str, part: Callable[[int], np.ndarray]) -> np.ndarray:
+        """Add the flux part with components part(0), ..., part(d - 1) to
+        the accumulator, one component at a time; return its magnitude."""
         mag = np.zeros(grid.shape)
         for i in range(d):
-            f1_comps[i] += comps[i]
-            mag += comps[i] ** 2
-            comps[i] = None
-        g_parts[name] = float(np.sqrt(mag, out=mag).mean())
+            g = part(i)
+            f1_comps[i] += g
+            mag += np.square(g, out=g)
+            del g
+        np.sqrt(mag, out=mag)
+        g_parts[name] = float(mag.mean())
+        return mag
 
     # quadratic remainder through the antidivergence
-    add_part("quad", _antidivergence_values(grid, q_hat))
+    psi_hat = _inverse_div_grad_coeffs(grid, q_hat)
     del q_hat
+    add_part("quad", lambda i: _partial_values(grid, psi_hat, i))
+    del psi_hat
 
-    # laplacian part: grad theta (its magnitude feeds the mode norms)
-    grad_theta = _grad_values(grid, _fft_of(theta_vals))
-    gt_mag = np.sqrt(sum(g * g for g in grad_theta))
-    add_part("laplace", grad_theta)
-    del grad_theta
+    # laplacian part: grad theta, whose magnitude feeds the mode norms
+    theta_hat = _fft_of(theta_vals)
+    gt_mag = add_part("laplace", lambda i: _partial_values(grid, theta_hat, i))
+    del theta_hat
 
     # linear part: w u0 + b0 theta
-    add_part("linear", [w_comps[i] * u0.values + b0[i].values * theta_vals
-                        for i in range(d)])
+    def linear(i: int) -> np.ndarray:
+        g = w_comps[i] * u0.values
+        g += b0[i].values * theta_vals
+        return g
 
-    # correctors: w_c u0 + theta_c w + theta w_c + theta_c w_c
-    # (b0 theta_c is divergence-free and is dropped from the flux)
-    add_part("corrector", [
-        wc_comps[i] * u0.values + theta_c * w_comps[i]
-        + (theta_vals + theta_c) * wc_comps[i]
-        for i in range(d)])
+    add_part("linear", linear)
+
+    # u1 = (u0 + theta) + theta_c, made mean-zero; theta's buffer then
+    # holds the increment du = theta + theta_c
+    u1_vals = u0.values + theta_vals
+    u1_vals += theta_c
+    u1_vals -= u1_vals.mean()
+    du_vals = theta_vals
+    du_vals += theta_c
+    del theta_vals
+    theta_h1 = _mode_norm("H1", None, du_vals, gt_mag)
+    mode_inc = (theta_h1 if params.mode == "H1"
+                else _mode_norm(params.mode, params.r, du_vals, gt_mag))
+    del gt_mag
+
+    # corrector restoring div b1 = 0: w_c = -grad phi, where div grad phi is
+    # the measured div w
+    phi_hat = _inverse_div_grad_coeffs(
+        grid, _divergence_coeffs(grid, map(_fft_of, w_comps)))
+
+    def corrector(i: int) -> np.ndarray:
+        """w_c u0 + theta_c w + theta w_c + theta_c w_c (b0 theta_c is
+        divergence-free and is dropped from the flux); w_c is then folded
+        into w, whose buffer holds the drift increment dw = w + w_c."""
+        wc = _partial_values(grid, phi_hat, i)
+        np.negative(wc, out=wc)
+        g = wc * u0.values
+        g += theta_c * w_comps[i]
+        g += du_vals * wc
+        w_comps[i] += wc
+        return g
+
+    add_part("corrector", corrector)
+    del phi_hat
+    dw_comps = w_comps          # w + w_c since the corrector loop
+    del w_comps
 
     # the accumulator built g; the equation -div(grad u + b u) = div f
     # hands the next iterate f1 = -g
     for i in range(d):
         np.negative(f1_comps[i], out=f1_comps[i])
 
-    # displacements and the new iterate; the separate w / w_c arrays are
-    # released as soon as the sum is formed
-    dw_comps = [w_comps[i] + wc_comps[i] for i in range(d)]
-    del w_comps, wc_comps
-    b1 = VectorField.from_arrays(grid, [b0[i].values + dw_comps[i] for i in range(d)])
-    u1_vals = u0.values + theta_vals + theta_c
-    u1_vals -= u1_vals.mean()
-    u1 = ScalarField(grid, u1_vals)
-    f1 = VectorField.from_arrays(grid, f1_comps)
-    t1 = IterateTriple(b=b1, u=u1, f=f1)
-
-    du_vals = theta_vals + theta_c
     f0_l1 = t.f_l1()
-    dw_mag = np.sqrt(sum(c * c for c in dw_comps))
+    dw_mag = magnitude(dw_comps)
     inc = _lp_of_values(dw_mag, p) + _lp_of_values(du_vals, pc)
     inc_bound = fam.M * max(f0_l1 ** (1.0 / pc), f0_l1 ** (1.0 / p))
-
-    theta_h1 = _mode_norm("H1", None, du_vals, gt_mag)
-    mode_inc = (theta_h1 if params.mode == "H1"
-                else _mode_norm(params.mode, params.r, du_vals, gt_mag))
-    del gt_mag
-    f1_l1 = norm(f1, p=1)
-
     b_inc_w1q = None
     if params.mode == "W1R_W1Q":
-        b_inc_w1q = _mode_norm("W1R", params.q, dw_mag,
-                               grad_magnitude(VectorField.from_arrays(grid, dw_comps)))
-    del dw_comps, dw_mag, du_vals
+        b_inc_w1q = _mode_norm("W1R", params.q, dw_mag, _grad_magnitude_of(grid, dw_comps))
+    del dw_mag, du_vals
+
+    # the new iterate, b1 = b0 + dw formed in the buffer of dw
+    for i in range(d):
+        np.add(b0[i].values, dw_comps[i], out=dw_comps[i])
+    b1 = VectorField.from_arrays(grid, dw_comps)
+    del dw_comps
+    f1 = VectorField.from_arrays(grid, f1_comps)
+    t1 = IterateTriple(b=b1, u=ScalarField(grid, u1_vals), f=f1)
+    f1_l1 = norm(f1, p=1)
     structure = t1.check_structure()
 
     report = StepReport(
@@ -672,7 +709,10 @@ def run_iteration(
     """
     d = t0.grid.dim
     validate_mode(d, p, mode, r, q)
-    t = t0
+    # only the seed's drift is kept, for the drift distance: a caller that
+    # passes its only reference to the seed has u0 and f0 freed after step 1
+    b0, t = t0.b, t0
+    del t0
     u0_mode = _mode_norm(mode, r, t.u.values, grad_magnitude(t.u))
     f_hist = [t.f_l1()]
     u_hist = [u0_mode]
@@ -719,7 +759,7 @@ def run_iteration(
         f_hist.append(rep.f1_l1)
         u_hist.append(_mode_norm(mode, r, t.u.values, grad_magnitude(t.u)))
 
-    drift_dist = norm(t.b - t0.b, p=p)
+    drift_dist = norm(t.b - b0, p=p)
     assertions = {
         "increment_bound_each_step": all(s.increment_ok for s in steps),
         "cutoff_budget_each_step": all(s.cutoff_part_ok for s in steps),

@@ -108,7 +108,7 @@ def seed_triple(b0: VectorField, u0: ScalarField, h) -> IterateTriple:
     the equation does not see: constants, or bumps h_i constant along axis
     i.  u0 must already be mean-zero; it is used as given."""
     # formed whole on purpose: one derivative per component instead raised the
-    # peak RSS of a 64^3 step refined to 128^3 from 556 to 642 MB (glibc heap)
+    # peak RSS of a 64^3 step refined to 128^3 from 500 to 554 MB (glibc heap)
     gu = gradient(u0)
     comps = [ScalarField(u0.grid, -gu[i].values - b0[i].values * u0.values + hi)
              for i, hi in enumerate(h)]

@@ -16,10 +16,11 @@ transform (the real-transform helpers `_rfftn` / `_irfftn`, capped by the
 one worker setting `set_fft_workers`), every wavenumber symbol (the
 `TorusGrid` frequency arrays, all in the half layout), and the
 array-level kernels the other modules build on: coefficients without
-caching (`_fft_of`), derivative, gradient, divergence and antidivergence on
-coefficient and value arrays, the Parseval sum, the Lp quadrature of value
-arrays, the one Sobolev-norm combinator `_mode_norm` (W^{1,r} or H1 from
-values and `grad_magnitude`), and the C-infinity bump.  The field-level
+caching (`_fft_of`), derivative, gradient, gradient magnitude, divergence
+and antidivergence on coefficient and value arrays, the Parseval sum, the
+Lp quadrature of value arrays, the one Sobolev-norm combinator `_mode_norm`
+(W^{1,r} or H1 from values and `grad_magnitude`), and the C-infinity bump.
+The kernels work in place on the arrays they allocate.  The field-level
 operators below are thin wrappers over those kernels; `norm` is the Lp norm.
 
 All operations are pure: fields are immutable after construction.
@@ -60,7 +61,7 @@ __all__ = [
     "set_fft_workers",
 ]
 
-# Per-field memory budget (bytes of one float64 array).  make_grid rejects
+# Per-field memory budget (bytes of one float64 array).  TorusGrid rejects
 # grids whose fields would exceed it; large enough for 512^3 in d=3.
 MAX_FIELD_BYTES = 2 << 30
 
@@ -151,12 +152,9 @@ class TorusGrid:
         return k.reshape(shape)
 
     def _k_squared(self, diff: bool) -> np.ndarray:
-        # a fresh full array per axis: summing in place, or over the
-        # broadcast axes, left glibc holding one more array and raised the
-        # peak RSS of a 64^3 ci-step refined to 128^3 from 556 to 579 MB
         k2 = np.zeros(self.half_shape)
         for ax in range(self.dim):
-            k2 = k2 + self.axis_k(ax, diff).astype(np.float64) ** 2
+            k2 += self.axis_k(ax, diff).astype(np.float64) ** 2
         return k2
 
     @cached_property
@@ -356,7 +354,9 @@ def _fft_of(x: ScalarField | np.ndarray) -> np.ndarray:
         if c is not None:
             return c
         x = x.values
-    return _rfftn(x) / x.size
+    c = _rfftn(x)
+    c /= x.size
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -367,12 +367,18 @@ def _axis_derivative_coeffs(grid: TorusGrid, coeffs: np.ndarray, axis: int) -> n
     return (2j * np.pi) * grid.axis_k(axis, diff=True) * coeffs
 
 
+def _partial_values(grid: TorusGrid, coeffs: np.ndarray, axis: int) -> np.ndarray:
+    """Real values of one partial derivative of the field with these
+    coefficients."""
+    v = _irfftn(_axis_derivative_coeffs(grid, coeffs, axis), grid.shape)
+    v *= grid.n ** grid.dim
+    return v
+
+
 def _grad_values(grid: TorusGrid, coeffs: np.ndarray) -> list[np.ndarray]:
     """Real values of every partial derivative of the field with these
     coefficients."""
-    npts = grid.n ** grid.dim
-    return [_irfftn(_axis_derivative_coeffs(grid, coeffs, ax), grid.shape) * npts
-            for ax in range(grid.dim)]
+    return [_partial_values(grid, coeffs, ax) for ax in range(grid.dim)]
 
 
 def _divergence_coeffs(grid: TorusGrid, comp_coeffs: Iterable[np.ndarray]) -> np.ndarray:
@@ -489,20 +495,25 @@ def _lp_of_values(vals: np.ndarray, p: float) -> float:
     return float(np.mean(np.abs(vals) ** p) ** (1.0 / p))
 
 
+def _grad_magnitude_of(grid: TorusGrid,
+                       comps: Iterable[ScalarField | np.ndarray]) -> np.ndarray:
+    """Pointwise Frobenius norm of the gradient of the fields or value
+    arrays comps, one partial derivative at a time; nothing is cached."""
+    acc = np.zeros(grid.shape)
+    for comp in comps:
+        c = _fft_of(comp)
+        for ax in range(grid.dim):
+            g = _partial_values(grid, c, ax)
+            acc += np.square(g, out=g)
+            del g
+        del c
+    return np.sqrt(acc, out=acc)
+
+
 def grad_magnitude(f: Field) -> np.ndarray:
-    """Pointwise Euclidean (Frobenius for vectors) norm of the gradient."""
-    if isinstance(f, ScalarField):
-        g = gradient(f)
-        acc = np.zeros(f.grid.shape)
-        for c in g.components:
-            acc += c.values ** 2
-        return np.sqrt(acc)
-    acc = np.zeros(f.grid.shape)
-    for comp in f.components:
-        g = gradient(comp)
-        for c in g.components:
-            acc += c.values ** 2
-    return np.sqrt(acc)
+    """Pointwise Euclidean (Frobenius for vectors) norm of the gradient;
+    no coefficients are cached on f."""
+    return _grad_magnitude_of(f.grid, (f,) if isinstance(f, ScalarField) else f.components)
 
 
 def _mode_norm(mode: str, r: float | None, values: np.ndarray,

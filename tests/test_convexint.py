@@ -3,10 +3,12 @@ estimates, parameter search, and the surrogate iteration laws."""
 
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
+from mikado_forge import convexint
 from mikado_forge.convexint import (
     BudgetExhausted,
     IterateTriple,
@@ -161,9 +163,12 @@ def test_step_structure_and_residuals(toy64):
 
 def test_step_and_residual_memory_in_fields():
     # extra memory of one step and of the de-aliased residual at 64^3, in
-    # units of one full-grid float64 field (measured 16.61 and 16.74).
-    # tracemalloc sees numpy's allocations but not glibc's heap layout, so
-    # a change that keeps this bound can still raise the peak RSS
+    # units of one full-grid float64 field (measured 13.55 and 13.29: the
+    # step streams its perturbation, flux parts and corrector one component
+    # at a time, the residual scales and multiplies its padded arrays in
+    # place).  tracemalloc sees numpy's allocations but neither glibc's heap
+    # layout nor the transforms' internal buffers, so a change that keeps
+    # these bounds can still raise the peak RSS
     g = make_grid(3, 64)
     t0 = shifted_cosine_seed(g, u_amp=0.5, flux_shift=2048.0)
     fam = build_family(3, 1.5, 8.0, g, resolution_factor=8.0)
@@ -182,8 +187,8 @@ def test_step_and_residual_memory_in_fields():
     (t1, _), step_peak = peak_fields(assemble_step, t0, params, fam,
                                      eps_target=0.25 * t0.f_l1())
     _, resid_peak = peak_fields(equation_residual, t1)
-    assert step_peak <= 17.0
-    assert resid_peak <= 17.0
+    assert step_peak <= 14.0
+    assert resid_peak <= 13.75
 
 
 def test_perturbation_norm_line(toy64):
@@ -390,6 +395,27 @@ def test_iteration_best_effort_records_shortfall():
     step2 = conv.steps[1]
     assert step2.lam_grid_max == 2
     assert step2.params.lam < step2.lam_needed
+
+
+def test_iteration_releases_the_seed(monkeypatch):
+    # the iteration keeps only the seed's drift: handed the only reference
+    # to the seed, it frees the seed's flux (and u0) once step 1 has
+    # replaced the iterate, so step 2 runs without them
+    g = make_grid(3, 32)
+    box = [shifted_cosine_seed(g, u_amp=0.5, flux_shift=64.0)]
+    seed_flux = weakref.ref(box[0].f[0])
+    alive = []
+    real_step = convexint.assemble_step
+
+    def spy(*args, **kwargs):
+        alive.append(seed_flux() is not None)
+        return real_step(*args, **kwargs)
+
+    monkeypatch.setattr(convexint, "assemble_step", spy)
+    run_iteration(box.pop(), eps=1.0, K=2, mode="W1R", p=1.5, r=1.1,
+                  resolution_factor=4.0, strict=False,
+                  lam_schedule=[1, 1], mu_schedule=[7.0, 7.0])
+    assert alive == [True, False]
 
 
 def test_iteration_strict_raises_on_exhaustion():
