@@ -454,7 +454,6 @@ def assemble_step(
         absf *= cj
         absf *= _expand_along(_dilate_tile(fam.field_transverse(j), lam), j, n, d)
         w_comps[j] = absf
-        del absf
         # quadratic part: chi^2 f_j ((Theta W)_lambda - 1) along e_j, with
         # chi_j^2 f_j formed in the buffer of chi_j
         cj *= cj
@@ -467,7 +466,6 @@ def assemble_step(
         del prod_t
         cj -= fj
         f1_comps[j] = cj
-        del cj
 
     theta_c = -float(theta_vals.mean())
     # the accumulator holds the cutoff part until the first add_part
