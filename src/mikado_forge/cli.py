@@ -398,6 +398,8 @@ def _exp_ci_step(cfg: dict, out: Path, rng) -> dict:
             "u": fieldio.write_field(out / "u.bin", t1.u),
             "f": fieldio.write_field(out / "f.bin", t1.f),
         }
+    # the N-grid step is done with: free it before the refined step
+    del t1
     if cfg["refine_N"] is not None:
         n2 = cfg["refine_N"]
         t1b, _, _ = _ci_step_at(cfg, n2, eps)

@@ -48,16 +48,15 @@ from .torus import (
     TorusGrid,
     VectorField,
     _axis_derivative_coeffs,
+    _dealiased_product_divergence,
     _divergence_coeffs,
     _fft_of,
     _grad_magnitude_of,
     _inverse_div_grad_coeffs,
-    _irfftn,
     _lp_of_values,
     _mode_norm,
     _parseval_sum,
     _partial_values,
-    _rfftn,
     _split_symbol,
     axis_derivative_norm,
     grad_magnitude,
@@ -326,8 +325,10 @@ def sampled_residual(t: IterateTriple) -> float:
 
 def equation_residual(t: IterateTriple) -> float:
     """Sobolev-weighted size of div(grad u + b u + f) on the band
-    |k_i| <= n/2 - 1, with b u evaluated as the true (de-aliased) product
-    via 3n/2 zero-padded interpolation.  Scaled by ||f||_2.
+    |k_i| <= n/2 - 1, with b u evaluated as the true (de-aliased) product.
+    Only the band is transformed, slab by slab
+    (`torus._dealiased_product_divergence`), and the values are those of
+    3n/2 zero-padded interpolation.  Scaled by ||f||_2.
 
     On the build grid the aliased residual vanishes identically by
     construction; this band-exact measure exposes the sampling error the
@@ -335,40 +336,11 @@ def equation_residual(t: IterateTriple) -> float:
     """
     grid = t.grid
     n, d = grid.n, grid.dim
-    m = (3 * n) // 2
-    npts_m = m ** d
     kcap = n // 2 - 1
-
-    full_n = list(range(kcap + 1)) + list(range(n - kcap, n))
-    full_m = list(range(kcap + 1)) + list(range(m - kcap, m))
-    src = np.ix_(*([full_n] * (d - 1) + [list(range(kcap + 1))]))
-    dst = np.ix_(*([full_m] * (d - 1) + [list(range(kcap + 1))]))
-    half_m = (m,) * (d - 1) + (m // 2 + 1,)
-
-    def pad_values(c: np.ndarray) -> np.ndarray:
-        # a transform passed straight in is freed before the padded one
-        cm = np.zeros(half_m, dtype=np.complex128)
-        cm[dst] = c[src]
-        del c
-        cm *= npts_m
-        return _irfftn(cm, s=(m,) * d)
 
     # de-aliased product part of the divergence
     u_hat = _fft_of(t.u)
-    u_fine = pad_values(u_hat)
-    e_hat = np.zeros(grid.half_shape, dtype=np.complex128)
-    for ax in range(d):
-        b_fine = pad_values(_fft_of(t.b[ax]))
-        b_fine *= u_fine
-        ph = _rfftn(b_fine)
-        del b_fine
-        block = np.zeros(grid.half_shape, dtype=np.complex128)
-        block[src] = ph[dst]
-        del ph
-        np.multiply((2j * np.pi / npts_m) * grid.axis_k(ax, diff=True), block, out=block)
-        e_hat += block
-        del block
-    del u_fine
+    e_hat = _dealiased_product_divergence(grid, (_fft_of(c) for c in t.b.components), u_hat)
 
     # band-limited parts: laplacian of u and divergence of f
     e_hat += -4.0 * np.pi ** 2 * grid.k_squared_diff * u_hat

@@ -17,17 +17,26 @@ one worker setting `set_fft_workers`), every wavenumber symbol (the
 `TorusGrid` frequency arrays, all in the half layout), and the
 array-level kernels the other modules build on: coefficients without
 caching (`_fft_of`), derivative, gradient, gradient magnitude, divergence
-and antidivergence on coefficient and value arrays, the Parseval sum, the
-Lp quadrature of value arrays, the one Sobolev-norm combinator `_mode_norm`
-(W^{1,r} or H1 from values and `grad_magnitude`), and the C-infinity bump.
-The kernels work in place on the arrays they allocate.  The field-level
-operators below are thin wrappers over those kernels; `norm` is the Lp norm.
+and antidivergence on coefficient and value arrays, the de-aliased
+product part of a divergence (`_dealiased_product_divergence`), the
+Parseval sum, the Lp quadrature of value arrays, the one Sobolev-norm
+combinator `_mode_norm` (W^{1,r} or H1 from values and `grad_magnitude`),
+and the C-infinity bump.  The kernels work in place on the arrays they
+allocate.  The field-level operators below are thin wrappers over those
+kernels; `norm` is the Lp norm.
+
+`_irfftn` consumes its input: it runs the complex stage over the leading
+axes in the input's own buffer, so callers pass a temporary and never a
+cached `coeffs` array.  Complex transforms appear only as the
+leading-axis stages of a real transform, in `_irfftn` and in
+`_dealiased_product_divergence`; no full complex spectrum is formed.
 
 All operations are pure: fields are immutable after construction.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -74,12 +83,29 @@ def set_fft_workers(n: int) -> None:
     _FFT_WORKERS = max(1, int(n))
 
 
+# rows per slab of the slab-wise kernels (slabs per axis in the de-aliased product)
+_SLAB = 16
+
+
 def _rfftn(a: np.ndarray) -> np.ndarray:
     return sfft.rfftn(a, workers=_FFT_WORKERS)
 
 
+def _inverse_scale(size: int) -> float:
+    # pocketfft's own inverse normalisation: 1/size rounded from long double
+    return float(1 / np.longdouble(size))
+
+
 def _irfftn(a: np.ndarray, s: Sequence[int]) -> np.ndarray:
-    return sfft.irfftn(a, s=s, workers=_FFT_WORKERS)
+    """Real values of shape s from the half spectrum a, bit for bit
+    `scipy.fft.irfftn(a, s)`.  Consumes a: the complex stage over the
+    leading axes runs in a's own buffer, so no hidden complex copy of the
+    spectrum is allocated.  Every caller passes a temporary."""
+    a = sfft.ifftn(a, axes=tuple(range(len(s) - 1)), norm="forward",
+                   overwrite_x=True, workers=_FFT_WORKERS)
+    out = sfft.irfft(a, n=s[-1], axis=-1, norm="forward", workers=_FFT_WORKERS)
+    out *= _inverse_scale(math.prod(s))
+    return out
 
 
 @dataclass(frozen=True)
@@ -420,6 +446,89 @@ def _antidivergence_values(grid: TorusGrid, coeffs: np.ndarray) -> list[np.ndarr
     return _grad_values(grid, _inverse_div_grad_coeffs(grid, coeffs))
 
 
+def _dealiased_product_divergence(grid: TorusGrid, b_coeffs: Iterable[np.ndarray],
+                                  u_coeffs: np.ndarray) -> np.ndarray:
+    """Coefficients of div(b u) on the band |k_i| <= n/2 - 1, zero outside
+    it, with b u the de-aliased product: bit for bit what the product of
+    the 3n/2 zero-padded interpolants of b and u gives (Orszag's 3/2 rule).
+    b_coeffs yields the half spectrum of each drift component in axis
+    order and is drawn one component at a time; u_coeffs is not modified.
+
+    Only the band is transformed (a pruned transform).  Each input's band,
+    scaled as a padded spectrum, goes through the inverse transforms of the
+    leading axes in their order, skipping the columns whose later axes are
+    still zero; its last axis keeps only the band columns.  The last-axis
+    transforms and the product run slab by slab along axis 0, and each
+    slab's band columns go back into the drift's buffer.  The forward
+    leading-axis transforms then skip the rows already outside the band.
+    Neither the padded values nor the padded spectrum is ever formed; u's
+    leading-axis array is built once and shared by every component."""
+    n, d = grid.n, grid.dim
+    m = (3 * n) // 2
+    npts_m = m ** d
+    scale = _inverse_scale(npts_m)
+    kcap = n // 2 - 1
+    # each leading axis' band: its two runs of frequencies on both grids
+    runs_n = (slice(0, kcap + 1), slice(n - kcap, n))
+    runs_m = (slice(0, kcap + 1), slice(m - kcap, m))
+    lead = (m,) * (d - 1) + (kcap + 1,)
+    step = -(-m // _SLAB)   # rows per slab: at most _SLAB slabs along axis 0
+
+    def blocks(k: int):
+        # the 2^k combinations of band runs over the first k axes
+        return itertools.product(range(2), repeat=k)
+
+    def transform(view: np.ndarray, ax: int, inverse: bool) -> None:
+        # one leading axis in place; view is a slice of a padded buffer
+        if inverse:
+            out = sfft.ifft(view, axis=ax, norm="forward", overwrite_x=True,
+                            workers=_FFT_WORKERS)
+        else:
+            out = sfft.fft(view, axis=ax, overwrite_x=True, workers=_FFT_WORKERS)
+        if not np.may_share_memory(out, view):
+            view[...] = out
+
+    def leading_values(c: np.ndarray, buf: np.ndarray) -> np.ndarray:
+        buf[...] = 0.0
+        for blk in blocks(d - 1):
+            np.multiply(c[tuple(runs_n[i] for i in blk) + (slice(0, kcap + 1),)], npts_m,
+                        out=buf[tuple(runs_m[i] for i in blk)])
+        for ax in range(d - 1):
+            for blk in blocks(d - 2 - ax):
+                transform(buf[(slice(None),) * (ax + 1) + tuple(runs_m[i] for i in blk)],
+                          ax, inverse=True)
+        return buf
+
+    u_lead = leading_values(u_coeffs, np.empty(lead, dtype=np.complex128))
+    buf = np.empty(lead, dtype=np.complex128)
+    e_hat = np.zeros(grid.half_shape, dtype=np.complex128)
+    comps = iter(b_coeffs)   # not enumerate, whose cached tuple keeps the last c alive
+    for ax in range(d):
+        c = next(comps)
+        leading_values(c, buf)
+        del c
+        for s in range(0, m, step):
+            rows = slice(s, s + step)
+            bu = sfft.irfft(buf[rows], n=m, axis=-1, norm="forward", workers=_FFT_WORKERS)
+            bu *= scale
+            uv = sfft.irfft(u_lead[rows], n=m, axis=-1, norm="forward", workers=_FFT_WORKERS)
+            uv *= scale
+            bu *= uv
+            del uv
+            buf[rows] = sfft.rfft(bu, axis=-1, workers=_FFT_WORKERS)[..., :kcap + 1]
+            del bu
+        for lax in range(d - 1):
+            for blk in blocks(lax):
+                transform(buf[tuple(runs_m[i] for i in blk)], lax, inverse=False)
+        coef = (2j * np.pi / npts_m) * grid.axis_k(ax, diff=True)
+        for blk in blocks(d - 1):
+            dst = tuple(runs_n[i] for i in blk) + (slice(0, kcap + 1),)
+            e_hat[dst] += np.multiply(coef[tuple(dst[a] if a == ax else slice(None)
+                                                 for a in range(d))],
+                                      buf[tuple(runs_m[i] for i in blk)])
+    return e_hat
+
+
 # ---------------------------------------------------------------------------
 # differential operators (exact in the discrete spectral calculus)
 
@@ -427,9 +536,6 @@ def derivative(f: ScalarField, axis: int) -> ScalarField:
     """Single spectral partial derivative (one transform pair)."""
     return ScalarField.from_coeffs(
         f.grid, _axis_derivative_coeffs(f.grid, f.coeffs, axis))
-
-
-_SLAB = 16
 
 
 def axis_derivative_norm(grid: TorusGrid, values: np.ndarray, axis: int) -> float:

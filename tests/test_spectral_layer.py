@@ -1,7 +1,9 @@
 """The package has one spectral layer: only `torus` imports scipy.fft,
-no module calls a complex transform (every field is real, so real
-transforms and the half spectrum serve throughout), and no other module
-keeps its own relative divergence or antidivergence.  Likewise an iterate
+every field is real, so real transforms and the half spectrum serve
+throughout and no full complex spectrum is formed (the only complex
+transforms are the leading-axis stages of a real inverse transform, in
+two named `torus` kernels), and no other module keeps its own relative
+divergence or antidivergence.  Likewise an iterate
 triple is built in two places only: the seed and the step, and the Sobolev
 norms are put together in `torus` only: no call selects a norm by a
 `flavor` keyword, and only `torus` calls `hypot`."""
@@ -52,18 +54,50 @@ def test_no_shadow_copies_of_torus_operators():
     assert shadows == []
 
 
+# the leading-axis stages of the half-spectrum inverse transform and of the
+# pruned de-aliased product: (module, top-level function, callee)
+COMPLEX_STAGES = {
+    ("torus.py", "_irfftn", "ifftn"),
+    ("torus.py", "_dealiased_product_divergence", "ifft"),
+    ("torus.py", "_dealiased_product_divergence", "fft"),
+}
+
+
+def _complex_transform_calls(modules) -> set:
+    """(module, enclosing top-level definition or None, callee) of every
+    complex transform call."""
+    return {
+        (name, getattr(top, "name", None), callee)
+        for name, tree in modules
+        for top in tree.body
+        for call in ast.walk(top)
+        if isinstance(call, ast.Call)
+        and (callee := getattr(call.func, "attr", getattr(call.func, "id", None)))
+        in COMPLEX_TRANSFORMS
+    }
+
+
 def test_no_complex_transforms():
-    calls = [
-        (name, node.lineno)
-        for name, tree in _modules()
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call)
-        and getattr(node.func, "attr", getattr(node.func, "id", None)) in COMPLEX_TRANSFORMS
-    ]
-    assert calls == []
+    assert _complex_transform_calls(_modules()) == COMPLEX_STAGES
     torus = dict(_modules())["torus.py"]
     defined = {node.name for node in ast.walk(torus) if isinstance(node, ast.FunctionDef)}
     assert defined.isdisjoint(COMPLEX_TRANSFORMS)
+
+
+def test_a_complex_transform_elsewhere_is_caught():
+    # a complex transform in any other module, or in any other torus
+    # function, is not one of the pinned stages
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE_DIR.glob("*.py"))}
+    injections = [
+        ("convexint.py", "\n\ndef _probe(x):\n    return np.fft.fftn(x)\n",
+         ("convexint.py", "_probe", "fftn")),
+        ("torus.py", "\n\ndef _probe(x):\n    return sfft.ifft(x, axis=0)\n",
+         ("torus.py", "_probe", "ifft")),
+    ]
+    for module, text, expected in injections:
+        patched = [(name, ast.parse(src + text if name == module else src))
+                   for name, src in sources.items()]
+        assert _complex_transform_calls(patched) - COMPLEX_STAGES == {expected}
 
 
 def test_iterate_triples_are_built_by_the_seed_and_the_step_only():
