@@ -83,10 +83,6 @@ def set_fft_workers(n: int) -> None:
     _FFT_WORKERS = max(1, int(n))
 
 
-# rows per slab of the slab-wise kernels (slabs per axis in the de-aliased product)
-_SLAB = 16
-
-
 def _rfftn(a: np.ndarray) -> np.ndarray:
     return sfft.rfftn(a, workers=_FFT_WORKERS)
 
@@ -536,6 +532,9 @@ def derivative(f: ScalarField, axis: int) -> ScalarField:
     """Single spectral partial derivative (one transform pair)."""
     return ScalarField.from_coeffs(
         f.grid, _axis_derivative_coeffs(f.grid, f.coeffs, axis))
+
+
+_SLAB = 16
 
 
 def axis_derivative_norm(grid: TorusGrid, values: np.ndarray, axis: int) -> float:
