@@ -7,9 +7,14 @@ Config files are one `key = value` per line ('#' comments).  Values parse
 as int, float, comma-separated lists, `true`/`false` (the only booleans),
 or strings.  EXPERIMENTS declares each experiment's keys; one value fills
 a list key and an int fills a float key.  `seed` (a non-negative int) and
-`out_dir` (a path) in the file override --seed and --out.  MF_THREADS caps
-the FFT worker pool of every transform (results are identical for any
-setting).
+`out_dir` (a path) in the file override --seed and --out.
+
+Threads: the spectral layer (`torus`) runs the pointwise kernels of fields
+of 64^3 points and more on a pool of worker threads, and their transforms
+with as many FFT workers; smaller fields stay on one thread.  The worker
+count defaults to the usable cores.  MF_THREADS sets it instead, clamped
+to [1, usable cores]; MF_THREADS=1 runs everything on one thread.  Every
+output is byte-identical for any setting.
 
 Exit codes:
 0  every named check passed.
@@ -355,10 +360,10 @@ def _ci_step_at(cfg: dict, n: int, eps: float | None = None):
     d, lam, mu = cfg["d"], cfg["lambda"], cfg["mu"]
     t0 = _ci_seed(cfg, TorusGrid(dim=d, n=n))
     if eps is None:
-        eps = cfg["eps_frac"] * t0.f_l1()
+        eps = cfg["eps_frac"] * t0.f_l1
     fam = build_family(d, cfg["p"], mu, TorusGrid(dim=d, n=n // lam),
                        resolution_factor=cfg["resolution_factor"])
-    params = StepParams(delta=t0.f_l1() / cfg["delta_divisor"], lam=lam, mu=mu,
+    params = StepParams(delta=t0.f_l1 / cfg["delta_divisor"], lam=lam, mu=mu,
                         mode=cfg["mode"], r=cfg["r"], q=cfg["q"])
     t1, rep = assemble_step(t0, params, fam, eps_target=eps)
     return t1, rep, eps

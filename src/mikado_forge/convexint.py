@@ -38,6 +38,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -54,9 +55,12 @@ from .torus import (
     _grad_magnitude_of,
     _inverse_div_grad_coeffs,
     _lp_of_values,
+    _magnitude,
     _mode_norm,
     _parseval_sum,
     _partial_values,
+    _scratch,
+    _slabwise,
     _split_symbol,
     axis_derivative_norm,
     grad_magnitude,
@@ -159,7 +163,9 @@ class IterateTriple:
     def grid(self) -> TorusGrid:
         return self.u.grid
 
+    @cached_property
     def f_l1(self) -> float:
+        """||f||_1, computed once per triple."""
         return norm(self.f, p=1)
 
     def check_structure(self) -> dict:
@@ -246,25 +252,32 @@ class BudgetExhausted(RuntimeError):
 # ---------------------------------------------------------------------------
 # cutoffs
 
-def _smoothstep(t: np.ndarray) -> np.ndarray:
-    """C-infinity transition: 0 for t <= 0, 1 for t >= 1."""
-    lo = np.exp(-1.0 / np.clip(t, 1e-300, None), where=t > 0, out=np.zeros_like(t))
-    hi = np.exp(-1.0 / np.clip(1.0 - t, 1e-300, None), where=t < 1, out=np.zeros_like(t))
-    with np.errstate(invalid="ignore"):
-        s = lo / (lo + hi)
-    s[t <= 0.0] = 0.0
-    s[t >= 1.0] = 1.0
-    return s
+def _smoothstep(t: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """C-infinity transition: 0 for t <= 0, 1 for t >= 1, written into t's
+    buffer; lo and hi are scratch of t's shape.  With its argument clipped
+    to 1e-300, exp(-1/s) is exactly 0 on the far side of each end, so the
+    quotient is exactly 0 for t <= 0 and exactly 1 for t >= 1."""
+    np.clip(t, 1e-300, None, out=lo)
+    np.divide(-1.0, lo, out=lo)
+    np.exp(lo, out=lo)
+    np.subtract(1.0, t, out=hi)
+    np.clip(hi, 1e-300, None, out=hi)
+    np.divide(-1.0, hi, out=hi)
+    np.exp(hi, out=hi)
+    hi += lo
+    return np.divide(lo, hi, out=t)
 
 
-def _cutoff(fj: np.ndarray, delta: float, d: int) -> np.ndarray:
-    """Values of one component cutoff chi_j from the values of f_j."""
+def _cutoff(fj: np.ndarray, delta: float, d: int, out: np.ndarray | None = None,
+            scratch: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """Values of one component cutoff chi_j from the values of f_j, in out
+    if given; scratch is two buffers of f_j's shape."""
     lo = delta / (4.0 * d)
     hi = delta / (2.0 * d)
-    t = np.abs(fj)
+    t = np.abs(fj, out=out)
     t -= lo
     t /= hi - lo
-    return _smoothstep(t)
+    return _smoothstep(t, *(scratch or (np.empty_like(t), np.empty_like(t))))
 
 
 def build_cutoffs(f: VectorField, delta: float) -> list[ScalarField]:
@@ -346,7 +359,7 @@ def equation_residual(t: IterateTriple) -> float:
     e_hat += -4.0 * np.pi ** 2 * grid.k_squared_diff * u_hat
     del u_hat
     for ax in range(d):
-        e_hat += (2j * np.pi) * grid.axis_k(ax, diff=True) * _fft_of(t.f[ax])
+        e_hat += _axis_derivative_coeffs(grid, _fft_of(t.f[ax]), ax)
 
     # restrict to |k_i| <= kcap and take the Sobolev-weighted norm
     band = np.ones(grid.half_shape, dtype=bool)
@@ -377,7 +390,9 @@ def assemble_step(
 
     Every vector quantity is built and consumed one component at a time,
     in buffers reused in place, so the step holds about 13.5 full-grid
-    fields beyond its input at d = 3."""
+    fields beyond its input at d = 3 (12.6 with two workers).  Its
+    pointwise work runs as slab kernels (`torus._slabwise`) that write only
+    into those buffers."""
     if params.mode in ("W1R", "W1R_W1Q") and params.r is None:
         raise ValueError(f"mode {params.mode} needs the Sobolev exponent r")
     if params.mode == "W1R_W1Q" and params.q is None:
@@ -395,15 +410,35 @@ def assemble_step(
     p, pc = fam.p, fam.p_conj
     u0, b0 = t.u, t.b
     delta = params.delta
-    clamp_lo = delta / (4.0 * d)
+    shape = grid.shape
 
-    def magnitude(comps: list[np.ndarray]) -> np.ndarray:
-        mag = np.zeros(grid.shape)
-        for c in comps:
-            mag += c ** 2
-        return np.sqrt(mag, out=mag)
+    def amplitudes(cj, fj, absf, amp, theta, density, field):
+        """chi_j (the buffers of |f_j| and of theta's amplitude serve as
+        its scratch), theta += chi_j sgn(f_j) |f_j|^(1/p') Theta_j, w_j =
+        chi_j |f_j|^(1/p) W_j in the buffer of |f_j|, and chi_j^2 f_j in
+        the buffer of chi_j.  Where |f_j| <= delta/(4d), chi_j is exactly
+        0, and so are both amplitudes."""
+        _cutoff(fj, delta, d, out=cj, scratch=(absf, amp))
+        np.abs(fj, out=absf)
+        amp[...] = absf
+        amp **= 1.0 / pc
+        np.copysign(amp, fj, out=amp)
+        amp *= cj
+        amp *= density
+        theta += amp
+        absf **= 1.0 / p
+        absf *= cj
+        absf *= field
+        cj *= cj
+        cj *= fj
 
-    theta_vals = np.zeros(grid.shape)
+    def quad_source(q, cj, fj, prod):
+        # chi_j^2 f_j ((Theta W)_lambda - 1); then the cutoff part
+        # chi_j^2 f_j - f_j in the buffer of chi_j
+        np.multiply(cj, prod, out=q)
+        cj -= fj
+
+    theta_vals = np.zeros(shape)
     w_comps: list[np.ndarray] = [None] * d
     q_hat = np.zeros(grid.half_shape, dtype=np.complex128)
     # the cutoff part chi^2 f - f seeds the flux accumulator
@@ -411,48 +446,38 @@ def assemble_step(
     quad_source_l1 = 0.0
     for j in range(d):
         fj = t.f[j].values
-        cj = _cutoff(fj, delta, d)
-        absf = np.abs(fj)
-        absf[absf <= clamp_lo] = 0.0
-        # theta's amplitude chi_j sgn(f_j) |f_j|^(1/p'), then w's amplitude
-        # chi_j |f_j|^(1/p) in the buffer of |f_j|
-        amp = absf ** (1.0 / pc)
-        np.copysign(amp, fj, out=amp)
-        amp *= cj
-        amp *= _expand_along(_dilate_tile(fam.density_transverse(j), lam), j, n, d)
-        theta_vals += amp
-        del amp
-        absf **= 1.0 / p
-        absf *= cj
-        absf *= _expand_along(_dilate_tile(fam.field_transverse(j), lam), j, n, d)
+        cj, absf, amp = np.empty(shape), np.empty(shape), np.empty(shape)
+        _slabwise(amplitudes, cj, fj, absf, amp, theta_vals,
+                  _expand_along(_dilate_tile(fam.density_transverse(j), lam), j, n, d),
+                  _expand_along(_dilate_tile(fam.field_transverse(j), lam), j, n, d))
         w_comps[j] = absf
-        # quadratic part: chi^2 f_j ((Theta W)_lambda - 1) along e_j, with
-        # chi_j^2 f_j formed in the buffer of chi_j
-        cj *= cj
-        cj *= fj
         quad_source_l1 += axis_derivative_norm(grid, cj, j)
         prod_t = _dilate_tile(
             fam.density_transverse(j) * fam.field_transverse(j) - 1.0, lam)
-        q_hat += _axis_derivative_coeffs(
-            grid, _fft_of(cj * _expand_along(prod_t, j, n, d)), j)
+        # the quadratic part along e_j, in the buffer of theta's amplitude
+        _slabwise(quad_source, amp, cj, fj, _expand_along(prod_t, j, n, d))
         del prod_t
-        cj -= fj
+        q_hat += _axis_derivative_coeffs(grid, _fft_of(amp), j)
+        del amp
         f1_comps[j] = cj
 
     theta_c = -float(theta_vals.mean())
     # the accumulator holds the cutoff part until the first add_part
-    g_parts: dict[str, float] = {"cutoff": float(magnitude(f1_comps).mean())}
+    g_parts: dict[str, float] = {"cutoff": float(_magnitude(f1_comps).mean())}
 
     def add_part(name: str, part: Callable[[int], np.ndarray]) -> np.ndarray:
         """Add the flux part with components part(0), ..., part(d - 1) to
         the accumulator, one component at a time; return its magnitude."""
-        mag = np.zeros(grid.shape)
+        def accumulate(f1, g, mag):
+            f1 += g
+            mag += np.square(g, out=g)
+
+        mag = np.zeros(shape)
         for i in range(d):
             g = part(i)
-            f1_comps[i] += g
-            mag += np.square(g, out=g)
+            _slabwise(accumulate, f1_comps[i], g, mag)
             del g
-        np.sqrt(mag, out=mag)
+        _slabwise(lambda m: np.sqrt(m, out=m), mag)
         g_parts[name] = float(mag.mean())
         return mag
 
@@ -468,20 +493,29 @@ def assemble_step(
     del theta_hat
 
     # linear part: w u0 + b0 theta
+    def linear_kernel(g, w, u, b, theta):
+        np.multiply(w, u, out=g)
+        g += np.multiply(b, theta, out=_scratch(g))
+
     def linear(i: int) -> np.ndarray:
-        g = w_comps[i] * u0.values
-        g += b0[i].values * theta_vals
+        g = np.empty(shape)
+        _slabwise(linear_kernel, g, w_comps[i], u0.values, b0[i].values, theta_vals)
         return g
 
     add_part("linear", linear)
 
     # u1 = (u0 + theta) + theta_c, made mean-zero; theta's buffer then
     # holds the increment du = theta + theta_c
-    u1_vals = u0.values + theta_vals
-    u1_vals += theta_c
-    u1_vals -= u1_vals.mean()
+    def increments(u1, u, theta):
+        np.add(u, theta, out=u1)
+        u1 += theta_c
+        theta += theta_c
+
+    u1_vals = np.empty(shape)
+    _slabwise(increments, u1_vals, u0.values, theta_vals)
+    u1_mean = u1_vals.mean()
+    _slabwise(lambda u1: np.subtract(u1, u1_mean, out=u1), u1_vals)
     du_vals = theta_vals
-    du_vals += theta_c
     del theta_vals
     theta_h1 = _mode_norm("H1", None, du_vals, gt_mag)
     mode_inc = (theta_h1 if params.mode == "H1"
@@ -493,16 +527,21 @@ def assemble_step(
     phi_hat = _inverse_div_grad_coeffs(
         grid, _divergence_coeffs(grid, map(_fft_of, w_comps)))
 
+    def corrector_kernel(g, wc, u, w, du):
+        np.negative(wc, out=wc)
+        np.multiply(wc, u, out=g)
+        sc = _scratch(g)
+        g += np.multiply(w, theta_c, out=sc)
+        g += np.multiply(du, wc, out=sc)
+        w += wc
+
     def corrector(i: int) -> np.ndarray:
         """w_c u0 + theta_c w + theta w_c + theta_c w_c (b0 theta_c is
         divergence-free and is dropped from the flux); w_c is then folded
         into w, whose buffer holds the drift increment dw = w + w_c."""
         wc = _partial_values(grid, phi_hat, i)
-        np.negative(wc, out=wc)
-        g = wc * u0.values
-        g += theta_c * w_comps[i]
-        g += du_vals * wc
-        w_comps[i] += wc
+        g = np.empty(shape)
+        _slabwise(corrector_kernel, g, wc, u0.values, w_comps[i], du_vals)
         return g
 
     add_part("corrector", corrector)
@@ -513,10 +552,10 @@ def assemble_step(
     # the accumulator built g; the equation -div(grad u + b u) = div f
     # hands the next iterate f1 = -g
     for i in range(d):
-        np.negative(f1_comps[i], out=f1_comps[i])
+        _slabwise(lambda f: np.negative(f, out=f), f1_comps[i])
 
-    f0_l1 = t.f_l1()
-    dw_mag = magnitude(dw_comps)
+    f0_l1 = t.f_l1
+    dw_mag = _magnitude(dw_comps)
     inc = _lp_of_values(dw_mag, p) + _lp_of_values(du_vals, pc)
     inc_bound = fam.M * max(f0_l1 ** (1.0 / pc), f0_l1 ** (1.0 / p))
     b_inc_w1q = None
@@ -526,12 +565,12 @@ def assemble_step(
 
     # the new iterate, b1 = b0 + dw formed in the buffer of dw
     for i in range(d):
-        np.add(b0[i].values, dw_comps[i], out=dw_comps[i])
+        _slabwise(lambda dw, b: np.add(b, dw, out=dw), dw_comps[i], b0[i].values)
     b1 = VectorField.from_arrays(grid, dw_comps)
     del dw_comps
     f1 = VectorField.from_arrays(grid, f1_comps)
     t1 = IterateTriple(b=b1, u=ScalarField(grid, u1_vals), f=f1)
-    f1_l1 = norm(f1, p=1)
+    f1_l1 = t1.f_l1
     structure = t1.check_structure()
 
     report = StepReport(
@@ -602,7 +641,7 @@ def select_parameters(
         raise ValueError("eps must be positive")
     grid = t.grid
     d, n = grid.dim, grid.n
-    f_l1 = t.f_l1()
+    f_l1 = t.f_l1
     if f_l1 == 0.0:
         fam = _family(d, p, 2.0 * d + 1.0, n, 2.0)
         return assemble_step(t, StepParams(delta=max(eps, 1e-300), lam=1, mu=fam.mu,
@@ -690,7 +729,7 @@ def run_iteration(
     b0, t = t0.b, t0
     del t0
     u0_mode = _mode_norm(mode, r, t.u.values, grad_magnitude(t.u))
-    f_hist = [t.f_l1()]
+    f_hist = [t.f_l1]
     u_hist = [u0_mode]
     steps: list[StepReport] = []
     schedule: list[float] = []

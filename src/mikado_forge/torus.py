@@ -25,11 +25,25 @@ and the C-infinity bump.  The kernels work in place on the arrays they
 allocate.  The field-level operators below are thin wrappers over those
 kernels; `norm` is the Lp norm.
 
-`_irfftn` consumes its input: it runs the complex stage over the leading
-axes in the input's own buffer, so callers pass a temporary and never a
-cached `coeffs` array.  Complex transforms appear only as the
-leading-axis stages of a real transform, in `_irfftn` and in
+`_irfftn` consumes its input: above the pool gate it runs the complex
+stage over the leading axes in the input's own buffer, so callers pass a
+temporary and never a cached `coeffs` array.  Complex transforms appear
+only as the leading-axis stages of a real transform, in `_irfftn` and in
 `_dealiased_product_divergence`; no full complex spectrum is formed.
+
+Threads.  The module owns one thread pool, sized by `set_fft_workers`
+(default: the usable cores, `len(os.sched_getaffinity(0))`; the CLI caps
+it with MF_THREADS, and the count is clamped to the usable cores).  The
+pool starts at its first use.  Arrays of at least `_POOL_GATE` = 2^18
+elements (64^3) run their pointwise kernels on it through `_slabwise`,
+over small axis-0 slabs the workers pull one at a time, and the slab
+loops of the Parseval sum, `axis_derivative_norm` and the de-aliased
+product run there through `_slab_map`; their transforms get `workers` >
+1.  Smaller arrays, every 32^3 field among them, run on the calling
+thread as one call.  Every result is bit for bit the same for any worker
+count: the kernels are pointwise, the slab loops add their slab results
+in slab order, and reductions over a whole array (`np.mean`, `.sum`) stay
+one numpy call on the calling thread.
 
 All operations are pure: fields are immutable after construction.
 """
@@ -38,6 +52,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
@@ -74,17 +91,113 @@ __all__ = [
 # grids whose fields would exceed it; large enough for 512^3 in d=3.
 MAX_FIELD_BYTES = 2 << 30
 
-_FFT_WORKERS = 1
+# Arrays of fewer elements than this (every 32^3 field) never touch the
+# worker pool, and their transforms run with one worker: below it the
+# hand-off costs more than a second core gives back.
+_POOL_GATE = 1 << 18
+# elements of one pool task: many small slabs that the workers pull one at
+# a time, so a slow core takes fewer of them
+_TASK_ELEMS = 1 << 16
+
+
+def _usable_cores() -> int:
+    return len(os.sched_getaffinity(0))
+
+
+_FFT_WORKERS = _usable_cores()
+_POOL: ThreadPoolExecutor | None = None
+_LOCAL = threading.local()
 
 
 def set_fft_workers(n: int) -> None:
-    """Cap the FFT thread pool.  Results are identical for any n."""
-    global _FFT_WORKERS
-    _FFT_WORKERS = max(1, int(n))
+    """Set the one worker count, of the slab pool and of large transforms,
+    clamped to [1, usable cores].  Results are identical for any n.  The
+    pool starts its threads at its first use, not here."""
+    global _FFT_WORKERS, _POOL
+    n = min(max(1, int(n)), _usable_cores())
+    if n != _FFT_WORKERS and _POOL is not None:
+        _POOL.shutdown()
+        _POOL = None
+    _FFT_WORKERS = n
+
+
+def _mark_worker() -> None:
+    _LOCAL.worker = True
+
+
+def _pooled(size: int) -> bool:
+    # a pool task never waits on the pool: kernels it runs stay serial
+    return (_FFT_WORKERS > 1 and size >= _POOL_GATE
+            and not getattr(_LOCAL, "worker", False))
+
+
+def _workers(size: int) -> int:
+    """Worker count of a transform over an array of this many elements."""
+    return _FFT_WORKERS if _pooled(size) else 1
+
+
+def _slab_map(fn: Callable[[slice], object], n0: int, rows: int, size: int) -> list:
+    """[fn(slice(s, s + rows)) for s in range(0, n0, rows)], in slab order.
+    The slabs run on the pool when the work covers at least _POOL_GATE
+    elements (size) and there is more than one worker; callers that add
+    the results up do so in slab order, so sums do not depend on it."""
+    slabs = [slice(s, s + rows) for s in range(0, n0, rows)]
+    if len(slabs) < 2 or not _pooled(size):
+        return [fn(s) for s in slabs]
+    global _POOL
+    if _POOL is None:
+        _POOL = ThreadPoolExecutor(_FFT_WORKERS, thread_name_prefix="torus",
+                                   initializer=_mark_worker)
+    results = [None] * len(slabs)
+    claim = itertools.count()    # next() on it is atomic: each slab runs once
+
+    def drain() -> None:
+        # each worker takes the next unclaimed slab until none is left
+        while (i := next(claim)) < len(slabs):
+            results[i] = fn(slabs[i])
+
+    for job in [_POOL.submit(drain) for _ in range(_FFT_WORKERS)]:
+        job.result()
+    return results
+
+
+def _slabwise(kernel: Callable[..., None], *arrays: np.ndarray) -> None:
+    """kernel(*slabs) over matching axis-0 slabs of arrays, in place.  The
+    first array sets the extent; an array of axis-0 length 1 broadcasts and
+    is passed whole.  Kernels are pointwise, so the result is the one call
+    kernel(*arrays) bit for bit, which is what arrays below the gate get.
+    A kernel writes only into the arrays it is given, which the calling
+    thread allocates; it takes at most one `_scratch` buffer."""
+    n0, size = arrays[0].shape[0], arrays[0].size
+    if not _pooled(size):
+        kernel(*arrays)
+        return
+    rows = max(1, _TASK_ELEMS * n0 // size)
+    _slab_map(lambda s: kernel(*(a[s] if a.shape[0] == n0 else a for a in arrays)),
+              n0, rows, size)
+
+
+def _scratch(like: np.ndarray) -> np.ndarray:
+    """A float64 work buffer of like's shape: a pool worker keeps one and
+    reuses it from task to task; the calling thread gets a fresh one."""
+    if not getattr(_LOCAL, "worker", False):
+        return np.empty(like.shape)
+    buf = getattr(_LOCAL, "buf", None)
+    if buf is None or buf.size < like.size:
+        buf = _LOCAL.buf = np.empty(like.size)
+    return buf[:like.size].reshape(like.shape)
+
+
+def _scaled(a: np.ndarray, factor) -> np.ndarray:
+    """a *= factor in place, on the pool for large a."""
+    def kernel(x):
+        x *= factor
+    _slabwise(kernel, a)
+    return a
 
 
 def _rfftn(a: np.ndarray) -> np.ndarray:
-    return sfft.rfftn(a, workers=_FFT_WORKERS)
+    return sfft.rfftn(a, workers=_workers(a.size))
 
 
 def _inverse_scale(size: int) -> float:
@@ -94,14 +207,17 @@ def _inverse_scale(size: int) -> float:
 
 def _irfftn(a: np.ndarray, s: Sequence[int]) -> np.ndarray:
     """Real values of shape s from the half spectrum a, bit for bit
-    `scipy.fft.irfftn(a, s)`.  Consumes a: the complex stage over the
-    leading axes runs in a's own buffer, so no hidden complex copy of the
-    spectrum is allocated.  Every caller passes a temporary."""
+    `scipy.fft.irfftn(a, s)`.  Consumes a.  Below the pool gate that is
+    one call; above it the complex stage over the leading axes runs in a's
+    own buffer, so no hidden complex copy of the spectrum is allocated,
+    and the scaling runs on the pool.  Every caller passes a temporary."""
+    size = math.prod(s)
+    if not _pooled(size):
+        return sfft.irfftn(a, s=tuple(s), overwrite_x=True, workers=1)
     a = sfft.ifftn(a, axes=tuple(range(len(s) - 1)), norm="forward",
                    overwrite_x=True, workers=_FFT_WORKERS)
     out = sfft.irfft(a, n=s[-1], axis=-1, norm="forward", workers=_FFT_WORKERS)
-    out *= _inverse_scale(math.prod(s))
-    return out
+    return _scaled(out, _inverse_scale(size))
 
 
 @dataclass(frozen=True)
@@ -249,8 +365,9 @@ class ScalarField:
             # irfftn would crop or pad any other shape without complaint
             raise ValueError(f"coefficient shape {coeffs.shape} is not the half-spectrum "
                              f"shape {grid.half_shape}")
-        vals = _irfftn(coeffs * (grid.n ** grid.dim), s=grid.shape)
-        f = cls(grid=grid, values=vals)
+        scaled = np.empty_like(coeffs)
+        _slabwise(lambda o, c: np.multiply(c, grid.n ** grid.dim, out=o), scaled, coeffs)
+        f = cls(grid=grid, values=_irfftn(scaled, s=grid.shape))
         # fills the `coeffs` cache, which a cached_property keeps in __dict__
         object.__setattr__(f, "coeffs", np.ascontiguousarray(coeffs))
         return f
@@ -355,10 +472,7 @@ class VectorField:
         return ScalarField(self.grid, vals)
 
     def magnitude(self) -> ScalarField:
-        vals = np.zeros(self.grid.shape)
-        for c in self.components:
-            vals += c.values ** 2
-        return ScalarField(self.grid, np.sqrt(vals))
+        return ScalarField(self.grid, _magnitude([c.values for c in self.components]))
 
     def max_abs(self) -> float:
         return self.magnitude().max_abs()
@@ -377,8 +491,25 @@ def _fft_of(x: ScalarField | np.ndarray) -> np.ndarray:
             return c
         x = x.values
     c = _rfftn(x)
-    c /= x.size
+
+    def kernel(a):
+        a /= x.size
+    _slabwise(kernel, c)
     return c
+
+
+def _magnitude(comps: Sequence[np.ndarray]) -> np.ndarray:
+    """Pointwise Euclidean norm sqrt(sum_i comps[i]^2) of value arrays,
+    summed in component order."""
+    def kernel(mag, *cs):
+        sq = _scratch(mag)
+        for c in cs:
+            mag += np.square(c, out=sq)
+        np.sqrt(mag, out=mag)
+
+    mag = np.zeros(comps[0].shape)
+    _slabwise(kernel, mag, *comps)
+    return mag
 
 
 # ---------------------------------------------------------------------------
@@ -386,15 +517,17 @@ def _fft_of(x: ScalarField | np.ndarray) -> np.ndarray:
 # arrays out; nothing is cached)
 
 def _axis_derivative_coeffs(grid: TorusGrid, coeffs: np.ndarray, axis: int) -> np.ndarray:
-    return (2j * np.pi) * grid.axis_k(axis, diff=True) * coeffs
+    ik = (2j * np.pi) * grid.axis_k(axis, diff=True)
+    out = np.empty(coeffs.shape, dtype=np.result_type(ik, coeffs))
+    _slabwise(lambda o, k, c: np.multiply(k, c, out=o), out, ik, coeffs)
+    return out
 
 
 def _partial_values(grid: TorusGrid, coeffs: np.ndarray, axis: int) -> np.ndarray:
     """Real values of one partial derivative of the field with these
     coefficients."""
     v = _irfftn(_axis_derivative_coeffs(grid, coeffs, axis), grid.shape)
-    v *= grid.n ** grid.dim
-    return v
+    return _scaled(v, grid.n ** grid.dim)
 
 
 def _grad_values(grid: TorusGrid, coeffs: np.ndarray) -> list[np.ndarray]:
@@ -468,7 +601,13 @@ def _dealiased_product_divergence(grid: TorusGrid, b_coeffs: Iterable[np.ndarray
     runs_n = (slice(0, kcap + 1), slice(n - kcap, n))
     runs_m = (slice(0, kcap + 1), slice(m - kcap, m))
     lead = (m,) * (d - 1) + (kcap + 1,)
-    step = -(-m // _SLAB)   # rows per slab: at most _SLAB slabs along axis 0
+    # rows per slab: at most _SLAB slabs along axis 0, or on the pool
+    # slabs whose three transform outputs stay near one task's size, so
+    # the workers' temporaries stay small; each row's transforms are the
+    # same whatever the slab
+    step = -(-m // _SLAB)
+    if _pooled(npts_m):
+        step = max(1, _TASK_ELEMS // (4 * m ** (d - 1)))
 
     def blocks(k: int):
         # the 2^k combinations of band runs over the first k axes
@@ -476,11 +615,11 @@ def _dealiased_product_divergence(grid: TorusGrid, b_coeffs: Iterable[np.ndarray
 
     def transform(view: np.ndarray, ax: int, inverse: bool) -> None:
         # one leading axis in place; view is a slice of a padded buffer
+        w = _workers(view.size)
         if inverse:
-            out = sfft.ifft(view, axis=ax, norm="forward", overwrite_x=True,
-                            workers=_FFT_WORKERS)
+            out = sfft.ifft(view, axis=ax, norm="forward", overwrite_x=True, workers=w)
         else:
-            out = sfft.fft(view, axis=ax, overwrite_x=True, workers=_FFT_WORKERS)
+            out = sfft.fft(view, axis=ax, overwrite_x=True, workers=w)
         if not np.may_share_memory(out, view):
             view[...] = out
 
@@ -495,6 +634,17 @@ def _dealiased_product_divergence(grid: TorusGrid, b_coeffs: Iterable[np.ndarray
                           ax, inverse=True)
         return buf
 
+    def product(rows: slice) -> None:
+        # the last-axis transforms and the product of one slab; its band
+        # columns go back into the drift's buffer
+        bu = sfft.irfft(buf[rows], n=m, axis=-1, norm="forward", workers=1)
+        bu *= scale
+        uv = sfft.irfft(u_lead[rows], n=m, axis=-1, norm="forward", workers=1)
+        uv *= scale
+        bu *= uv
+        del uv
+        buf[rows] = sfft.rfft(bu, axis=-1, workers=1)[..., :kcap + 1]
+
     u_lead = leading_values(u_coeffs, np.empty(lead, dtype=np.complex128))
     buf = np.empty(lead, dtype=np.complex128)
     e_hat = np.zeros(grid.half_shape, dtype=np.complex128)
@@ -503,16 +653,7 @@ def _dealiased_product_divergence(grid: TorusGrid, b_coeffs: Iterable[np.ndarray
         c = next(comps)
         leading_values(c, buf)
         del c
-        for s in range(0, m, step):
-            rows = slice(s, s + step)
-            bu = sfft.irfft(buf[rows], n=m, axis=-1, norm="forward", workers=_FFT_WORKERS)
-            bu *= scale
-            uv = sfft.irfft(u_lead[rows], n=m, axis=-1, norm="forward", workers=_FFT_WORKERS)
-            uv *= scale
-            bu *= uv
-            del uv
-            buf[rows] = sfft.rfft(bu, axis=-1, workers=_FFT_WORKERS)[..., :kcap + 1]
-            del bu
+        _slab_map(product, m, step, npts_m)
         for lax in range(d - 1):
             for blk in blocks(lax):
                 transform(buf[tuple(runs_m[i] for i in blk)], lax, inverse=False)
@@ -546,14 +687,19 @@ def axis_derivative_norm(grid: TorusGrid, values: np.ndarray, axis: int) -> floa
     shape[axis] = n // 2 + 1
     ik = ((2j * np.pi) * grid.k1_diff[: n // 2 + 1]).reshape(shape)
     across = (axis + 1) % d
-    total = 0.0
-    for s in range(0, n, _SLAB):
+
+    def slab_l1(s: slice) -> float:
         idx = [slice(None)] * d
-        idx[across] = slice(s, s + _SLAB)
-        spec = sfft.rfft(values[tuple(idx)], axis=axis, workers=_FFT_WORKERS)
+        idx[across] = s
+        spec = sfft.rfft(values[tuple(idx)], axis=axis, workers=1)
         spec *= ik
-        dv = sfft.irfft(spec, n=n, axis=axis, workers=_FFT_WORKERS)
-        total += float(np.abs(dv).sum())
+        dv = sfft.irfft(spec, n=n, axis=axis, workers=1)
+        del spec
+        return float(np.abs(dv, out=dv).sum())
+
+    total = 0.0
+    for part in _slab_map(slab_l1, n, _SLAB, values.size):
+        total += part
     return total / n ** d
 
 
@@ -597,22 +743,35 @@ def inv_laplacian(f: ScalarField) -> ScalarField:
 def _lp_of_values(vals: np.ndarray, p: float) -> float:
     if np.isinf(p):
         return float(np.abs(vals).max())
-    return float(np.mean(np.abs(vals) ** p) ** (1.0 / p))
+
+    def kernel(out, v):
+        np.abs(v, out=out)
+        out **= p
+
+    powers = np.empty(vals.shape)
+    _slabwise(kernel, powers, vals)
+    # the mean stays one reduction on the calling thread: its summation
+    # order is numpy's, whatever the worker count
+    return float(np.mean(powers) ** (1.0 / p))
 
 
 def _grad_magnitude_of(grid: TorusGrid,
                        comps: Iterable[ScalarField | np.ndarray]) -> np.ndarray:
     """Pointwise Frobenius norm of the gradient of the fields or value
     arrays comps, one partial derivative at a time; nothing is cached."""
+    def add_square(a, g):
+        a += np.square(g, out=g)
+
     acc = np.zeros(grid.shape)
     for comp in comps:
         c = _fft_of(comp)
         for ax in range(grid.dim):
             g = _partial_values(grid, c, ax)
-            acc += np.square(g, out=g)
+            _slabwise(add_square, acc, g)
             del g
         del c
-    return np.sqrt(acc, out=acc)
+    _slabwise(lambda a: np.sqrt(a, out=a), acc)
+    return acc
 
 
 def grad_magnitude(f: Field) -> np.ndarray:
@@ -766,13 +925,17 @@ def _parseval_sum(c: np.ndarray, weight: np.ndarray | None = None) -> float:
     along the first axis: full-grid float temporaries here would fragment
     the heap on large grids and raise the peak RSS of the callers that
     follow."""
-    total = 0.0
-    for s in range(0, c.shape[0], _SLAB):
-        sq = np.abs(c[s:s + _SLAB]) ** 2
+    def slab_sum(s: slice) -> float:
+        sq = np.abs(c[s], out=_scratch(c[s]))
+        np.square(sq, out=sq)
         if weight is not None:
-            sq *= weight[s:s + _SLAB]
+            sq *= weight[s]
         sq[..., 1:-1] *= 2.0
-        total += float(sq.sum())
+        return float(sq.sum())
+
+    total = 0.0
+    for part in _slab_map(slab_sum, c.shape[0], _SLAB, c.size):
+        total += part
     return total
 
 

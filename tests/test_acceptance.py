@@ -154,9 +154,9 @@ def test_criterion_4_single_step_with_refinement():
     for n in (128, 256):
         grid = make_grid(3, n)
         t0 = shifted_cosine_seed(grid, u_amp=0.5, flux_shift=2048.0)
-        eps = 0.25 * t0.f_l1()
+        eps = 0.25 * t0.f_l1
         fam = build_family(3, 1.5, 8.0, make_grid(3, n // 2), resolution_factor=8.0)
-        params = StepParams(delta=t0.f_l1() / 16, lam=2, mu=8.0, mode="W1R", r=1.1)
+        params = StepParams(delta=t0.f_l1 / 16, lam=2, mu=8.0, mode="W1R", r=1.1)
         t1, rep = assemble_step(t0, params, fam, eps_target=eps)
         del t0
         residuals[n] = equation_residual(t1)
@@ -240,9 +240,9 @@ def test_criterion_5_iteration_flux_decline():
 def test_criterion_5_h1_mode_step_d4():
     grid = make_grid(4, 32)
     t0 = shifted_cosine_seed(grid, u_amp=0.25, flux_shift=512.0)
-    eps = 0.25 * t0.f_l1()
+    eps = 0.25 * t0.f_l1
     fam = build_family(4, 8 / 7, 9.0, make_grid(4, 32), resolution_factor=3.5)
-    params = StepParams(delta=t0.f_l1() / 16, lam=1, mu=9.0, mode="H1")
+    params = StepParams(delta=t0.f_l1 / 16, lam=1, mu=9.0, mode="H1")
     t1, rep = assemble_step(t0, params, fam, eps_target=eps)
     ok = rep.increment_ok and rep.smallness_ok and rep.div_b1_rel <= 1e-9
     _line("5b", ok,

@@ -199,20 +199,26 @@ def test_solver_nonconvergence_exits_three_with_report(tmp_path):
 @pytest.mark.parametrize("experiment, cfg", [
     ("ci-step", {"d": 3, "N": 32, "lambda": 1, "mu": 7, "resolution_factor": 2,
                  "flux_shift": 1536}),
+    # at 64^3 the fields reach the pool gate, so 2 and 3 workers run the
+    # slab kernels and transforms on the pool, 3 with uneven shares
+    ("ci-step", {"d": 3, "N": 64, "lambda": 1, "mu": 7, "resolution_factor": 2,
+                 "flux_shift": 1536, "write_fields": True}),
     ("solve", {"d": 2, "N": 32, "cases": 3}),
 ])
-def test_fft_worker_count_leaves_reports_unchanged(tmp_path, experiment, cfg):
+def test_fft_worker_count_leaves_reports_unchanged(tmp_path, monkeypatch, experiment, cfg):
     saved = torus._FFT_WORKERS
-    reports = []
+    monkeypatch.setattr(torus, "_usable_cores", lambda: 3)
+    outputs = []
     try:
-        for workers in (1, 2):
+        for workers in (1, 2, 3):
             torus.set_fft_workers(workers)
             out = tmp_path / f"w{workers}"
             run_experiment(experiment, dict(cfg), out, seed=3)
-            reports.append((out / "report.json").read_bytes())
+            outputs.append({p.relative_to(out): p.read_bytes()
+                            for p in sorted(out.rglob("*")) if p.is_file()})
     finally:
         torus.set_fft_workers(saved)
-    assert reports[0] == reports[1]
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 # each experiment's defaults, as the runner read them before the keys were

@@ -8,7 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
-from mikado_forge import convexint
+from mikado_forge import convexint, torus
 from mikado_forge.convexint import (
     BudgetExhausted,
     IterateTriple,
@@ -122,8 +122,8 @@ def toy64():
     g = make_grid(3, 64)
     t0 = shifted_cosine_seed(g, u_amp=0.5, flux_shift=512.0)
     fam = build_family(3, 1.5, 8.0, make_grid(3, 64), resolution_factor=8.0)
-    params = StepParams(delta=t0.f_l1() / 16, lam=1, mu=8.0, mode="W1R", r=1.1)
-    t1, rep = assemble_step(t0, params, fam, eps_target=0.25 * t0.f_l1())
+    params = StepParams(delta=t0.f_l1 / 16, lam=1, mu=8.0, mode="W1R", r=1.1)
+    t1, rep = assemble_step(t0, params, fam, eps_target=0.25 * t0.f_l1)
     return t0, t1, rep, fam
 
 
@@ -161,19 +161,31 @@ def test_step_structure_and_residuals(toy64):
     assert equation_residual(t0) <= 1e-12
 
 
-def test_step_and_residual_memory_in_fields():
+@pytest.mark.parametrize("n_workers", [1, 2])
+def test_step_and_residual_memory_in_fields(n_workers):
     # extra memory of one step and of the de-aliased residual at 64^3, in
-    # units of one full-grid float64 field (measured 13.55 and 7.72: the
-    # step streams its perturbation, flux parts and corrector one component
-    # at a time, the residual transforms only the band, slab by slab, and
-    # forms no padded array).  tracemalloc sees numpy's allocations but not
-    # glibc's heap layout, so a change that keeps these bounds can still
-    # raise the peak RSS; the transforms allocate no field-sized buffer of
-    # their own since the inverse transform runs in its input's buffer
+    # units of one full-grid float64 field (measured 13.55 and 7.72 with one
+    # worker, 12.59 and 7.72 with two: the step streams its perturbation,
+    # flux parts and corrector one component at a time, the residual
+    # transforms only the band, slab by slab, and forms no padded array).
+    # tracemalloc sees numpy's allocations but not glibc's heap layout, so
+    # a change that keeps these bounds can still raise the peak RSS; the
+    # transforms allocate no field-sized buffer of their own since the
+    # inverse transform runs in its input's buffer.  Pool workers hold
+    # small per-task buffers, so the count is taken at a fixed worker count
+    saved = torus._FFT_WORKERS
+    torus.set_fft_workers(n_workers)
+    try:
+        _step_and_residual_peaks()
+    finally:
+        torus.set_fft_workers(saved)
+
+
+def _step_and_residual_peaks():
     g = make_grid(3, 64)
     t0 = shifted_cosine_seed(g, u_amp=0.5, flux_shift=2048.0)
     fam = build_family(3, 1.5, 8.0, g, resolution_factor=8.0)
-    params = StepParams(delta=t0.f_l1() / 16, lam=1, mu=8.0, mode="W1R", r=1.1)
+    params = StepParams(delta=t0.f_l1 / 16, lam=1, mu=8.0, mode="W1R", r=1.1)
     field = g.n ** g.dim * 8
 
     def peak_fields(fn, *args, **kwargs):
@@ -186,7 +198,7 @@ def test_step_and_residual_memory_in_fields():
         return out, peak / field
 
     (t1, _), step_peak = peak_fields(assemble_step, t0, params, fam,
-                                     eps_target=0.25 * t0.f_l1())
+                                     eps_target=0.25 * t0.f_l1)
     _, resid_peak = peak_fields(equation_residual, t1)
     assert step_peak <= 14.0
     assert resid_peak <= 8.2
@@ -194,12 +206,12 @@ def test_step_and_residual_memory_in_fields():
 
 def test_perturbation_norm_line(toy64):
     t0, _, _, fam = toy64
-    params = StepParams(delta=t0.f_l1() / 16, lam=2, mu=8.0, mode="W1R", r=1.1)
+    params = StepParams(delta=t0.f_l1 / 16, lam=2, mu=8.0, mode="W1R", r=1.1)
     fam2 = build_family(3, 1.5, 8.0, make_grid(3, 32), resolution_factor=4.0)
     t1, _ = assemble_step(t0, params, fam2)
     # the step's increments are theta + theta_c and w + w_c
     du, dw = t1.u - t0.u, t1.b - t0.b
-    s = t0.f_l1()
+    s = t0.f_l1
     pc = 3.0
     assert norm(du, p=pc) <= fam2.M / 3 * s ** (1 / pc) * 1.05
     assert norm(dw, p=1.5) <= fam2.M / 3 * s ** (1 / 1.5) * 1.05
@@ -220,7 +232,7 @@ def test_theta_constant_decays_with_oscillation():
     for lam in lams:
         fam = build_family(3, 1.5, 7.0, make_grid(3, 128 // lam),
                            resolution_factor=2.0)
-        params = StepParams(delta=t0.f_l1() / 16, lam=lam, mu=7.0,
+        params = StepParams(delta=t0.f_l1 / 16, lam=lam, mu=7.0,
                             mode="W1R", r=1.1)
         _, rep = assemble_step(t0, params, fam)
         tcs.append(abs(rep.theta_c))
@@ -234,7 +246,7 @@ def test_residual_refinement_law():
         g = make_grid(3, n)
         t0 = shifted_cosine_seed(g, u_amp=0.5, flux_shift=512.0)
         fam = build_family(3, 1.5, 8.0, make_grid(3, n // 2), resolution_factor=4.0)
-        params = StepParams(delta=t0.f_l1() / 16, lam=2, mu=8.0, mode="W1R", r=1.1)
+        params = StepParams(delta=t0.f_l1 / 16, lam=2, mu=8.0, mode="W1R", r=1.1)
         t1, _ = assemble_step(t0, params, fam)
         res[n] = equation_residual(t1)
     assert res[64] / res[128] >= 4.0
@@ -244,9 +256,9 @@ def test_w1q_mode_step():
     g = make_grid(4, 32)
     t0 = shifted_cosine_seed(g, u_amp=0.25, flux_shift=8192.0)
     fam = build_family(4, 2.0, 9.0, make_grid(4, 32), resolution_factor=3.5)
-    params = StepParams(delta=t0.f_l1() / 16, lam=1, mu=9.0,
+    params = StepParams(delta=t0.f_l1 / 16, lam=1, mu=9.0,
                         mode="W1R_W1Q", r=1.1, q=1.1)
-    eps = 0.25 * t0.f_l1()
+    eps = 0.25 * t0.f_l1
     t1, rep = assemble_step(t0, params, fam, eps_target=eps)
     assert rep.increment_ok
     assert rep.smallness_ok
@@ -284,7 +296,7 @@ def test_quad_source_frequency_vanishes_on_cascade_seed():
     g = make_grid(3, 64)
     t0 = cascade_seed(g, u_amp=0.01, drift_lp=500.0, flux_amp=16384.0, p=1.5)
     fam = build_family(3, 1.5, 7.0, g, resolution_factor=4.0)
-    params = StepParams(delta=t0.f_l1() / 32, lam=1, mu=7.0, mode="W1R", r=1.1)
+    params = StepParams(delta=t0.f_l1 / 32, lam=1, mu=7.0, mode="W1R", r=1.1)
     _, rep = assemble_step(t0, params, fam)
     assert rep.quad_source_freq <= 1e-12
     assert rep.g_parts["quad"] <= 1e-12 * rep.f0_l1
@@ -316,17 +328,17 @@ def test_step_mode_validation():
 def test_select_parameters_trivial_budget():
     g = make_grid(3, 64)
     t0 = shifted_cosine_seed(g, u_amp=0.5, flux_shift=512.0)
-    _, rep = select_parameters(t0, 10 * t0.f_l1(), mode="W1R", r=1.1, p=1.5)
+    _, rep = select_parameters(t0, 10 * t0.f_l1, mode="W1R", r=1.1, p=1.5)
     params = rep.params
     assert params.lam == 1
     assert params.mu == 7.0                      # smallest admissible rung
-    assert params.delta == pytest.approx(t0.f_l1() / 2)
+    assert params.delta == pytest.approx(t0.f_l1 / 2)
 
 
 def test_select_parameters_end_to_end():
     g = make_grid(3, 64)
     t0 = shifted_cosine_seed(g, u_amp=0.5, flux_shift=512.0)
-    eps = 0.25 * t0.f_l1()
+    eps = 0.25 * t0.f_l1
     _, rep = select_parameters(t0, eps, mode="W1R", r=1.1, p=1.5)
     assert rep.increment_ok and rep.smallness_ok
 

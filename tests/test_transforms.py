@@ -1,6 +1,12 @@
 """The transform kernels of `torus` against the formulas they replace, bit
 for bit: `_irfftn` against `scipy.fft.irfftn`, and the pruned de-aliased
-product against the 3n/2 zero-padded product it computes."""
+product against the 3n/2 zero-padded product it computes; and the worker
+pool's slab helpers against the serial loop."""
+
+import os
+import sys
+import threading
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -12,6 +18,11 @@ from mikado_forge.torus import (
     _dealiased_product_divergence,
     _fft_of,
     _irfftn,
+    _parseval_sum,
+    _scratch,
+    _slab_map,
+    _slabwise,
+    axis_derivative_norm,
     derivative,
     grad_magnitude,
     gradient,
@@ -22,16 +33,22 @@ from mikado_forge.torus import (
 
 @pytest.fixture
 def workers():
+    # later tests run at the default worker count again
+    saved = torus._FFT_WORKERS
     yield torus.set_fft_workers
-    torus.set_fft_workers(1)
+    torus.set_fft_workers(saved)
 
 
 # (2731, 2): a size whose 1/N in double differs in the last bit from
-# pocketfft's 1/N rounded from long double
+# pocketfft's 1/N rounded from long double.  The last six shapes lie just
+# below and at or above the pool gate (2^18 elements): one scipy call below
+# it, the staged transform with 2 workers above it.
 SHAPES = ([(n, n) for n in (6, 12, 48, 64, 256)]
           + [(n,) * 3 for n in (6, 12, 32, 48)]
           + [(n,) * 4 for n in (6, 12, 16)]
-          + [(12, 48), (48, 6, 12), (2731, 2)])
+          + [(12, 48), (48, 6, 12), (2731, 2)]
+          + [(511, 512), (512, 512), (63, 64, 64), (64, 64, 64), (64, 64, 66),
+             (2731, 96)])
 
 
 @pytest.mark.parametrize("n_workers", [1, 2])
@@ -99,11 +116,12 @@ def test_pruned_product_is_the_padded_product(case):
     b_hat = [_fft_of(random_scalar(grid, b_band, rng)) for _ in range(grid.dim)]
     kept = [c.copy() for c in [u_hat] + b_hat]
     ref = _padded_product_divergence(grid, b_hat, u_hat)
+    saved = torus._FFT_WORKERS
     torus.set_fft_workers(n_workers)
     try:
         got = _dealiased_product_divergence(grid, iter(b_hat), u_hat)
     finally:
-        torus.set_fft_workers(1)
+        torus.set_fft_workers(saved)
     assert np.array_equal(got, ref)
     # the inputs are read, never written
     assert all(np.array_equal(a, k) for a, k in zip([u_hat] + b_hat, kept))
@@ -127,3 +145,102 @@ def test_operators_leave_the_coefficient_cache_alone():
     gradient(df)
     grad_magnitude(df)
     assert np.array_equal(df.coeffs, kept_df)
+
+
+@contextmanager
+def _pool_on_small_arrays(n_workers, task_elems):
+    # the pool for arrays of any size, with n_workers threads even on a
+    # machine with fewer cores
+    saved = (torus._POOL_GATE, torus._TASK_ELEMS, torus._FFT_WORKERS, torus._usable_cores)
+    torus._usable_cores = lambda: max(n_workers, saved[3]())
+    torus._POOL_GATE, torus._TASK_ELEMS = 1, task_elems
+    torus.set_fft_workers(n_workers)
+    try:
+        yield
+    finally:
+        torus._POOL_GATE, torus._TASK_ELEMS = saved[:2]
+        torus.set_fft_workers(saved[2])
+        torus._usable_cores = saved[3]
+
+
+def _kernel(out, a, b):
+    # pointwise, with a power, a sign, a broadcast operand and the scratch
+    np.abs(a, out=out)
+    out **= 1.5
+    np.copysign(out, a, out=out)
+    out *= b
+    out += np.square(a, out=_scratch(out))
+
+
+@st.composite
+def slab_case(draw):
+    d = draw(st.sampled_from([2, 3, 4]))
+    n0 = draw(st.integers(5, 23))
+    rest = tuple(draw(st.lists(st.integers(2, 5), min_size=d - 1, max_size=d - 1)))
+    rows = draw(st.integers(2, 4).filter(lambda r: n0 % r != 0))
+    broadcast = draw(st.booleans())
+    return (n0,) + rest, rows, broadcast, draw(st.sampled_from([2, 3])), draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(deadline=None, max_examples=40, database=None)
+@given(slab_case())
+def test_slab_helpers_are_the_serial_loop(case):
+    shape, rows, broadcast, n_workers, seed = case
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(shape)
+    a[0, ...] = -0.0
+    b = rng.standard_normal((1,) + shape[1:] if broadcast else shape)
+    ref = np.empty(shape)
+    _kernel(ref, a, b)
+    row = a.size // shape[0]
+    serial = [float(np.square(a[s]).sum()) for s in
+              (slice(i, i + rows) for i in range(0, shape[0], rows))]
+    with _pool_on_small_arrays(n_workers, rows * row):
+        got = np.empty(shape)
+        _slabwise(_kernel, got, a, b)
+        mapped = _slab_map(lambda s: float(np.square(a[s]).sum()), shape[0], rows, a.size)
+    # n0 is not a multiple of the rows per slab: the last slab is short
+    assert got.tobytes() == ref.tobytes()
+    assert mapped == serial
+
+
+def test_slab_loops_match_serial_above_the_gate(workers):
+    # the Parseval sum and the axis-derivative norm add their slabs up in
+    # slab order, so the pool leaves both sums unchanged
+    g = make_grid(3, 64)
+    f = random_scalar(g, 20, np.random.default_rng(5))
+    c = _fft_of(f)
+    out = {}
+    for n_workers in (1, 2):
+        workers(n_workers)
+        out[n_workers] = (_parseval_sum(c, g.k_squared_diff),
+                          [axis_derivative_norm(g, f.values, ax) for ax in range(3)])
+    assert out[1] == out[2]
+
+
+def test_worker_count_is_clamped_and_the_pool_starts_lazily(workers):
+    workers(1)                       # stops any pool that is running
+    threads = threading.active_count()
+    workers(10 ** 9)
+    assert torus._FFT_WORKERS == len(os.sched_getaffinity(0))
+    workers(-3)
+    assert torus._FFT_WORKERS == 1
+    workers(10 ** 9)
+    # setting the count starts no thread; the pool is created at first use
+    assert torus._POOL is None
+    assert threading.active_count() == threads
+
+
+def test_slab_map_runs_each_slab_once_under_thread_switching():
+    # more workers than cores and a short switch interval: every slab is
+    # claimed by exactly one worker, and its result lands in its own place
+    calls = []
+    saved = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with _pool_on_small_arrays(8, 1):
+            got = _slab_map(lambda s: calls.append(s.start) or s.start, 997, 1, 997)
+    finally:
+        sys.setswitchinterval(saved)
+    assert got == list(range(997))
+    assert sorted(calls) == list(range(997))
