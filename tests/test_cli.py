@@ -199,11 +199,11 @@ def test_solver_nonconvergence_exits_three_with_report(tmp_path):
 @pytest.mark.parametrize("experiment, cfg", [
     ("ci-step", {"d": 3, "N": 32, "lambda": 1, "mu": 7, "resolution_factor": 2,
                  "flux_shift": 1536}),
+    ("solve", {"d": 2, "N": 32, "cases": 3}),
     # at 64^3 the fields reach the pool gate, so 2 and 3 workers run the
     # slab kernels and transforms on the pool, 3 with uneven shares
     ("ci-step", {"d": 3, "N": 64, "lambda": 1, "mu": 7, "resolution_factor": 2,
                  "flux_shift": 1536, "write_fields": True}),
-    ("solve", {"d": 2, "N": 32, "cases": 3}),
 ])
 def test_fft_worker_count_leaves_reports_unchanged(tmp_path, monkeypatch, experiment, cfg):
     saved = torus._FFT_WORKERS

@@ -161,8 +161,7 @@ def test_step_structure_and_residuals(toy64):
     assert equation_residual(t0) <= 1e-12
 
 
-@pytest.mark.parametrize("n_workers", [1, 2])
-def test_step_and_residual_memory_in_fields(n_workers):
+def test_step_and_residual_memory_in_fields():
     # extra memory of one step and of the de-aliased residual at 64^3, in
     # units of one full-grid float64 field (measured 13.55 and 7.72 with one
     # worker, 12.59 and 7.72 with two: the step streams its perturbation,
@@ -174,9 +173,10 @@ def test_step_and_residual_memory_in_fields(n_workers):
     # inverse transform runs in its input's buffer.  Pool workers hold
     # small per-task buffers, so the count is taken at a fixed worker count
     saved = torus._FFT_WORKERS
-    torus.set_fft_workers(n_workers)
     try:
-        _step_and_residual_peaks()
+        for n_workers in (1, 2):
+            torus.set_fft_workers(n_workers)
+            _step_and_residual_peaks()
     finally:
         torus.set_fft_workers(saved)
 
