@@ -358,14 +358,17 @@ def _ci_step_at(cfg: dict, n: int, eps: float | None = None):
     """One ci-step on the seed at N = n: returns (t1, step report, eps),
     eps defaulting to eps_frac * ||f0||_1."""
     d, lam, mu = cfg["d"], cfg["lambda"], cfg["mu"]
-    t0 = _ci_seed(cfg, TorusGrid(dim=d, n=n))
+    # the seed is handed over as its only reference, so the step frees its
+    # flux as it goes
+    seed = [_ci_seed(cfg, TorusGrid(dim=d, n=n))]
+    f0_l1 = seed[0].f_l1
     if eps is None:
-        eps = cfg["eps_frac"] * t0.f_l1
+        eps = cfg["eps_frac"] * f0_l1
     fam = build_family(d, cfg["p"], mu, TorusGrid(dim=d, n=n // lam),
                        resolution_factor=cfg["resolution_factor"])
-    params = StepParams(delta=t0.f_l1 / cfg["delta_divisor"], lam=lam, mu=mu,
+    params = StepParams(delta=f0_l1 / cfg["delta_divisor"], lam=lam, mu=mu,
                         mode=cfg["mode"], r=cfg["r"], q=cfg["q"])
-    t1, rep = assemble_step(t0, params, fam, eps_target=eps)
+    t1, rep = assemble_step(seed.pop(), params, fam, eps_target=eps)
     return t1, rep, eps
 
 

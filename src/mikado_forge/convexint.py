@@ -50,9 +50,9 @@ from .torus import (
     VectorField,
     _axis_derivative_coeffs,
     _dealiased_product_divergence,
-    _divergence_coeffs,
     _fft_of,
     _grad_magnitude_of,
+    _ik,
     _inverse_div_grad_coeffs,
     _lp_of_values,
     _magnitude,
@@ -318,6 +318,23 @@ def grid_lambda_max(n: int, d: int, resolution_factor: float) -> int:
 # ---------------------------------------------------------------------------
 # the de-aliased equation residual
 
+def _sobolev_weight(grid: TorusGrid, kcap: int | None = None) -> Callable[[slice], np.ndarray]:
+    """The weight of the residuals' H^-1 norm on the axis-0 rows of one
+    Parseval slab: the squared `_split_symbol` of |k|^2, zero off the band
+    |k_i| <= kcap if kcap is given.  Built slab by slab, so no full
+    half-spectrum weight or mask is formed."""
+    def weight(rows: slice) -> np.ndarray:
+        w = _split_symbol(grid.k_squared_rows(rows)) ** 2
+        if kcap is not None:
+            band = np.ones(w.shape, dtype=bool)
+            for ax in range(grid.dim):
+                inside = np.abs(grid.axis_k(ax)) <= kcap
+                band &= inside[rows] if ax == 0 else inside
+            w[~band] = 0.0
+        return w
+    return weight
+
+
 def sampled_residual(t: IterateTriple) -> float:
     """Sobolev-weighted size of div(grad u + b u + f) with the product b u
     sampled on the build grid, scaled by ||f||_2.
@@ -332,7 +349,7 @@ def sampled_residual(t: IterateTriple) -> float:
         prod = t.b[ax].values * t.u.values
         e_hat = e_hat + _axis_derivative_coeffs(
             grid, _fft_of(prod) + _fft_of(t.f[ax]), ax)
-    resid = math.sqrt(_parseval_sum(e_hat, _split_symbol(grid.k_squared) ** 2))
+    resid = math.sqrt(_parseval_sum(e_hat, _sobolev_weight(grid)))
     return resid / max(norm(t.f, p=2), 1e-300)
 
 
@@ -359,15 +376,10 @@ def equation_residual(t: IterateTriple) -> float:
     e_hat += -4.0 * np.pi ** 2 * grid.k_squared_diff * u_hat
     del u_hat
     for ax in range(d):
-        e_hat += _axis_derivative_coeffs(grid, _fft_of(t.f[ax]), ax)
+        _fft_of(t.f[ax], e_hat, _ik(grid, ax))
 
-    # restrict to |k_i| <= kcap and take the Sobolev-weighted norm
-    band = np.ones(grid.half_shape, dtype=bool)
-    for ax in range(d):
-        band &= np.abs(grid.axis_k(ax)) <= kcap
-    e_hat[~band] = 0.0
-
-    resid = math.sqrt(_parseval_sum(e_hat, _split_symbol(grid.k_squared) ** 2))
+    # the Sobolev-weighted norm on |k_i| <= kcap
+    resid = math.sqrt(_parseval_sum(e_hat, _sobolev_weight(grid, kcap)))
     return resid / max(norm(t.f, p=2), 1e-300)
 
 
@@ -389,10 +401,20 @@ def assemble_step(
     and smallness estimates.
 
     Every vector quantity is built and consumed one component at a time,
-    in buffers reused in place, so the step holds about 13.5 full-grid
-    fields beyond its input at d = 3 (12.6 with two workers).  Its
-    pointwise work runs as slab kernels (`torus._slabwise`) that write only
-    into those buffers."""
+    in buffers reused in place, and every spectral part reaches the flux
+    accumulator slab by slab from its inverse transform.  Its pointwise
+    work runs as slab kernels (`torus._slabwise`) that write only into
+    those buffers.
+
+    The step consumes its input flux: at entry it takes u0, b0, ||f0||_1
+    and the component arrays of f0 out of t and drops its reference to t,
+    and it releases f0_j once component j's loop iteration is done.  A
+    caller that passes its only reference to t (`run_iteration` on a fixed
+    schedule, the ci-step experiment) has f0 freed as the step goes; one
+    that keeps t (`select_parameters`, whose trials share it) does not.
+    At d = 3 the step's peak is about 8.8 full-grid fields above what its
+    caller held at the call with the handover (8.3 with two workers), and
+    about 11.3 when the caller keeps t."""
     if params.mode in ("W1R", "W1R_W1Q") and params.r is None:
         raise ValueError(f"mode {params.mode} needs the Sobolev exponent r")
     if params.mode == "W1R_W1Q" and params.q is None:
@@ -408,7 +430,9 @@ def assemble_step(
     if fam.d != d:
         raise ValueError("family dimension mismatch")
     p, pc = fam.p, fam.p_conj
-    u0, b0 = t.u, t.b
+    u0, b0, f0_l1 = t.u, t.b, t.f_l1
+    f0 = [c.values for c in t.f.components]
+    del t
     delta = params.delta
     shape = grid.shape
 
@@ -445,7 +469,7 @@ def assemble_step(
     f1_comps: list[np.ndarray] = [None] * d
     quad_source_l1 = 0.0
     for j in range(d):
-        fj = t.f[j].values
+        fj = f0[j]
         cj, absf, amp = np.empty(shape), np.empty(shape), np.empty(shape)
         _slabwise(amplitudes, cj, fj, absf, amp, theta_vals,
                   _expand_along(_dilate_tile(fam.density_transverse(j), lam), j, n, d),
@@ -456,8 +480,9 @@ def assemble_step(
             fam.density_transverse(j) * fam.field_transverse(j) - 1.0, lam)
         # the quadratic part along e_j, in the buffer of theta's amplitude
         _slabwise(quad_source, amp, cj, fj, _expand_along(prod_t, j, n, d))
-        del prod_t
-        q_hat += _axis_derivative_coeffs(grid, _fft_of(amp), j)
+        del prod_t, fj
+        f0[j] = None
+        _fft_of(amp, q_hat, _ik(grid, j))
         del amp
         f1_comps[j] = cj
 
@@ -465,31 +490,32 @@ def assemble_step(
     # the accumulator holds the cutoff part until the first add_part
     g_parts: dict[str, float] = {"cutoff": float(_magnitude(f1_comps).mean())}
 
-    def add_part(name: str, part: Callable[[int], np.ndarray]) -> np.ndarray:
-        """Add the flux part with components part(0), ..., part(d - 1) to
-        the accumulator, one component at a time; return its magnitude."""
-        def accumulate(f1, g, mag):
-            f1 += g
-            mag += np.square(g, out=g)
+    def accumulate(f1, g, mag):
+        f1 += g
+        mag += np.square(g, out=g)
 
+    def add_part(name: str, part: Callable[[int, Callable], None]) -> np.ndarray:
+        """Add a flux part to the accumulator, one component at a time:
+        part(i, add) hands component i to add(rows, g), on the axis-0 rows
+        of one inverse-transform slab or whole (rows = slice(None)).
+        Return the part's magnitude."""
         mag = np.zeros(shape)
         for i in range(d):
-            g = part(i)
-            _slabwise(accumulate, f1_comps[i], g, mag)
-            del g
+            f1 = f1_comps[i]
+            part(i, lambda rows, g: _slabwise(accumulate, f1[rows], g, mag[rows]))
         _slabwise(lambda m: np.sqrt(m, out=m), mag)
         g_parts[name] = float(mag.mean())
         return mag
 
     # quadratic remainder through the antidivergence
-    psi_hat = _inverse_div_grad_coeffs(grid, q_hat)
+    psi_hat = _inverse_div_grad_coeffs(grid, q_hat, out=q_hat)
     del q_hat
-    add_part("quad", lambda i: _partial_values(grid, psi_hat, i))
+    add_part("quad", lambda i, add: _partial_values(grid, psi_hat, i, add))
     del psi_hat
 
     # laplacian part: grad theta, whose magnitude feeds the mode norms
     theta_hat = _fft_of(theta_vals)
-    gt_mag = add_part("laplace", lambda i: _partial_values(grid, theta_hat, i))
+    gt_mag = add_part("laplace", lambda i, add: _partial_values(grid, theta_hat, i, add))
     del theta_hat
 
     # linear part: w u0 + b0 theta
@@ -497,10 +523,10 @@ def assemble_step(
         np.multiply(w, u, out=g)
         g += np.multiply(b, theta, out=_scratch(g))
 
-    def linear(i: int) -> np.ndarray:
+    def linear(i: int, add: Callable) -> None:
         g = np.empty(shape)
         _slabwise(linear_kernel, g, w_comps[i], u0.values, b0[i].values, theta_vals)
-        return g
+        add(slice(None), g)
 
     add_part("linear", linear)
 
@@ -524,8 +550,10 @@ def assemble_step(
 
     # corrector restoring div b1 = 0: w_c = -grad phi, where div grad phi is
     # the measured div w
-    phi_hat = _inverse_div_grad_coeffs(
-        grid, _divergence_coeffs(grid, map(_fft_of, w_comps)))
+    phi_hat = np.zeros(grid.half_shape, dtype=np.complex128)
+    for i in range(d):
+        _fft_of(w_comps[i], phi_hat, _ik(grid, i))
+    _inverse_div_grad_coeffs(grid, phi_hat, out=phi_hat)
 
     def corrector_kernel(g, wc, u, w, du):
         np.negative(wc, out=wc)
@@ -535,14 +563,19 @@ def assemble_step(
         g += np.multiply(du, wc, out=sc)
         w += wc
 
-    def corrector(i: int) -> np.ndarray:
+    def corrector(i: int, add: Callable) -> None:
         """w_c u0 + theta_c w + theta w_c + theta_c w_c (b0 theta_c is
-        divergence-free and is dropped from the flux); w_c is then folded
-        into w, whose buffer holds the drift increment dw = w + w_c."""
-        wc = _partial_values(grid, phi_hat, i)
-        g = np.empty(shape)
-        _slabwise(corrector_kernel, g, wc, u0.values, w_comps[i], du_vals)
-        return g
+        divergence-free and is dropped from the flux), on each slab of the
+        derivative that gives w_c; w_c is then folded into w, whose buffer
+        holds the drift increment dw = w + w_c."""
+        w = w_comps[i]
+
+        def slab(rows: slice, wc: np.ndarray) -> None:
+            g = np.empty(wc.shape)
+            _slabwise(corrector_kernel, g, wc, u0.values[rows], w[rows], du_vals[rows])
+            add(rows, g)
+
+        _partial_values(grid, phi_hat, i, slab)
 
     add_part("corrector", corrector)
     del phi_hat
@@ -554,7 +587,6 @@ def assemble_step(
     for i in range(d):
         _slabwise(lambda f: np.negative(f, out=f), f1_comps[i])
 
-    f0_l1 = t.f_l1
     dw_mag = _magnitude(dw_comps)
     inc = _lp_of_values(dw_mag, p) + _lp_of_values(du_vals, pc)
     inc_bound = fam.M * max(f0_l1 ** (1.0 / pc), f0_l1 ** (1.0 / p))
@@ -752,7 +784,10 @@ def run_iteration(
             fam = _family(d, p, mu, t.grid.n // lam, resolution_factor)
             params = StepParams(delta=f_hist[-1] / 32.0, lam=lam, mu=mu,
                                 mode=mode, r=r, q=q)
-            t, rep = assemble_step(t, params, fam, eps_target=target)
+            # the step gets the only reference to t, so it frees f0 as it goes
+            held = [t]
+            del t
+            t, rep = assemble_step(held.pop(), params, fam, eps_target=target)
         else:
             try:
                 t, rep = select_parameters(

@@ -9,6 +9,7 @@ the sha256 of the whole file content.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import struct
 from pathlib import Path
 
@@ -34,11 +35,28 @@ def field_bytes(f: Field) -> bytes:
     return b"".join(chunks)
 
 
+def _payload(a: np.ndarray) -> memoryview:
+    """The bytes of one array as the container stores them, without a copy
+    unless a is not C-contiguous (a broadcast field) or not little-endian
+    float64."""
+    if not (a.flags.c_contiguous and a.dtype == np.dtype("<f8")):
+        a = np.ascontiguousarray(a, dtype="<f8")
+    return memoryview(a).cast("B")
+
+
 def write_field(path: str | Path, f: Field) -> str:
-    """Write a field; returns its content hash."""
-    data = field_bytes(f)
-    Path(path).write_bytes(data)
-    return hashlib.sha256(data).hexdigest()
+    """Write a field; returns its content hash.  The header, then each
+    component, is hashed and written straight from the field's arrays:
+    the file holds `field_bytes(f)`, with no copy of it in memory."""
+    scalar = isinstance(f, ScalarField)
+    chunks = itertools.chain([_header(f.grid, 0 if scalar else 1)],
+                             (_payload(c.values) for c in ([f] if scalar else f.components)))
+    digest = hashlib.sha256()
+    with open(path, "wb") as out:
+        for chunk in chunks:
+            digest.update(chunk)
+            out.write(chunk)
+    return digest.hexdigest()
 
 
 def content_hash(f: Field) -> str:

@@ -25,10 +25,24 @@ and the C-infinity bump.  The kernels work in place on the arrays they
 allocate.  The field-level operators below are thin wrappers over those
 kernels; `norm` is the Lp norm.
 
-`_irfftn` consumes its input: above the pool gate it runs the complex
-stage over the leading axes in the input's own buffer, so callers pass a
-temporary and never a cached `coeffs` array.  Complex transforms appear
-only as the leading-axis stages of a real transform, in `_irfftn` and in
+Transforms.  Below the pool gate each transform is one scipy call.  From
+the gate up, the two transform kernels run as two passes over slabs,
+each a run of independent 1-d transforms along the axes a slab holds
+whole, in pocketfft's axis order, so that they equal `scipy.fft.rfftn`
+and `irfftn` bit for bit.  The inverse kernel `_irfftn` consumes its
+input: pass A, over axis-1 slabs, fills each slab (the derivative symbol
+of `_partial_values`, the factor N of `from_coeffs`) and runs the axis-0
+complex stage in the input's own buffer; pass B, over axis-0 slabs, runs
+the other leading axes, the last-axis real inverse, the scaling, and a
+consumer that takes the slab's values (the gradient-magnitude sum, the
+Nash step's flux parts and corrector), so those values are never formed
+whole.  The forward kernel `_fft_of`: pass A, over axis-1 slabs, runs the
+last-axis real transform and the axis-0 stage into the spectrum; pass B,
+over axis-0 slabs, the remaining axes, the division by N, and optionally
+acc += ik c, which accumulates a divergence without forming any
+derivative's coefficients.  Callers of `_irfftn` pass a temporary, never
+a cached `coeffs` array.  Complex transforms appear only as the
+leading-axis stages of a real transform, in these two kernels and in
 `_dealiased_product_divergence`; no full complex spectrum is formed.
 
 Threads.  The module owns one thread pool, sized by `set_fft_workers`
@@ -37,11 +51,15 @@ it with MF_THREADS, and the count is clamped to the usable cores).  The
 pool starts at its first use.  Arrays of at least `_POOL_GATE` = 2^18
 elements (64^3) run their pointwise kernels on it through `_slabwise`,
 over small axis-0 slabs the workers pull one at a time, and the slab
-loops of the Parseval sum and the de-aliased product run there through
-`_slab_map`; their transforms, and those of `axis_derivative_norm`, get
-`workers` > 1.  Smaller arrays, every 32^3 field among them, run on the
-calling thread as one call.  Every result is bit for bit the same for any worker
-count: the kernels are pointwise, the slab loops add their slab results
+loops of the two transform kernels, the Parseval sum and the de-aliased
+product run there through `_slab_map`.  A transform slab covers a quarter
+of `_TASK_ELEMS`, so that a task's transform output and its consumer's
+buffers stay near one task's size; the transforms inside a slab run with
+one worker.  The transforms of `_rfftn` and `axis_derivative_norm` get
+`workers` > 1 instead.  Smaller arrays, every 32^3 field among them, run
+on the calling thread as one call.  Every result is bit for bit the same
+for any worker count: the kernels are pointwise, each 1-d transform is
+the same whatever slab holds it, the slab loops add their slab results
 in slab order, and reductions over a whole array (`np.mean`, `.sum`) stay
 one numpy call on the calling thread.
 
@@ -177,23 +195,41 @@ def _slabwise(kernel: Callable[..., None], *arrays: np.ndarray) -> None:
               n0, rows, size)
 
 
-def _scratch(like: np.ndarray) -> np.ndarray:
-    """A float64 work buffer of like's shape: a pool worker keeps one and
-    reuses it from task to task; the calling thread gets a fresh one."""
+def _scratch(like: np.ndarray, dtype=np.float64) -> np.ndarray:
+    """A work buffer of like's shape (float64 unless dtype says otherwise):
+    a pool worker keeps one and reuses it from task to task; the calling
+    thread gets a fresh one."""
     if not getattr(_LOCAL, "worker", False):
-        return np.empty(like.shape)
+        return np.empty(like.shape, dtype)
+    words = like.size * np.dtype(dtype).itemsize // 8
     buf = getattr(_LOCAL, "buf", None)
-    if buf is None or buf.size < like.size:
-        buf = _LOCAL.buf = np.empty(like.size)
-    return buf[:like.size].reshape(like.shape)
+    if buf is None or buf.size < words:
+        buf = _LOCAL.buf = np.empty(words)
+    return buf[:words].view(dtype).reshape(like.shape)
 
 
-def _scaled(a: np.ndarray, factor) -> np.ndarray:
-    """a *= factor in place, on the pool for large a."""
-    def kernel(x):
-        x *= factor
-    _slabwise(kernel, a)
-    return a
+def _part(a: np.ndarray, idx: tuple) -> np.ndarray:
+    """The part of a, broadcast against the array idx indexes, that idx
+    selects: axes where a has extent 1 are kept whole."""
+    return a[tuple(s if m > 1 else slice(None) for s, m in zip(idx, a.shape))]
+
+
+def _slabs(fn: Callable[[tuple], None], shape: Sequence[int], axis: int, size: int) -> None:
+    """fn(idx) for every slab along one axis of an array of this shape,
+    idx selecting the slab, on the pool (`_slab_map`).  A slab covers about
+    a quarter of _TASK_ELEMS of the transform's size real elements, so that
+    its transform output and the consumer's buffers together stay near one
+    task's size, as in the de-aliased product."""
+    n = shape[axis]
+    head = (slice(None),) * axis
+    _slab_map(lambda s: fn(head + (s,)), n, max(1, _TASK_ELEMS * n // (4 * size)), size)
+
+
+def _into(view: np.ndarray, out: np.ndarray) -> None:
+    # a complex stage run with overwrite_x works in its input's buffer;
+    # should scipy ever hand back a new array, it is copied into the view
+    if not np.may_share_memory(out, view):
+        view[...] = out
 
 
 def _rfftn(a: np.ndarray) -> np.ndarray:
@@ -205,19 +241,59 @@ def _inverse_scale(size: int) -> float:
     return float(1 / np.longdouble(size))
 
 
-def _irfftn(a: np.ndarray, s: Sequence[int]) -> np.ndarray:
-    """Real values of shape s from the half spectrum a, bit for bit
-    `scipy.fft.irfftn(a, s)`.  Consumes a.  Below the pool gate that is
-    one call; above it the complex stage over the leading axes runs in a's
-    own buffer, so no hidden complex copy of the spectrum is allocated,
-    and the scaling runs on the pool.  Every caller passes a temporary."""
+def _irfftn(a: np.ndarray, s: Sequence[int],
+            fill: Callable[[tuple], None] | None = None, factor: float | None = None,
+            consume: Callable[[slice, np.ndarray], None] | None = None) -> np.ndarray | None:
+    """Real values of shape s from the complex half spectrum a, bit for bit
+    `scipy.fft.irfftn(a, s)`, times factor if given.  Consumes a: every
+    caller passes a temporary.  fill(idx), if given, first writes the part
+    a[idx] of each slab (a may then come uninitialised).  Returns the
+    values, or hands them to consume(rows, values) one axis-0 slab at a
+    time and returns None.
+
+    Below the pool gate that is one scipy call (consume gets rows =
+    slice(None)).  Above it, two passes over slabs on the pool, in
+    pocketfft's axis order 0, 1, ..., last.  Pass A, over axis-1 slabs:
+    fill, then the axis-0 complex stage in a's own buffer.  Pass B, over
+    axis-0 slabs: the remaining leading axes in place, the last-axis real
+    inverse (a slab-sized output), the scaling, factor, and consume.  So no
+    full-grid temporary beyond a and the values is formed, and none at all
+    when consume takes the values."""
     size = math.prod(s)
-    if not _pooled(size):
-        return sfft.irfftn(a, s=tuple(s), overwrite_x=True, workers=1)
-    a = sfft.ifftn(a, axes=tuple(range(len(s) - 1)), norm="forward",
-                   overwrite_x=True, workers=_FFT_WORKERS)
-    out = sfft.irfft(a, n=s[-1], axis=-1, norm="forward", workers=_FFT_WORKERS)
-    return _scaled(out, _inverse_scale(size))
+    if size < _POOL_GATE:
+        if fill is not None:
+            fill((slice(None),))
+        v = sfft.irfftn(a, s=tuple(s), overwrite_x=True, workers=1)
+        if factor is not None:
+            v *= factor
+        if consume is None:
+            return v
+        consume(slice(None), v)
+        return None
+    d, scale = len(s), _inverse_scale(size)
+    out = np.empty(s) if consume is None else None
+
+    def leading(idx: tuple) -> None:
+        if fill is not None:
+            fill(idx)
+        v = a[idx]
+        _into(v, sfft.ifft(v, axis=0, norm="forward", overwrite_x=True, workers=1))
+
+    def trailing(idx: tuple) -> None:
+        v = a[idx]
+        for ax in range(1, d - 1):
+            _into(v, sfft.ifft(v, axis=ax, norm="forward", overwrite_x=True, workers=1))
+        r = sfft.irfft(v, n=s[-1], axis=-1, norm="forward", workers=1)
+        dst = r if out is None else out[idx]
+        np.multiply(r, scale, out=dst)
+        if factor is not None:
+            dst *= factor
+        if consume is not None:
+            consume(idx[0], dst)
+
+    _slabs(leading, a.shape, 1, size)
+    _slabs(trailing, a.shape, 0, size)
+    return out
 
 
 @dataclass(frozen=True)
@@ -289,22 +365,25 @@ class TorusGrid:
         shape[axis] = k.size
         return k.reshape(shape)
 
-    def _k_squared(self, diff: bool) -> np.ndarray:
-        k2 = np.zeros(self.half_shape)
+    def k_squared_rows(self, rows: slice, diff: bool = False) -> np.ndarray:
+        """|k|^2 (sum of squared derivative frequencies if diff) on the
+        axis-0 rows of the half spectrum, without the cached full array."""
+        k2 = np.zeros((len(range(self.n)[rows]),) + self.half_shape[1:])
         for ax in range(self.dim):
-            k2 += self.axis_k(ax, diff).astype(np.float64) ** 2
+            k = self.axis_k(ax, diff).astype(np.float64) ** 2
+            k2 += k[rows] if ax == 0 else k
         return k2
 
     @cached_property
     def k_squared(self) -> np.ndarray:
         """|k|^2 on the half spectrum (float64)."""
-        return self._k_squared(diff=False)
+        return self.k_squared_rows(slice(None))
 
     @cached_property
     def k_squared_diff(self) -> np.ndarray:
         """sum of squared derivative frequencies on the half spectrum: the
         symbol of div(grad .) in the odd-derivative convention."""
-        return self._k_squared(diff=True)
+        return self.k_squared_rows(slice(None), diff=True)
 
     def meshes(self) -> list[np.ndarray]:
         """Coordinate meshes (built on demand, not cached)."""
@@ -365,9 +444,12 @@ class ScalarField:
             # irfftn would crop or pad any other shape without complaint
             raise ValueError(f"coefficient shape {coeffs.shape} is not the half-spectrum "
                              f"shape {grid.half_shape}")
-        scaled = np.empty_like(coeffs)
-        _slabwise(lambda o, c: np.multiply(c, grid.n ** grid.dim, out=o), scaled, coeffs)
-        f = cls(grid=grid, values=_irfftn(scaled, s=grid.shape))
+        scaled = np.empty(coeffs.shape, dtype=np.complex128)
+
+        def fill(idx: tuple) -> None:
+            np.multiply(coeffs[idx], grid.n ** grid.dim, out=scaled[idx])
+
+        f = cls(grid=grid, values=_irfftn(scaled, grid.shape, fill=fill))
         # fills the `coeffs` cache, which a cached_property keeps in __dict__
         object.__setattr__(f, "coeffs", np.ascontiguousarray(coeffs))
         return f
@@ -481,20 +563,57 @@ class VectorField:
 Field = ScalarField | VectorField
 
 
-def _fft_of(x: ScalarField | np.ndarray) -> np.ndarray:
+def _add_product(acc: np.ndarray, k: np.ndarray, c: np.ndarray) -> None:
+    acc += np.multiply(k, c, out=_scratch(acc, np.complex128))
+
+
+def _fft_of(x: ScalarField | np.ndarray, acc: np.ndarray | None = None,
+            ik: np.ndarray | None = None) -> np.ndarray:
     """Normalised coefficients of a field, as `.coeffs` gives them but
     without filling its cache (keeps the large-grid paths from retaining
-    duplicate spectral arrays), or of a value array."""
+    duplicate spectral arrays), or of a value array.  With acc and a
+    derivative symbol ik (`_ik`), also acc += ik c: the coefficients of
+    that derivative are added to acc, slab by slab, and never formed whole.
+
+    Below the pool gate that is one scipy call.  Above it, two passes over
+    slabs on the pool, in pocketfft's axis order last, 0, 1, ...  Pass A,
+    over axis-1 slabs: the last-axis real transform, then the axis-0 stage
+    (for d = 2 it runs over axis-0 slabs, and the axis-0 stage moves to
+    pass B).  Pass B, over axis-0 slabs (axis-1 for d = 2): the remaining
+    axes in place, the division by N and the accumulation."""
     if isinstance(x, ScalarField):
         c = x.__dict__.get("coeffs")
         if c is not None:
+            if acc is not None:
+                _slabwise(_add_product, acc, ik, c)
             return c
         x = x.values
-    c = _rfftn(x)
+    size, d = x.size, x.ndim
+    if size < _POOL_GATE:
+        c = sfft.rfftn(x, workers=1)
+        c /= size
+        if acc is not None:
+            _add_product(acc, ik, c)
+        return c
+    c = np.empty(x.shape[:-1] + (x.shape[-1] // 2 + 1,), dtype=np.complex128)
+    first, rest = (1, range(1, d - 1)) if d > 2 else (0, (0,))
 
-    def kernel(a):
-        a /= x.size
-    _slabwise(kernel, c)
+    def leading(idx: tuple) -> None:
+        t = sfft.rfft(x[idx], axis=-1, workers=1)
+        if d > 2:
+            t = sfft.fft(t, axis=0, overwrite_x=True, workers=1)
+        c[idx] = t
+
+    def trailing(idx: tuple) -> None:
+        v = c[idx]
+        for ax in rest:
+            _into(v, sfft.fft(v, axis=ax, overwrite_x=True, workers=1))
+        v /= size
+        if acc is not None:
+            _add_product(acc[idx], _part(ik, idx), v)
+
+    _slabs(leading, x.shape, first, size)
+    _slabs(trailing, c.shape, 1 - first, size)
     return c
 
 
@@ -516,18 +635,34 @@ def _magnitude(comps: Sequence[np.ndarray]) -> np.ndarray:
 # array-level kernels (coefficient arrays in, coefficient or real value
 # arrays out; nothing is cached)
 
+def _ik(grid: TorusGrid, axis: int) -> np.ndarray:
+    """The symbol 2 pi i k_axis of one partial derivative (k1_diff
+    convention), shaped for broadcasting over the half spectrum."""
+    return (2j * np.pi) * grid.axis_k(axis, diff=True)
+
+
 def _axis_derivative_coeffs(grid: TorusGrid, coeffs: np.ndarray, axis: int) -> np.ndarray:
-    ik = (2j * np.pi) * grid.axis_k(axis, diff=True)
+    ik = _ik(grid, axis)
     out = np.empty(coeffs.shape, dtype=np.result_type(ik, coeffs))
     _slabwise(lambda o, k, c: np.multiply(k, c, out=o), out, ik, coeffs)
     return out
 
 
-def _partial_values(grid: TorusGrid, coeffs: np.ndarray, axis: int) -> np.ndarray:
+def _partial_values(grid: TorusGrid, coeffs: np.ndarray, axis: int,
+                    consume: Callable[[slice, np.ndarray], None] | None = None
+                    ) -> np.ndarray | None:
     """Real values of one partial derivative of the field with these
-    coefficients."""
-    v = _irfftn(_axis_derivative_coeffs(grid, coeffs, axis), grid.shape)
-    return _scaled(v, grid.n ** grid.dim)
+    coefficients: returned whole, or handed to consume(rows, values) slab by
+    slab as `_irfftn` does.  The derivative symbol is applied in the
+    inverse transform's first pass, so its coefficients are never formed
+    beside the transform's own buffer."""
+    ik = _ik(grid, axis)
+    buf = np.empty(coeffs.shape, dtype=np.complex128)
+
+    def fill(idx: tuple) -> None:
+        np.multiply(_part(ik, idx), coeffs[idx], out=buf[idx])
+
+    return _irfftn(buf, grid.shape, fill=fill, factor=grid.n ** grid.dim, consume=consume)
 
 
 def _grad_values(grid: TorusGrid, coeffs: np.ndarray) -> list[np.ndarray]:
@@ -547,16 +682,24 @@ def _divergence_coeffs(grid: TorusGrid, comp_coeffs: Iterable[np.ndarray]) -> np
     return acc
 
 
-def _inverse_div_grad_coeffs(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
+def _inverse_div_grad_coeffs(grid: TorusGrid, coeffs: np.ndarray,
+                             out: np.ndarray | None = None) -> np.ndarray:
     """Coefficients of phi with div(grad phi) = h in the odd-derivative
     calculus; zero on the modes where that symbol vanishes (the mean and
-    the unpaired Nyquist corners, which lie outside the range of div)."""
-    k2 = grid.k_squared_diff.copy()
-    zero = k2 == 0.0
-    k2[zero] = 1.0
-    phihat = coeffs / (-4.0 * np.pi ** 2 * k2)
-    phihat[zero] = 0.0
-    return phihat
+    the unpaired Nyquist corners, which lie outside the range of div).
+    Written into out if given, which may be coeffs itself when the caller
+    hands over a temporary.  A slab kernel."""
+    def kernel(o, c, k2):
+        zero = k2 == 0.0
+        den = np.multiply(k2, -4.0 * np.pi ** 2, out=_scratch(k2))
+        den[zero] = -4.0 * np.pi ** 2
+        np.divide(c, den, out=o)
+        o[zero] = 0.0
+
+    if out is None:
+        out = np.empty(coeffs.shape, dtype=np.complex128)
+    _slabwise(kernel, out, coeffs, grid.k_squared_diff)
+    return out
 
 
 def _split_symbol(k2: np.ndarray) -> np.ndarray:
@@ -617,11 +760,9 @@ def _dealiased_product_divergence(grid: TorusGrid, b_coeffs: Iterable[np.ndarray
         # one leading axis in place; view is a slice of a padded buffer
         w = _workers(view.size)
         if inverse:
-            out = sfft.ifft(view, axis=ax, norm="forward", overwrite_x=True, workers=w)
+            _into(view, sfft.ifft(view, axis=ax, norm="forward", overwrite_x=True, workers=w))
         else:
-            out = sfft.fft(view, axis=ax, overwrite_x=True, workers=w)
-        if not np.may_share_memory(out, view):
-            view[...] = out
+            _into(view, sfft.fft(view, axis=ax, overwrite_x=True, workers=w))
 
     def leading_values(c: np.ndarray, buf: np.ndarray) -> np.ndarray:
         buf[...] = 0.0
@@ -767,9 +908,7 @@ def _grad_magnitude_of(grid: TorusGrid,
     for comp in comps:
         c = _fft_of(comp)
         for ax in range(grid.dim):
-            g = _partial_values(grid, c, ax)
-            _slabwise(add_square, acc, g)
-            del g
+            _partial_values(grid, c, ax, lambda rows, g: _slabwise(add_square, acc[rows], g))
         del c
     _slabwise(lambda a: np.sqrt(a, out=a), acc)
     return acc
@@ -918,19 +1057,20 @@ def leray_project(b: VectorField) -> VectorField:
         for ax in range(grid.dim)))
 
 
-def _parseval_sum(c: np.ndarray, weight: np.ndarray | None = None) -> float:
+def _parseval_sum(c: np.ndarray,
+                  weight: np.ndarray | Callable[[slice], np.ndarray] | None = None) -> float:
     """sum over the full spectrum of weight |c_k|^2 from half-spectrum
-    coefficients c (weight, if given, in the same layout and even in k):
-    each column 0 < k_last < n/2 counts twice, for itself and its conjugate
-    partner; the k_last = 0 and Nyquist columns count once.  Taken in slabs
-    along the first axis: full-grid float temporaries here would fragment
-    the heap on large grids and raise the peak RSS of the callers that
-    follow."""
+    coefficients c (weight, if given, in the same layout and even in k, or
+    a function giving its axis-0 rows): each column 0 < k_last < n/2
+    counts twice, for itself and its conjugate partner; the k_last = 0 and
+    Nyquist columns count once.  Taken in slabs along the first axis:
+    full-grid float temporaries here would fragment the heap on large grids
+    and raise the peak RSS of the callers that follow."""
     def slab_sum(s: slice) -> float:
         sq = np.abs(c[s], out=_scratch(c[s]))
         np.square(sq, out=sq)
         if weight is not None:
-            sq *= weight[s]
+            sq *= weight(s) if callable(weight) else weight[s]
         sq[..., 1:-1] *= 2.0
         return float(sq.sum())
 
@@ -948,8 +1088,7 @@ def relative_divergence(v: VectorField) -> float:
     acc = np.zeros(grid.half_shape, dtype=np.complex128)
     den_sq = 0.0
     for ax in range(grid.dim):
-        c = _fft_of(v[ax])
-        acc += _axis_derivative_coeffs(grid, c, ax)
+        c = _fft_of(v[ax], acc, _ik(grid, ax))
         den_sq += _parseval_sum(c, grid.k_squared_diff)
         del c
     num = math.sqrt(_parseval_sum(acc))

@@ -163,15 +163,15 @@ def test_step_structure_and_residuals(toy64):
 
 def test_step_and_residual_memory_in_fields():
     # extra memory of one step and of the de-aliased residual at 64^3, in
-    # units of one full-grid float64 field (measured 13.55 and 7.72 with one
-    # worker, 12.59 and 7.72 with two: the step streams its perturbation,
-    # flux parts and corrector one component at a time, the residual
-    # transforms only the band, slab by slab, and forms no padded array).
-    # tracemalloc sees numpy's allocations but not glibc's heap layout, so
-    # a change that keeps these bounds can still raise the peak RSS; the
-    # transforms allocate no field-sized buffer of their own since the
-    # inverse transform runs in its input's buffer.  Pool workers hold
-    # small per-task buffers, so the count is taken at a fixed worker count
+    # units of one full-grid float64 field (measured 8.78 and 7.72 with one
+    # worker, 8.33 and 7.73 with two: the step streams its perturbation,
+    # flux parts and corrector one component at a time, consumes its input
+    # flux, and takes its spectral parts slab by slab from the inverse
+    # transforms; the residual transforms only the band, slab by slab, and
+    # forms no padded array).  tracemalloc sees numpy's allocations but not
+    # glibc's heap layout, so a change that keeps these bounds can still
+    # raise the peak RSS.  Pool workers hold small per-task buffers, so the
+    # count is taken at a fixed worker count
     saved = torus._FFT_WORKERS
     try:
         for n_workers in (1, 2):
@@ -183,25 +183,62 @@ def test_step_and_residual_memory_in_fields():
 
 def _step_and_residual_peaks():
     g = make_grid(3, 64)
-    t0 = shifted_cosine_seed(g, u_amp=0.5, flux_shift=2048.0)
     fam = build_family(3, 1.5, 8.0, g, resolution_factor=8.0)
-    params = StepParams(delta=t0.f_l1 / 16, lam=1, mu=8.0, mode="W1R", r=1.1)
     field = g.n ** g.dim * 8
 
-    def peak_fields(fn, *args, **kwargs):
+    def step_peak(hand_over: bool):
+        # tracemalloc starts before the seed is built: it does not count
+        # the frees of blocks allocated before it started, and the step
+        # frees the seed's flux when its caller hands the seed over
         tracemalloc.start()
         try:
-            out = fn(*args, **kwargs)
-            _, peak = tracemalloc.get_traced_memory()
+            held = [shifted_cosine_seed(g, u_amp=0.5, flux_shift=2048.0)]
+            f0_l1 = held[0].f_l1
+            params = StepParams(delta=f0_l1 / 16, lam=1, mu=8.0, mode="W1R", r=1.1)
+            kept = None if hand_over else held[0]
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            t1, _ = assemble_step(held.pop(), params, fam, eps_target=0.25 * f0_l1)
+            peak = tracemalloc.get_traced_memory()[1]
+            del kept
         finally:
             tracemalloc.stop()
-        return out, peak / field
+        return t1, (peak - base) / field
 
-    (t1, _), step_peak = peak_fields(assemble_step, t0, params, fam,
-                                     eps_target=0.25 * t0.f_l1)
-    _, resid_peak = peak_fields(equation_residual, t1)
-    assert step_peak <= 14.0
-    assert resid_peak <= 8.2
+    t1, handed_over = step_peak(hand_over=True)
+    _, kept = step_peak(hand_over=False)
+    tracemalloc.start()
+    try:
+        equation_residual(t1)
+        resid_peak = tracemalloc.get_traced_memory()[1] / field
+    finally:
+        tracemalloc.stop()
+    # measured 11.26 and 11.33 fields when the caller keeps the seed
+    assert kept <= 11.6
+    assert handed_over <= 9.1
+    assert kept - handed_over >= 1.5
+    assert resid_peak <= 7.9
+
+
+def test_residual_weight_is_the_full_array_weight():
+    # the residuals' Sobolev weight and band mask, built per Parseval slab
+    # (here 16 rows and a short slab of 8), give the sums of the full
+    # half-spectrum weight and of the coefficients cut to the band
+    g = make_grid(3, 24)
+    rng = np.random.default_rng(21)
+    e = rng.standard_normal(g.half_shape) + 1j * rng.standard_normal(g.half_shape)
+    kcap = g.n // 2 - 1
+    band = np.ones(g.half_shape, dtype=bool)
+    for ax in range(3):
+        band &= np.abs(g.axis_k(ax)) <= kcap
+    weight = torus._split_symbol(g.k_squared) ** 2
+    cut = np.where(band, e, 0.0)
+    assert (torus._parseval_sum(e, convexint._sobolev_weight(g))
+            == torus._parseval_sum(e, weight))
+    assert (torus._parseval_sum(e, convexint._sobolev_weight(g, kcap))
+            == torus._parseval_sum(cut, weight))
+    for rows in (slice(0, 16), slice(16, 32)):
+        assert np.array_equal(g.k_squared_rows(rows, diff=True), g.k_squared_diff[rows])
 
 
 def test_perturbation_norm_line(toy64):

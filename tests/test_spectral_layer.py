@@ -1,8 +1,8 @@
 """The package has one spectral layer: only `torus` imports scipy.fft,
 every field is real, so real transforms and the half spectrum serve
 throughout and no full complex spectrum is formed (the only complex
-transforms are the leading-axis stages of a real inverse transform, in
-two named `torus` kernels), and no other module keeps its own relative
+transforms are the leading-axis stages of a real transform, in three
+named `torus` kernels), and no other module keeps its own relative
 divergence or antidivergence.  Likewise an iterate
 triple is built in two places only: the seed and the step, and the Sobolev
 norms are put together in `torus` only: no call selects a norm by a
@@ -54,10 +54,12 @@ def test_no_shadow_copies_of_torus_operators():
     assert shadows == []
 
 
-# the leading-axis stages of the half-spectrum inverse transform and of the
-# pruned de-aliased product: (module, top-level function, callee)
+# the leading-axis stages of the two-pass half-spectrum transforms, inverse
+# and forward, and of the pruned de-aliased product: (module, top-level
+# function, callee)
 COMPLEX_STAGES = {
-    ("torus.py", "_irfftn", "ifftn"),
+    ("torus.py", "_irfftn", "ifft"),
+    ("torus.py", "_fft_of", "fft"),
     ("torus.py", "_dealiased_product_divergence", "ifft"),
     ("torus.py", "_dealiased_product_divergence", "fft"),
 }

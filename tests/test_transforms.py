@@ -1,5 +1,6 @@
 """The transform kernels of `torus` against the formulas they replace, bit
-for bit: `_irfftn` against `scipy.fft.irfftn`, and the pruned de-aliased
+for bit: the two-pass `_irfftn` and `_fft_of` against `scipy.fft.irfftn`
+and `rfftn` and the operators built on them, and the pruned de-aliased
 product against the 3n/2 zero-padded product it computes; and the worker
 pool's slab helpers against the serial loop."""
 
@@ -16,8 +17,12 @@ from hypothesis import given, settings, strategies as st
 from mikado_forge import torus
 from mikado_forge.torus import (
     _dealiased_product_divergence,
+    _divergence_coeffs,
     _fft_of,
+    _ik,
+    _inverse_div_grad_coeffs,
     _irfftn,
+    _partial_values,
     _parseval_sum,
     _scratch,
     _slab_map,
@@ -244,3 +249,75 @@ def test_slab_map_runs_each_slab_once_under_thread_switching():
         sys.setswitchinterval(saved)
     assert got == list(range(997))
     assert sorted(calls) == list(range(997))
+
+
+@st.composite
+def two_pass_case(draw):
+    d = draw(st.sampled_from([2, 3, 4]))
+    n = draw(st.sampled_from({2: [8, 10, 14, 30], 3: [8, 10, 12], 4: [8, 10]}[d]))
+    # rows per slab along axes of length n: never a divisor of n, so the
+    # last slab is short
+    rows = draw(st.sampled_from([2, 3, 4, 5]).filter(lambda r: n % r != 0))
+    n_workers = draw(st.sampled_from([2, 3]))
+    return make_grid(d, n), rows, n_workers, np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+
+def _old_antidivergence(grid, coeffs):
+    # the full-array formula the slab kernel replaces
+    k2 = grid.k_squared_diff.copy()
+    zero = k2 == 0.0
+    k2[zero] = 1.0
+    phihat = coeffs / (-4.0 * np.pi ** 2 * k2)
+    phihat[zero] = 0.0
+    return phihat
+
+
+@settings(deadline=None, max_examples=40, database=None)
+@given(two_pass_case())
+def test_two_pass_kernels_are_the_one_call_transforms(case):
+    # the two-pass kernels, run on the pool for arrays of any size with
+    # uneven slabs, against one scipy call each and the full-array
+    # formulas of the operators they serve, byte for byte
+    grid, rows, n_workers, rng = case
+    d, npts = grid.dim, grid.n ** grid.dim
+    vals = [rng.standard_normal(grid.shape) for _ in range(d)]
+    vals[0][0, ...] = -0.0
+    a = rng.standard_normal(grid.half_shape) + 1j * rng.standard_normal(grid.half_shape)
+    c = sfft.rfftn(vals[0])
+    c /= npts
+    ref = {"irfftn": sfft.irfftn(a, s=grid.shape), "rfftn": c,
+           "div": _divergence_coeffs(grid, map(_fft_of, vals)),
+           "antidiv": _old_antidivergence(grid, a)}
+    for ax in range(d):
+        v = sfft.irfftn(np.multiply(_ik(grid, ax), c), s=grid.shape)
+        v *= npts
+        ref[f"partial{ax}"] = v
+
+    got = {}
+    with _pool_on_small_arrays(n_workers, 4 * rows * grid.n ** (d - 1)):
+        got["irfftn"] = _irfftn(a.copy(), grid.shape)
+        got["rfftn"] = _fft_of(vals[0])
+        got["div"] = np.zeros(grid.half_shape, dtype=np.complex128)
+        for ax in range(d):
+            _fft_of(vals[ax], got["div"], _ik(grid, ax))
+        got["antidiv"] = _inverse_div_grad_coeffs(grid, a)
+        in_place = a.copy()
+        assert _inverse_div_grad_coeffs(grid, in_place, out=in_place) is in_place
+        assert in_place.tobytes() == got["antidiv"].tobytes()
+        for ax in range(d):
+            got[f"partial{ax}"] = _partial_values(grid, c, ax)
+        # the consumer gets every axis-0 row once, in slabs of the
+        # uneven size
+        slabs, streamed = [], np.full(grid.shape, np.nan)
+
+        def consume(r, v):
+            slabs.append((r.start, r.stop))
+            streamed[r] = v
+
+        assert _partial_values(grid, c, d - 1, consume) is None
+    assert set(ref) == set(got)
+    for key in ref:
+        assert got[key].tobytes() == ref[key].tobytes(), key
+    assert streamed.tobytes() == ref[f"partial{d - 1}"].tobytes()
+    covered = sorted(i for start, stop in slabs for i in range(start, min(stop, grid.n)))
+    assert covered == list(range(grid.n)) and len(slabs) > 1
