@@ -8,16 +8,10 @@ from .torus import (
     TorusGrid,
     ScalarField,
     VectorField,
-    MollifierSpec,
-    make_grid,
     gradient,
     divergence,
-    laplacian,
-    derivative,
-    inv_laplacian,
     norm,
     dilate,
-    mollify,
     lowpass,
     leray_project,
     bandwidth,
@@ -43,7 +37,6 @@ from .convexint import (
     StepParams,
     StepReport,
     BudgetExhausted,
-    build_cutoffs,
     assemble_step,
     select_parameters,
     run_iteration,

@@ -52,13 +52,12 @@ from .ball import (
     singular_norm_report,
 )
 from .convexint import (
-    DIV_B_TOL,
-    MEAN_U_TOL,
     BudgetExhausted,
     StepParams,
     StepReport,
     assemble_step,
     equation_residual,
+    residual_refinement,
     run_iteration,
     sampled_residual,
     validate_mode,
@@ -68,30 +67,32 @@ from .driftdiff import (
     SolveConfig,
     TruncationSchedule,
     commutator_check,
+    commutator_verdict,
     energy_check,
     max_principle_sweep,
+    moser_checks,
     moser_gns_check,
     solve,
+    solve_checks,
     uniqueness_probe,
 )
 from .mikado import build_family, scaling_report, verify_family
 from .oscillation import (
-    antidivergence,
+    antidivergence_rate_ok,
+    antidivergence_sweep,
+    holder_rate_ok,
     improved_holder_check,
     riemann_lebesgue_check,
+    tail_field,
 )
-from .ratefit import fit_loglog
 from .seeds import cascade_seed, shifted_cosine_seed
 from .torus import (
-    MollifierSpec,
     ScalarField,
     TorusGrid,
     VectorField,
-    dilate,
     divergence,
     gradient,
     leray_project,
-    lowpass,
     norm,
     random_scalar,
     random_solenoidal,
@@ -312,23 +313,16 @@ def _exp_osc_verify(cfg: dict, out: Path, rng) -> dict:
         rl_pass += rep.passed
         rl_worst = max(rl_worst, max(m / b for m, b in zip(rep.measured, rep.bound) if b > 0))
 
-    base = random_scalar(grid, 2, rng)
-    f_tail = 1.0 + 0.5 * lowpass(ScalarField(grid, np.abs(base.values) ** 3), grid.n // 3)
+    f_tail = tail_field(random_scalar(grid, 2, rng))
     g_osc = random_scalar(grid, 3, rng)
     hold = improved_holder_check(f_tail, g_osc, lams, p=p)
-
-    anti_mags = []
-    for lam in lams:
-        h = f_tail * dilate(g_osc, lam)
-        h = h - h.mean
-        anti_mags.append(norm(antidivergence(h), p=2))
-    anti_rate = fit_loglog(lams, anti_mags)
+    anti_mags, anti_rate = antidivergence_sweep(f_tail, g_osc, lams)
 
     checks = {
         "riemann_lebesgue_all_cases": rl_pass == cases,
         "holder_bound": hold.passed,
-        "holder_rate": hold.fitted_rate <= -1.0 / p + 0.15,
-        "antidivergence_rate": abs(anti_rate + 1.0) <= 0.15,
+        "holder_rate": holder_rate_ok(hold.fitted_rate, p),
+        "antidivergence_rate": antidivergence_rate_ok(anti_rate),
     }
     write_csv(out / "oscillation_rates.csv",
               "columns: lambda, holder_measured, holder_bound, antidiv_norm",
@@ -389,13 +383,7 @@ def _exp_ci_step(cfg: dict, out: Path, rng) -> dict:
     t1, rep, eps = _ci_step_at(cfg, cfg["N"])
     resid = equation_residual(t1)
     rep.residual_out = resid
-    checks = {
-        "increment_bound": rep.increment_ok,
-        "smallness": rep.smallness_ok,
-        "cutoff_budget": rep.cutoff_part_ok,
-        "div_b1": rep.div_b1_rel <= DIV_B_TOL,
-        "mean_u1": rep.mean_u1_rel <= MEAN_U_TOL,
-    }
+    checks = rep.checks
     report = {"experiment": "ci-step", "d": cfg["d"], "N": cfg["N"], "p": cfg["p"],
               "step": _step_report_dict(rep),
               "sampled_residual": sampled_residual(t1),
@@ -412,9 +400,8 @@ def _exp_ci_step(cfg: dict, out: Path, rng) -> dict:
         n2 = cfg["refine_N"]
         t1b, _, _ = _ci_step_at(cfg, n2, eps)
         resid2 = equation_residual(t1b)
-        report["refinement"] = {"N": n2, "residual": resid2,
-                                "factor": resid / max(resid2, 1e-300)}
-        checks["residual_refinement"] = resid / max(resid2, 1e-300) >= 4.0
+        factor, checks["residual_refinement"] = residual_refinement(resid, resid2)
+        report["refinement"] = {"N": n2, "residual": resid2, "factor": factor}
     return report
 
 
@@ -459,10 +446,7 @@ def _exp_solve(cfg: dict, out: Path, rng) -> dict:
         errs.append(norm(urec - ustar, p=2) / norm(ustar, p=2))
         ec = energy_check(urec, b, f)
         energy_defects.append(abs(ec["relative_defect"]))
-    checks = {
-        "manufactured_recovery": max(errs) <= 1e-8,
-        "energy_identity": max(energy_defects) <= 1e-8,
-    }
+    checks = solve_checks(errs, energy_defects)
     write_csv(out / "recovery.csv", "columns: case, relative_l2_error, energy_defect",
               {"case": list(range(cases)), "relative_l2_error": errs,
                "energy_defect": energy_defects})
@@ -498,15 +482,8 @@ def _exp_moser(cfg: dict, out: Path, rng) -> dict:
     f = random_scalar(grid, 3, rng)
     u = solve(b, f, SolveConfig(tol=cfg["tol"]))
     rows = moser_gns_check(u, b, f, k_max=cfg["k_max"])
-    k1 = next(row for row in rows if row.get("k") == 1)
-    checks = {
-        "k1_identity": k1["identity_defect_rel"] <= 1e-6,
-        "drift_cancellation": all(
-            row["drift_term_power_rel"] <= 1e-8
-            for row in rows if row.get("status") == "ok"),
-        "gns_bound": all(row["gns_ok"] for row in rows if row.get("status") == "ok"),
-    }
-    return {"experiment": "moser", "d": d, "N": n, "rows": rows, "checks": checks}
+    return {"experiment": "moser", "d": d, "N": n, "rows": rows,
+            "checks": moser_checks(rows)}
 
 
 def _exp_commutator(cfg: dict, out: Path, rng) -> dict:
@@ -515,21 +492,11 @@ def _exp_commutator(cfg: dict, out: Path, rng) -> dict:
     b = random_solenoidal(grid, 3, rng)
     u = random_scalar(grid, 3, rng)
     v = random_scalar(grid, 3, rng)
-    m = MollifierSpec(epsilon=cfg["mollifier_eps"])
-    table = commutator_check(b, u, v, m, eps_list, z_per_axis=z)
-    mom = np.array(table["moment_matrix"])
-    sign = -1.0 if mom.trace() < 0 else 1.0
-    mom_err = float(np.abs(mom - sign * np.eye(d)).max())
-    checks = {
-        "decay_rate": table["fitted_rate"] >= 0.8,
-        "decayed": bool(table["decayed"]),
-        "moment_matrix": mom_err <= 1e-6,
-    }
+    table = commutator_check(b, u, v, eps_list, z_per_axis=z)
     report = {"experiment": "commutator", "d": d, "N": n,
               "table": {k: v for k, v in table.items() if k != "moment_matrix"},
               "moment_matrix": table["moment_matrix"],
-              "moment_sign": sign, "moment_error": mom_err,
-              "checks": checks}
+              **commutator_verdict(table)}
     if cfg["rough_contrast"]:
         r2 = grid.radius_squared()
         rough_mag = 1.0 / (r2 + cfg["rough_core"] ** 2)
@@ -537,7 +504,7 @@ def _exp_commutator(cfg: dict, out: Path, rng) -> dict:
         rough = VectorField.from_components(
             tuple(comp * random_scalar(grid, 2, rng) for _ in range(d)))
         rough = leray_project(rough)
-        rough_table = commutator_check(rough, u, v, m, eps_list, z_per_axis=z)
+        rough_table = commutator_check(rough, u, v, eps_list, z_per_axis=z)
         report["rough_contrast"] = {k: v for k, v in rough_table.items()
                                     if k != "moment_matrix"}
     write_csv(out / "commutator.csv", "columns: eps, I(eps), |I(eps)|",
@@ -620,8 +587,8 @@ EXPERIMENTS = {
         "d": 3, "N": 32, "drifts": 30, "scale_span": 100.0, "tol": 1e-10}),
     "moser": (_exp_moser, {"d": 3, "N": 32, "k_max": 3, "drift_scale": 3.0, "tol": 1e-10}),
     "commutator": (_exp_commutator, {
-        "d": 2, "N": 64, "eps": [1 / 8, 1 / 16, 1 / 32, 1 / 64], "mollifier_eps": 0.125,
-        "z_per_axis": 21, "rough_contrast": False, "rough_core": 0.02}),
+        "d": 2, "N": 64, "eps": [1 / 8, 1 / 16, 1 / 32, 1 / 64], "z_per_axis": 21,
+        "rough_contrast": False, "rough_core": 0.02}),
     "counterexample": (_exp_counterexample, {"n_r": 64, "n_sph": 12}),
     "uniqueness": (_exp_uniqueness, {
         "d": 3, "N": 32, "drift_scale": 3.0, "clamp_levels": [2.0, 5.0, 50.0], "tol": 1e-10}),

@@ -74,7 +74,6 @@ __all__ = [
     "StepReport",
     "ConvergenceReport",
     "BudgetExhausted",
-    "build_cutoffs",
     "assemble_step",
     "select_parameters",
     "run_iteration",
@@ -90,10 +89,14 @@ DIV_B_TOL = 1e-9
 MEAN_U_TOL = 1e-10
 # the iteration asks every step to divide ||f||_1 by at least this factor
 F_DECREASE = 4.0
+# the de-aliased residual of a step must fall at least this much when the
+# step is rebuilt on a grid twice as fine
+REFINEMENT_FACTOR = 4.0
 
 
-def _structure_ok(div_b_rel: float, mean_u_rel: float) -> bool:
-    return div_b_rel <= DIV_B_TOL and mean_u_rel <= MEAN_U_TOL
+def _structure_checks(div_b_rel: float, mean_u_rel: float) -> dict[str, bool]:
+    """A triple's relative div b and mean u against their tolerances."""
+    return {"div_b1": div_b_rel <= DIV_B_TOL, "mean_u1": mean_u_rel <= MEAN_U_TOL}
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +174,7 @@ class IterateTriple:
     def check_structure(self) -> dict:
         rd = relative_divergence(self.b)
         mu_ = abs(self.u.mean) / max(1.0, self.u.max_abs())
-        return {"div_b_rel": rd, "mean_u_rel": mu_, "ok": _structure_ok(rd, mu_)}
+        return {"div_b_rel": rd, "mean_u_rel": mu_, "ok": all(_structure_checks(rd, mu_).values())}
 
 
 @dataclass(frozen=True)
@@ -234,6 +237,17 @@ class StepReport:
     def smallness_ok(self) -> bool:
         return self.smallness_lhs <= self.smallness_target
 
+    @property
+    def checks(self) -> dict[str, bool]:
+        """The step's verdicts: the Lp increment bound, the smallness
+        target, the cutoff budget, and the structure of the new triple."""
+        return {
+            "increment_bound": self.increment_ok,
+            "smallness": self.smallness_ok,
+            "cutoff_budget": self.cutoff_part_ok,
+            **_structure_checks(self.div_b1_rel, self.mean_u1_rel),
+        }
+
 
 class BudgetExhausted(RuntimeError):
     """The parameter ladders hit the grid's aliasing/resolution ceiling;
@@ -271,22 +285,15 @@ def _smoothstep(t: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 def _cutoff(fj: np.ndarray, delta: float, d: int, out: np.ndarray | None = None,
             scratch: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Values of one component cutoff chi_j from the values of f_j, in out
-    if given; scratch is two buffers of f_j's shape."""
+    if given; scratch is two buffers of f_j's shape.  chi_j = 1 where
+    |f_j| >= delta/(2d), 0 where |f_j| <= delta/(4d), a fixed smoothstep
+    ramp between."""
     lo = delta / (4.0 * d)
     hi = delta / (2.0 * d)
     t = np.abs(fj, out=out)
     t -= lo
     t /= hi - lo
     return _smoothstep(t, *(scratch or (np.empty_like(t), np.empty_like(t))))
-
-
-def build_cutoffs(f: VectorField, delta: float) -> list[ScalarField]:
-    """Component cutoffs: chi_j = 1 where |f_j| >= delta/(2d), 0 where
-    |f_j| <= delta/(4d), a fixed smoothstep ramp between."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    d = f.grid.dim
-    return [ScalarField(f.grid, _cutoff(f[j].values, delta, d)) for j in range(d)]
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +358,13 @@ def sampled_residual(t: IterateTriple) -> float:
             grid, _fft_of(prod) + _fft_of(t.f[ax]), ax)
     resid = math.sqrt(_parseval_sum(e_hat, _sobolev_weight(grid)))
     return resid / max(norm(t.f, p=2), 1e-300)
+
+
+def residual_refinement(coarse: float, fine: float) -> tuple[float, bool]:
+    """The factor by which the equation residual falls from a step's grid
+    to the refined one, and whether it reaches REFINEMENT_FACTOR."""
+    factor = coarse / max(fine, 1e-300)
+    return factor, factor >= REFINEMENT_FACTOR
 
 
 def equation_residual(t: IterateTriple) -> float:
@@ -813,7 +827,7 @@ def run_iteration(
     assertions = {
         "increment_bound_each_step": all(s.increment_ok for s in steps),
         "cutoff_budget_each_step": all(s.cutoff_part_ok for s in steps),
-        "structure_each_step": all(_structure_ok(s.div_b1_rel, s.mean_u1_rel)
+        "structure_each_step": all(s.checks["div_b1"] and s.checks["mean_u1"]
                                    for s in steps),
         "f_decrease": bool(steps) and all(b <= a / F_DECREASE * (1 + 1e-9)
                                           for a, b in zip(f_hist, f_hist[1:])),

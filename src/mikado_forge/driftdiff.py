@@ -23,7 +23,6 @@ from scipy.sparse.linalg import LinearOperator, gmres
 
 from .ratefit import fit_loglog, slope_stderr
 from .torus import (
-    MollifierSpec,
     ScalarField,
     TorusGrid,
     VectorField,
@@ -50,9 +49,12 @@ __all__ = [
     "solve",
     "approximation_solution",
     "energy_check",
+    "solve_checks",
     "max_principle_sweep",
     "moser_gns_check",
+    "moser_checks",
     "commutator_check",
+    "commutator_verdict",
     "uniqueness_probe",
     "max_principle_constant",
     "gns_constant",
@@ -195,6 +197,15 @@ def energy_check(u: ScalarField, b: VectorField, f: ScalarField) -> dict:
         "identity_defect": defect,
         "relative_defect": defect / scale,
         "inequality_ok": bool(defect <= 1e-8 * scale),
+    }
+
+
+def solve_checks(recovery_errors: list[float], energy_defects: list[float]) -> dict:
+    """Verdicts of a manufactured-solution suite: every relative L2
+    recovery error and every |relative energy-identity defect| <= 1e-8."""
+    return {
+        "manufactured_recovery": max(recovery_errors) <= 1e-8,
+        "energy_identity": max(energy_defects) <= 1e-8,
     }
 
 
@@ -366,6 +377,19 @@ def moser_gns_check(u: ScalarField, b: VectorField, f: ScalarField,
     return out
 
 
+def moser_checks(rows: list[dict]) -> dict:
+    """Verdicts of moser_gns_check's rows: the k = 1 identity to 1e-6
+    relative, and on every row not skipped the drift cancellation to 1e-8
+    and the GNS bound."""
+    k1 = next(row for row in rows if row.get("k") == 1)
+    ok_rows = [row for row in rows if row.get("status") == "ok"]
+    return {
+        "k1_identity": k1["identity_defect_rel"] <= 1e-6,
+        "drift_cancellation": all(row["drift_term_power_rel"] <= 1e-8 for row in ok_rows),
+        "gns_bound": all(row["gns_ok"] for row in ok_rows),
+    }
+
+
 # ---------------------------------------------------------------------------
 # mollifier commutator functional
 
@@ -427,7 +451,6 @@ def commutator_check(
     b: VectorField,
     u: ScalarField,
     v: ScalarField,
-    m: MollifierSpec,
     eps_list: list[float],
     z_per_axis: int = 21,
 ) -> dict:
@@ -436,9 +459,11 @@ def commutator_check(
         I(eps) = int int u(x - z eps) [(b(x) - b(x - z eps))/eps] . grad_rho(z)
                  v(x) dz dx
 
-    by tensor quadrature (spectral shifts in x, uniform nodes in z).  For a
-    drift with grid-scale W^{1,1} regularity the values must decay to zero;
-    the moment matrix of the mollifier is reported alongside.
+    by tensor quadrature (spectral shifts in x, uniform nodes in z), rho the
+    normalised standard bump on the unit ball.  For a drift with grid-scale
+    W^{1,1} regularity the values must decay to zero; rho's moment matrix
+    int z_j d_i rho, which integration by parts makes -delta_ij, is reported
+    alongside.
     """
     if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be decreasing")
@@ -480,6 +505,24 @@ def commutator_check(
         "decayed": mags[-1] <= 0.1 * mags[0] if mags[0] > 0 else True,
         "monotone_trend": all(b2 <= a2 * 1.05 for a2, b2 in zip(mags, mags[1:])),
         "moment_matrix": mollifier_moment_matrix(d).tolist(),
+    }
+
+
+def commutator_verdict(table: dict) -> dict:
+    """The checks of a commutator_check table, with the sign and the error
+    of its moment matrix against +-identity: I(eps) decays at a fitted rate
+    >= 0.8 and by tenfold over the sweep, and the moment error is <= 1e-6."""
+    mom = np.array(table["moment_matrix"])
+    sign = -1.0 if mom.trace() < 0 else 1.0
+    err = float(np.abs(mom - sign * np.eye(len(mom))).max())
+    return {
+        "moment_sign": sign,
+        "moment_error": err,
+        "checks": {
+            "decay_rate": table["fitted_rate"] >= 0.8,
+            "decayed": bool(table["decayed"]),
+            "moment_matrix": err <= 1e-6,
+        },
     }
 
 

@@ -339,10 +339,13 @@ class ScalingReport:
     predicted: dict[str, float]
     tolerances: dict[str, float]
 
+    def fits(self, q: str) -> bool:
+        """The fitted exponent q lies within its tolerance of the prediction."""
+        return abs(self.fitted[q] - self.predicted[q]) <= self.tolerances[q]
+
     @property
     def passed(self) -> bool:
-        return all(abs(self.fitted[q] - self.predicted[q]) <= self.tolerances[q]
-                   for q in self.fitted)
+        return all(self.fits(q) for q in self.fitted)
 
 
 def scaling_report(

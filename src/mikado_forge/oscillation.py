@@ -32,10 +32,17 @@ from .torus import (
 __all__ = [
     "OscillationReport",
     "antidivergence",
+    "antidivergence_sweep",
     "improved_holder_check",
     "riemann_lebesgue_check",
     "holder_constant",
+    "holder_rate_ok",
+    "antidivergence_rate_ok",
+    "tail_field",
 ]
+
+# how far a fitted log-log slope may miss the lemma's rate
+RATE_TOL = 0.15
 
 
 @dataclass
@@ -67,6 +74,36 @@ def antidivergence(h: ScalarField) -> VectorField:
         raise ValueError(
             f"antidivergence needs a mean-zero source, got mean {h.mean:.3e}")
     return VectorField.from_arrays(h.grid, _antidivergence_values(h.grid, h.coeffs))
+
+
+def antidivergence_sweep(f: ScalarField, g: ScalarField,
+                         lam: Sequence[int]) -> tuple[list[float], float]:
+    """||R(f g_lam - mean)||_2 for each lambda, and its fitted log-log slope;
+    the 1/lambda gain of the antidivergence R makes the slope -1."""
+    norms = []
+    for l in lam:
+        h = f * dilate(g, l)
+        h = h - h.mean
+        norms.append(norm(antidivergence(h), p=2))
+    return norms, fit_loglog(lam, norms)
+
+
+def antidivergence_rate_ok(rate: float) -> bool:
+    """The antidivergence slope is -1 to within RATE_TOL."""
+    return abs(rate + 1.0) <= RATE_TOL
+
+
+def holder_rate_ok(rate: float, p: float) -> bool:
+    """The improved Hoelder residual decays at least like lambda^(-1/p),
+    to within RATE_TOL."""
+    return rate <= -1.0 / p + RATE_TOL
+
+
+def tail_field(base: ScalarField) -> ScalarField:
+    """1 + 0.5 lowpass(|base|^3, n/3): a cubed-magnitude composition with a
+    slow spectral tail, band-limited by truncation so the C1 norm applies."""
+    grid = base.grid
+    return 1.0 + 0.5 * lowpass(ScalarField(grid, np.abs(base.values) ** 3), grid.n // 3)
 
 
 def _c1_norm(f: ScalarField) -> float:
@@ -118,12 +155,7 @@ def _fitted_holder_constant(dim: int, p: float) -> float:
     worst = 0.0
     for i in range(_CALIBRATION_PAIRS):
         base = random_scalar(grid, int(rng.integers(2, 5)), rng)
-        if i % 3 == 2:
-            # cubed-magnitude composition: slow spectral tail, band-limited
-            # by truncation so the C1 norm applies
-            f = 1.0 + 0.5 * lowpass(ScalarField(grid, np.abs(base.values) ** 3), grid.n // 3)
-        else:
-            f = 1.0 + 0.5 * base
+        f = tail_field(base) if i % 3 == 2 else 1.0 + 0.5 * base
         g = random_scalar(grid, int(rng.integers(2, 4)), rng)
         fc1 = _c1_norm(f)
         gp = norm(g, p=p)

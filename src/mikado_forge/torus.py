@@ -84,17 +84,11 @@ __all__ = [
     "TorusGrid",
     "ScalarField",
     "VectorField",
-    "MollifierSpec",
-    "make_grid",
     "gradient",
-    "derivative",
     "axis_derivative_norm",
     "divergence",
-    "laplacian",
-    "inv_laplacian",
     "norm",
     "dilate",
-    "mollify",
     "leray_project",
     "bandwidth",
     "lowpass",
@@ -375,11 +369,6 @@ class TorusGrid:
         return k2
 
     @cached_property
-    def k_squared(self) -> np.ndarray:
-        """|k|^2 on the half spectrum (float64)."""
-        return self.k_squared_rows(slice(None))
-
-    @cached_property
     def k_squared_diff(self) -> np.ndarray:
         """sum of squared derivative frequencies on the half spectrum: the
         symbol of div(grad .) in the odd-derivative convention."""
@@ -389,30 +378,15 @@ class TorusGrid:
         """Coordinate meshes (built on demand, not cached)."""
         return list(np.meshgrid(*([self.x1] * self.dim), indexing="ij"))
 
-    def radius_squared(self, origin: str = "center") -> np.ndarray:
-        """|x|^2 with x in [-1/2, 1/2)^d.
-
-        origin = "center" measures from the grid midpoint (index n/2);
-        origin = "index0" measures from index 0 in wrapped coordinates, the
-        layout convolution kernels need.
-        """
-        if origin == "center":
-            x = self.x1
-        elif origin == "index0":
-            x = np.fft.fftfreq(self.n)  # i/n wrapped into [-1/2, 1/2)
-        else:
-            raise ValueError(f"unknown origin {origin!r}")
+    def radius_squared(self) -> np.ndarray:
+        """|x|^2 with x in [-1/2, 1/2)^d, measured from the grid midpoint
+        (index n/2)."""
         r2 = np.zeros(self.shape)
         for ax in range(self.dim):
             shape = [1] * self.dim
             shape[ax] = self.n
-            r2 = r2 + (x ** 2).reshape(shape)
+            r2 = r2 + (self.x1 ** 2).reshape(shape)
         return r2
-
-
-def make_grid(d: int, n: int) -> TorusGrid:
-    """Build a d-dimensional torus grid with n (even, >= 8) points per axis."""
-    return TorusGrid(dim=int(d), n=int(n))
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -810,12 +784,6 @@ def _dealiased_product_divergence(grid: TorusGrid, b_coeffs: Iterable[np.ndarray
 # ---------------------------------------------------------------------------
 # differential operators (exact in the discrete spectral calculus)
 
-def derivative(f: ScalarField, axis: int) -> ScalarField:
-    """Single spectral partial derivative (one transform pair)."""
-    return ScalarField.from_coeffs(
-        f.grid, _axis_derivative_coeffs(f.grid, f.coeffs, axis))
-
-
 _SLAB = 16
 
 
@@ -856,27 +824,6 @@ def gradient(f: ScalarField) -> VectorField:
 def divergence(v: VectorField) -> ScalarField:
     return ScalarField.from_coeffs(
         v.grid, _divergence_coeffs(v.grid, (c.coeffs for c in v.components)))
-
-
-def laplacian(f: Field) -> Field:
-    if isinstance(f, VectorField):
-        return VectorField.from_components(tuple(laplacian(c) for c in f.components))
-    mult = -4.0 * np.pi ** 2 * f.grid.k_squared
-    return ScalarField.from_coeffs(f.grid, mult * f.coeffs)
-
-
-def inv_laplacian(f: ScalarField) -> ScalarField:
-    """Mean-zero solution u of lap(u) = f.  Rejects f with non-negligible mean."""
-    l2 = norm(f, p=2)
-    if abs(f.mean) > 1e-10 * max(l2, 1e-300):
-        raise ValueError(
-            f"inv_laplacian needs a mean-zero source, got mean {f.mean:.3e} vs l2 {l2:.3e}"
-        )
-    k2 = f.grid.k_squared.copy()
-    k2.flat[0] = 1.0
-    c = f.coeffs / (-4.0 * np.pi ** 2 * k2)
-    c.flat[0] = 0.0
-    return ScalarField.from_coeffs(f.grid, c)
 
 
 # ---------------------------------------------------------------------------
@@ -962,7 +909,7 @@ def bandwidth(f: Field) -> int:
 
 
 # ---------------------------------------------------------------------------
-# dilation, mollification, Leray projection
+# dilation, the C-infinity bump, low-pass filter, Leray projection
 
 def _dilate_values(grid: TorusGrid, values: np.ndarray, lam: int) -> np.ndarray:
     # f(lam * x_i) lands exactly on grid points: index map
@@ -1000,36 +947,6 @@ def _bump(s2: np.ndarray) -> np.ndarray:
     inside = s2 < 1.0
     out[inside] = np.exp(-1.0 / (1.0 - s2[inside]))
     return out
-
-
-@dataclass(frozen=True)
-class MollifierSpec:
-    """Standard bump supported strictly inside the unit ball, scaled to
-    radius epsilon in (0, 1/4)."""
-
-    epsilon: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.epsilon < 0.25):
-            raise ValueError(f"mollifier radius must lie in (0, 1/4), got {self.epsilon}")
-
-    def grid_kernel(self, grid: TorusGrid) -> np.ndarray:
-        """rho_eps sampled on the torus grid in FFT layout (bump centred at
-        index 0), normalised so the grid mean is exactly 1."""
-        t = np.sqrt(grid.radius_squared(origin="index0")) / self.epsilon
-        vals = _bump(t * t) / self.epsilon ** grid.dim
-        m = vals.mean()
-        if m <= 0.0:
-            raise ValueError("mollifier kernel vanishes on this grid; enlarge n or epsilon")
-        return vals / m
-
-
-def mollify(f: Field, m: MollifierSpec) -> Field:
-    """Convolution with rho_eps, computed spectrally.  Mean preserved exactly."""
-    if isinstance(f, VectorField):
-        return VectorField.from_components(tuple(mollify(c, m) for c in f.components))
-    mult = _fft_of(m.grid_kernel(f.grid))
-    return ScalarField.from_coeffs(f.grid, f.coeffs * mult)
 
 
 def lowpass(f: Field, kmax: float) -> Field:

@@ -204,6 +204,8 @@ def test_solver_nonconvergence_exits_three_with_report(tmp_path):
     # slab kernels and transforms on the pool, 3 with uneven shares
     ("ci-step", {"d": 3, "N": 64, "lambda": 1, "mu": 7, "resolution_factor": 2,
                  "flux_shift": 1536, "write_fields": True}),
+    # the second commutator_check call, on the Leray-projected rough drift
+    ("commutator", {"d": 2, "N": 32, "z_per_axis": 11, "rough_contrast": True}),
 ])
 def test_fft_worker_count_leaves_reports_unchanged(tmp_path, monkeypatch, experiment, cfg):
     saved = torus._FFT_WORKERS
@@ -241,8 +243,7 @@ DEFAULTS = {
     "maxprinc": {"d": 3, "N": 32, "drifts": 30, "scale_span": 100.0, "tol": 1e-10},
     "moser": {"d": 3, "N": 32, "k_max": 3, "drift_scale": 3.0, "tol": 1e-10},
     "commutator": {"d": 2, "N": 64, "eps": [1 / 8, 1 / 16, 1 / 32, 1 / 64],
-                   "mollifier_eps": 0.125, "z_per_axis": 21, "rough_contrast": False,
-                   "rough_core": 0.02},
+                   "z_per_axis": 21, "rough_contrast": False, "rough_core": 0.02},
     "counterexample": {"n_r": 64, "n_sph": 12},
     "uniqueness": {"d": 3, "N": 32, "drift_scale": 3.0, "clamp_levels": [2.0, 5.0, 50.0],
                    "tol": 1e-10},
@@ -313,6 +314,9 @@ _CI_STEP = "d = 3\nN = 32\nlambda = 1\nmu = 7\nresolution_factor = 2\n"
     pytest.param("solve", "d = 2\nN = 16\ncases = 1\ndrift_scale = inf\n",
                  "drift_scale = inf", id="infinite-drift"),
     pytest.param("mikado-verify", "d = 3\nN = 32\np = nan\n", "p = nan", id="nan-exponent"),
+    # the commutator functional has its own bump; no mollifier radius is read
+    pytest.param("commutator", "mollifier_eps = 0.125\n", "'mollifier_eps'",
+                 id="mollifier-eps"),
     pytest.param("ci-step", _CI_STEP + "r = 0\n", "r in [1, 1.2), got 0.0", id="zero-r"),
     pytest.param("ci-step", _CI_STEP + "r = 0.5\n", "r in [1, 1.2), got 0.5",
                  id="r-below-window"),

@@ -14,7 +14,6 @@ from mikado_forge.convexint import (
     IterateTriple,
     StepParams,
     assemble_step,
-    build_cutoffs,
     equation_residual,
     grid_lambda_max,
     h1_window,
@@ -30,10 +29,9 @@ from mikado_forge.ratefit import fit_loglog
 from mikado_forge.seeds import cascade_seed, seed_triple, shifted_cosine_seed
 from mikado_forge.torus import (
     ScalarField,
+    TorusGrid,
     VectorField,
-    make_grid,
     norm,
-    random_solenoidal,
 )
 
 
@@ -82,28 +80,27 @@ def test_validate_mode_rejections():
 # cutoffs
 
 def test_cutoffs_saturated_and_silent():
-    g = make_grid(2, 32)
+    g = TorusGrid(2, 32)
     delta = 1.0
     f_hot = VectorField.from_components(
         (ScalarField.constant(g, delta), ScalarField.constant(g, -delta)))
-    for chi in build_cutoffs(f_hot, delta):
-        assert np.all(chi.values == 1.0)
+    for comp in f_hot.components:
+        assert np.all(convexint._cutoff(comp.values, delta, g.dim) == 1.0)
+    # StepParams rejects delta <= 0 before any cutoff (test_step_mode_validation)
     f_cold = VectorField.zero(g)
-    for chi in build_cutoffs(f_cold, delta):
-        assert np.all(chi.values == 0.0)
-    with pytest.raises(ValueError):
-        build_cutoffs(f_hot, 0.0)
+    for comp in f_cold.components:
+        assert np.all(convexint._cutoff(comp.values, delta, g.dim) == 0.0)
 
 
 def test_cutoff_ramp_pointwise():
-    g = make_grid(2, 64)
+    g = TorusGrid(2, 64)
     d = g.dim
     delta = 1.0
     f = VectorField.from_components((
         ScalarField.from_function(g, lambda x, y: delta * np.sin(2 * np.pi * x)),
         ScalarField.zero(g),
     ))
-    chi = build_cutoffs(f, delta)[0].values
+    chi = convexint._cutoff(f[0].values, delta, d)
     mag = np.abs(f[0].values)
     assert np.all(chi[mag >= delta / (2 * d)] == 1.0)
     assert np.all(chi[mag <= delta / (4 * d)] == 0.0)
@@ -119,16 +116,16 @@ def test_cutoff_ramp_pointwise():
 
 @pytest.fixture(scope="module")
 def toy64():
-    g = make_grid(3, 64)
+    g = TorusGrid(3, 64)
     t0 = shifted_cosine_seed(g, u_amp=0.5, flux_shift=512.0)
-    fam = build_family(3, 1.5, 8.0, make_grid(3, 64), resolution_factor=8.0)
+    fam = build_family(3, 1.5, 8.0, TorusGrid(3, 64), resolution_factor=8.0)
     params = StepParams(delta=t0.f_l1 / 16, lam=1, mu=8.0, mode="W1R", r=1.1)
     t1, rep = assemble_step(t0, params, fam, eps_target=0.25 * t0.f_l1)
     return t0, t1, rep, fam
 
 
 def test_zero_flux_step_is_identity():
-    g = make_grid(3, 32)
+    g = TorusGrid(3, 32)
     fam = build_family(3, 1.5, 7.0, g, resolution_factor=2.0)
     t0 = IterateTriple(b=VectorField.zero(g), u=ScalarField.zero(g),
                        f=VectorField.zero(g))
@@ -182,7 +179,7 @@ def test_step_and_residual_memory_in_fields():
 
 
 def _step_and_residual_peaks():
-    g = make_grid(3, 64)
+    g = TorusGrid(3, 64)
     fam = build_family(3, 1.5, 8.0, g, resolution_factor=8.0)
     field = g.n ** g.dim * 8
 
@@ -224,14 +221,14 @@ def test_residual_weight_is_the_full_array_weight():
     # the residuals' Sobolev weight and band mask, built per Parseval slab
     # (here 16 rows and a short slab of 8), give the sums of the full
     # half-spectrum weight and of the coefficients cut to the band
-    g = make_grid(3, 24)
+    g = TorusGrid(3, 24)
     rng = np.random.default_rng(21)
     e = rng.standard_normal(g.half_shape) + 1j * rng.standard_normal(g.half_shape)
     kcap = g.n // 2 - 1
     band = np.ones(g.half_shape, dtype=bool)
     for ax in range(3):
         band &= np.abs(g.axis_k(ax)) <= kcap
-    weight = torus._split_symbol(g.k_squared) ** 2
+    weight = torus._split_symbol(g.k_squared_rows(slice(None))) ** 2
     cut = np.where(band, e, 0.0)
     assert (torus._parseval_sum(e, convexint._sobolev_weight(g))
             == torus._parseval_sum(e, weight))
@@ -244,7 +241,7 @@ def test_residual_weight_is_the_full_array_weight():
 def test_perturbation_norm_line(toy64):
     t0, _, _, fam = toy64
     params = StepParams(delta=t0.f_l1 / 16, lam=2, mu=8.0, mode="W1R", r=1.1)
-    fam2 = build_family(3, 1.5, 8.0, make_grid(3, 32), resolution_factor=4.0)
+    fam2 = build_family(3, 1.5, 8.0, TorusGrid(3, 32), resolution_factor=4.0)
     t1, _ = assemble_step(t0, params, fam2)
     # the step's increments are theta + theta_c and w + w_c
     du, dw = t1.u - t0.u, t1.b - t0.b
@@ -258,7 +255,7 @@ def test_perturbation_norm_line(toy64):
 
 
 def test_theta_constant_decays_with_oscillation():
-    g = make_grid(3, 128)
+    g = TorusGrid(3, 128)
     u0 = ScalarField.from_function(
         g, lambda x, y, z: 0.3 * np.cos(2 * np.pi * (x + y + z))
         + 0.2 * np.sin(2 * np.pi * (x - 2 * y + z)))
@@ -267,7 +264,7 @@ def test_theta_constant_decays_with_oscillation():
     lams = [2, 4, 8]
     tcs = []
     for lam in lams:
-        fam = build_family(3, 1.5, 7.0, make_grid(3, 128 // lam),
+        fam = build_family(3, 1.5, 7.0, TorusGrid(3, 128 // lam),
                            resolution_factor=2.0)
         params = StepParams(delta=t0.f_l1 / 16, lam=lam, mu=7.0,
                             mode="W1R", r=1.1)
@@ -280,9 +277,9 @@ def test_theta_constant_decays_with_oscillation():
 def test_residual_refinement_law():
     res = {}
     for n in (64, 128):
-        g = make_grid(3, n)
+        g = TorusGrid(3, n)
         t0 = shifted_cosine_seed(g, u_amp=0.5, flux_shift=512.0)
-        fam = build_family(3, 1.5, 8.0, make_grid(3, n // 2), resolution_factor=4.0)
+        fam = build_family(3, 1.5, 8.0, TorusGrid(3, n // 2), resolution_factor=4.0)
         params = StepParams(delta=t0.f_l1 / 16, lam=2, mu=8.0, mode="W1R", r=1.1)
         t1, _ = assemble_step(t0, params, fam)
         res[n] = equation_residual(t1)
@@ -290,9 +287,9 @@ def test_residual_refinement_law():
 
 
 def test_w1q_mode_step():
-    g = make_grid(4, 32)
+    g = TorusGrid(4, 32)
     t0 = shifted_cosine_seed(g, u_amp=0.25, flux_shift=8192.0)
-    fam = build_family(4, 2.0, 9.0, make_grid(4, 32), resolution_factor=3.5)
+    fam = build_family(4, 2.0, 9.0, TorusGrid(4, 32), resolution_factor=3.5)
     params = StepParams(delta=t0.f_l1 / 16, lam=1, mu=9.0,
                         mode="W1R_W1Q", r=1.1, q=1.1)
     eps = 0.25 * t0.f_l1
@@ -309,7 +306,7 @@ def test_quad_source_frequency_exact_cases():
     # chi_2 = chi_3 = 0, ||f||_1 = S, d_1 f_1 = 2 pi m A cos(2 pi m x_1), so
     # nu = m A mean|cos(2 pi m x_1)| / S, i.e. 2 m A / (pi S) up to the
     # grid's quadrature of |cos|
-    g = make_grid(3, 32)
+    g = TorusGrid(3, 32)
     fam = build_family(3, 1.5, 7.0, g, resolution_factor=2.0)
     S, A = 10.0, 3.0
     params = StepParams(delta=1.0, lam=1, mu=7.0, mode="W1R", r=1.1)
@@ -330,7 +327,7 @@ def test_quad_source_frequency_vanishes_on_cascade_seed():
     # the seed's flux bumps are constant along their own axes; at this flux
     # amplitude the cutoff also sits above |grad u0|, so nothing else
     # survives it and the quadratic source has no frequency at all
-    g = make_grid(3, 64)
+    g = TorusGrid(3, 64)
     t0 = cascade_seed(g, u_amp=0.01, drift_lp=500.0, flux_amp=16384.0, p=1.5)
     fam = build_family(3, 1.5, 7.0, g, resolution_factor=4.0)
     params = StepParams(delta=t0.f_l1 / 32, lam=1, mu=7.0, mode="W1R", r=1.1)
@@ -348,7 +345,7 @@ def test_grid_lambda_max():
 
 
 def test_step_mode_validation():
-    g = make_grid(3, 32)
+    g = TorusGrid(3, 32)
     fam = build_family(3, 1.5, 7.0, g, resolution_factor=2.0)
     t0 = shifted_cosine_seed(g, u_amp=0.5, flux_shift=64.0)
     with pytest.raises(ValueError):
@@ -363,7 +360,7 @@ def test_step_mode_validation():
 # parameter search
 
 def test_select_parameters_trivial_budget():
-    g = make_grid(3, 64)
+    g = TorusGrid(3, 64)
     t0 = shifted_cosine_seed(g, u_amp=0.5, flux_shift=512.0)
     _, rep = select_parameters(t0, 10 * t0.f_l1, mode="W1R", r=1.1, p=1.5)
     params = rep.params
@@ -373,7 +370,7 @@ def test_select_parameters_trivial_budget():
 
 
 def test_select_parameters_end_to_end():
-    g = make_grid(3, 64)
+    g = TorusGrid(3, 64)
     t0 = shifted_cosine_seed(g, u_amp=0.5, flux_shift=512.0)
     eps = 0.25 * t0.f_l1
     _, rep = select_parameters(t0, eps, mode="W1R", r=1.1, p=1.5)
@@ -381,7 +378,7 @@ def test_select_parameters_end_to_end():
 
 
 def test_select_parameters_budget_exhausted():
-    g = make_grid(3, 32)
+    g = TorusGrid(3, 32)
     t0 = shifted_cosine_seed(g, u_amp=0.5, flux_shift=512.0)
     with pytest.raises(BudgetExhausted) as exc:
         select_parameters(t0, 1e-12, mode="W1R", r=1.1, p=1.5,
@@ -396,7 +393,7 @@ def test_select_parameters_budget_exhausted():
 # seeds and the iteration
 
 def test_cascade_seed_geometry():
-    g = make_grid(3, 64)
+    g = TorusGrid(3, 64)
     t0 = cascade_seed(g, u_amp=0.01, drift_lp=500.0, flux_amp=2048.0, p=1.5)
     assert t0.check_structure()["ok"]
     # drift support and profile support are exactly disjoint
@@ -406,7 +403,7 @@ def test_cascade_seed_geometry():
 
 
 def test_shifted_cosine_seed_structure():
-    g = make_grid(3, 32)
+    g = TorusGrid(3, 32)
     t0 = shifted_cosine_seed(g, u_amp=0.5, flux_shift=64.0)
     assert t0.check_structure()["ok"]
     assert abs(t0.u.mean) <= 1e-14
@@ -414,7 +411,7 @@ def test_shifted_cosine_seed_structure():
 
 
 def test_iteration_single_step_passes_surrogates():
-    g = make_grid(3, 64)
+    g = TorusGrid(3, 64)
     t0 = cascade_seed(g, u_amp=0.01, drift_lp=500.0, flux_amp=2048.0, p=1.5)
     _, conv = run_iteration(
         t0, eps=0.1 * norm(t0.b, p=1.5), K=1, mode="W1R", p=1.5, r=1.1,
@@ -433,7 +430,7 @@ def test_iteration_best_effort_records_shortfall():
     # fourfold law asks for lambda ~72 while 64^3 admits lambda <= 2; the
     # quadratic and linear parts then dominate the new flux.  Best-effort
     # mode must complete and record the failed law instead of raising
-    g = make_grid(3, 64)
+    g = TorusGrid(3, 64)
     t0 = cascade_seed(g, u_amp=0.01, drift_lp=500.0, flux_amp=2048.0, p=1.5)
     _, conv = run_iteration(
         t0, eps=0.1 * norm(t0.b, p=1.5), K=2, mode="W1R", p=1.5, r=1.1,
@@ -451,7 +448,7 @@ def test_iteration_releases_the_seed(monkeypatch):
     # the iteration keeps only the seed's drift: handed the only reference
     # to the seed, it frees the seed's flux (and u0) once step 1 has
     # replaced the iterate, so step 2 runs without them
-    g = make_grid(3, 32)
+    g = TorusGrid(3, 32)
     box = [shifted_cosine_seed(g, u_amp=0.5, flux_shift=64.0)]
     seed_flux = weakref.ref(box[0].f[0])
     alive = []
@@ -469,7 +466,7 @@ def test_iteration_releases_the_seed(monkeypatch):
 
 
 def test_iteration_strict_raises_on_exhaustion():
-    g = make_grid(3, 32)
+    g = TorusGrid(3, 32)
     t0 = shifted_cosine_seed(g, u_amp=0.5, flux_shift=512.0)
     with pytest.raises(BudgetExhausted):
         run_iteration(t0, eps=1e-12, K=1, mode="W1R", p=1.5, r=1.1,
@@ -477,7 +474,7 @@ def test_iteration_strict_raises_on_exhaustion():
 
 
 def test_iteration_mode_window_validation():
-    g = make_grid(3, 32)
+    g = TorusGrid(3, 32)
     t0 = shifted_cosine_seed(g, u_amp=0.5, flux_shift=2048.0)
     with pytest.raises(ValueError):
         run_iteration(t0, eps=1.0, K=1, mode="H1", p=1.1)

@@ -21,16 +21,15 @@ from mikado_forge.driftdiff import (
 )
 from mikado_forge.driftdiff import _bump_normalisation, _shift, mollifier_moment_matrix
 from mikado_forge.torus import (
-    MollifierSpec,
     _bump,
     ScalarField,
+    TorusGrid,
     VectorField,
     divergence,
     gradient,
     _lp_of_values,
     grad_magnitude,
     leray_project,
-    make_grid,
     norm,
     random_scalar,
     random_solenoidal,
@@ -42,7 +41,7 @@ CFG = SolveConfig(tol=1e-10)
 
 @pytest.fixture(scope="module")
 def grid3():
-    return make_grid(3, 32)
+    return TorusGrid(3, 32)
 
 
 def test_poisson_single_mode(grid3):
@@ -264,24 +263,23 @@ def test_uniqueness_probe_two_schedules(grid3):
 
 
 def test_commutator_constant_drift_vanishes():
-    g = make_grid(2, 64)
+    g = TorusGrid(2, 64)
     rng = np.random.default_rng(16)
     u = random_scalar(g, 3, rng)
     v = random_scalar(g, 3, rng)
     b = VectorField.from_components(
         (ScalarField.constant(g, 1.0), ScalarField.constant(g, 2.0)))
-    table = commutator_check(b, u, v, MollifierSpec(epsilon=1 / 8), [1 / 8, 1 / 16])
+    table = commutator_check(b, u, v, [1 / 8, 1 / 16])
     assert max(table["magnitude"]) <= 1e-13
 
 
 def test_commutator_smooth_drift_decays():
-    g = make_grid(2, 64)
+    g = TorusGrid(2, 64)
     rng = np.random.default_rng(17)
     b = random_solenoidal(g, 3, rng)
     u = random_scalar(g, 3, rng)
     v = random_scalar(g, 3, rng)
-    table = commutator_check(b, u, v, MollifierSpec(epsilon=1 / 8),
-                             [1 / 8, 1 / 16, 1 / 32, 1 / 64])
+    table = commutator_check(b, u, v, [1 / 8, 1 / 16, 1 / 32, 1 / 64])
     assert table["fitted_rate"] >= 1.0
     assert table["decayed"]
     assert table["monotone_trend"]
@@ -317,7 +315,7 @@ def test_shift_treats_every_axis_alike():
     # white noise carries every Nyquist mode; transposing the field and the
     # shift must transpose the shifted values, whichever axis the half
     # spectrum cuts
-    g = make_grid(2, 16)
+    g = TorusGrid(2, 16)
     v = np.random.default_rng(11).standard_normal(g.shape)
     s = np.array([0.013, -0.027])
     a = _shift(ScalarField(g, v).coeffs, g, s)
@@ -342,7 +340,7 @@ def test_split_solver_converges_within_200_matvecs_at_drift_scale_30(grid3):
 def test_unreachable_tolerance_stops_on_stagnation():
     # the `solve` experiment's reproducer: d = 2, N = 16, one case,
     # tol = 1e-18, below what double precision reaches
-    grid = make_grid(2, 16)
+    grid = TorusGrid(2, 16)
     rng = np.random.default_rng(0)
     b = random_solenoidal(grid, 3, rng) * 2.0
     ustar = random_scalar(grid, 3, rng)

@@ -27,7 +27,6 @@ from mikado_forge.torus import (
     VectorField,
     _mode_norm,
     grad_magnitude,
-    make_grid,
     norm,
     relative_divergence,
 )
@@ -35,7 +34,7 @@ from mikado_forge.torus import (
 
 @pytest.fixture(scope="module")
 def family64():
-    return build_family(3, 1.5, 8.0, make_grid(3, 64))
+    return build_family(3, 1.5, 8.0, TorusGrid(3, 64))
 
 
 def test_family_identities(family64):
@@ -59,7 +58,7 @@ def test_product_integral_is_basis_vector(family64):
 
 
 def test_build_preconditions():
-    g = make_grid(3, 64)
+    g = TorusGrid(3, 64)
     with pytest.raises(ValueError):
         build_family(3, 1.5, 5.0, g)          # mu <= 2d
     with pytest.raises(ValueError):
@@ -67,7 +66,7 @@ def test_build_preconditions():
     with pytest.raises(ValueError):
         build_family(3, 1.0, 8.0, g)          # p must exceed 1
     with pytest.raises(ValueError):
-        build_family(2, 1.5, 8.0, make_grid(2, 64))  # crossing tubes in d = 2
+        build_family(2, 1.5, 8.0, TorusGrid(2, 64))  # crossing tubes in d = 2
     with pytest.raises(ValueError):
         build_family(3, 1.5, 8.0, g, resolution_factor=1.0)
 
@@ -83,7 +82,7 @@ def test_tampered_family_detected(family64):
 
 
 def test_product_l1_mu_independent():
-    g = make_grid(3, 64)
+    g = TorusGrid(3, 64)
     sums = []
     for mu in (8.0, 16.0, 32.0):
         fam = build_family(3, 1.5, mu, g, resolution_factor=2.0)
@@ -249,7 +248,7 @@ def _family_params(draw):
 def test_verify_family_agrees_with_full_grid(params):
     d, n, p, mu = params
     try:
-        fam = build_family(d, p, mu, make_grid(d, n), resolution_factor=2.0)
+        fam = build_family(d, p, mu, TorusGrid(d, n), resolution_factor=2.0)
     except ValueError:
         assume(False)
     _assert_agrees_with_full_grid(fam)
@@ -258,7 +257,7 @@ def test_verify_family_agrees_with_full_grid(params):
 def test_verify_family_agrees_with_full_grid_d5():
     # the smallest d = 5 family that builds
     _assert_agrees_with_full_grid(
-        build_family(5, 1.3, 12.0, make_grid(5, 24), resolution_factor=2.0))
+        build_family(5, 1.3, 12.0, TorusGrid(5, 24), resolution_factor=2.0))
 
 
 def _noisy_density(fam):

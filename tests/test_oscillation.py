@@ -7,23 +7,24 @@ import pytest
 from mikado_forge.oscillation import (
     OscillationReport,
     antidivergence,
+    antidivergence_sweep,
     improved_holder_check,
     riemann_lebesgue_check,
 )
 from mikado_forge.ratefit import fit_loglog
 from mikado_forge.torus import (
     ScalarField,
+    TorusGrid,
     dilate,
     divergence,
     lowpass,
-    make_grid,
     norm,
     random_scalar,
 )
 
 
 def test_antidivergence_single_mode():
-    g = make_grid(3, 32)
+    g = TorusGrid(3, 32)
     h = ScalarField.from_function(g, lambda x, y, z: np.sin(2 * np.pi * x))
     u = antidivergence(h)
     exact = ScalarField.from_function(
@@ -36,7 +37,7 @@ def test_antidivergence_single_mode():
 
 
 def test_antidivergence_right_inverse():
-    g = make_grid(3, 32)
+    g = TorusGrid(3, 32)
     rng = np.random.default_rng(0)
     for _ in range(5):
         h = random_scalar(g, 5, rng)
@@ -44,13 +45,13 @@ def test_antidivergence_right_inverse():
 
 
 def test_antidivergence_rejects_nonzero_mean():
-    g = make_grid(2, 32)
+    g = TorusGrid(2, 32)
     with pytest.raises(ValueError):
         antidivergence(ScalarField.constant(g, 1.0))
 
 
 def test_antidivergence_dilation_scaling_exact():
-    g = make_grid(2, 256)
+    g = TorusGrid(2, 256)
     rng = np.random.default_rng(1)
     h = random_scalar(g, 3, rng)
     base = norm(antidivergence(h), p=2)
@@ -60,7 +61,7 @@ def test_antidivergence_dilation_scaling_exact():
 
 
 def test_antidivergence_oscillation_gain_rate():
-    g = make_grid(2, 256)
+    g = TorusGrid(2, 256)
     rng = np.random.default_rng(2)
     f = 1.0 + 0.5 * random_scalar(g, 2, rng)
     gg = random_scalar(g, 3, rng)
@@ -72,10 +73,12 @@ def test_antidivergence_oscillation_gain_rate():
         mags.append(norm(antidivergence(h), p=2))
     slope = fit_loglog(lams, mags)
     assert abs(slope + 1.0) <= 0.15
+    # the sweep the CLI and criterion 3 run is this loop
+    assert antidivergence_sweep(f, gg, lams) == (mags, slope)
 
 
 def test_improved_holder_trivial_cases():
-    g = make_grid(2, 128)
+    g = TorusGrid(2, 128)
     rng = np.random.default_rng(3)
     gg = random_scalar(g, 3, rng)
     const = ScalarField.constant(g, 1.7)
@@ -90,7 +93,7 @@ def test_improved_holder_trivial_cases():
 
 
 def test_improved_holder_bound_and_rate():
-    g = make_grid(2, 256)
+    g = TorusGrid(2, 256)
     rng = np.random.default_rng(4)
     base = random_scalar(g, 2, rng)
     # composed field with a genuine spectral tail, band-limited by truncation
@@ -107,7 +110,7 @@ def test_improved_holder_bound_and_rate():
 def test_improved_holder_spec_example_is_degenerate():
     # f depending only on x1 paired with g(x2): norms factor exactly at
     # every dilation, so the residual vanishes identically
-    g = make_grid(2, 128)
+    g = TorusGrid(2, 128)
     f = ScalarField.from_function(g, lambda x, y: 1 + 0.5 * np.sin(2 * np.pi * x))
     gg = ScalarField.from_function(g, lambda x, y: np.sin(2 * np.pi * y))
     rep = improved_holder_check(f, gg, [4, 8, 16, 32], p=2.0)
@@ -116,7 +119,7 @@ def test_improved_holder_spec_example_is_degenerate():
 
 
 def test_riemann_lebesgue_bound_random_suite():
-    g = make_grid(2, 256)
+    g = TorusGrid(2, 256)
     rng = np.random.default_rng(5)
     for _ in range(20):
         f = 1.0 + 0.3 * random_scalar(g, 3, rng)
@@ -126,7 +129,7 @@ def test_riemann_lebesgue_bound_random_suite():
 
 
 def test_riemann_lebesgue_trivial_cases():
-    g = make_grid(2, 128)
+    g = TorusGrid(2, 128)
     rng = np.random.default_rng(6)
     gg = random_scalar(g, 3, rng)
     rep = riemann_lebesgue_check(ScalarField.constant(g, 2.0), gg, [2, 4, 8])
@@ -137,7 +140,7 @@ def test_riemann_lebesgue_trivial_cases():
 
 
 def test_riemann_lebesgue_band_limited_exponential_decay():
-    g = make_grid(2, 256)
+    g = TorusGrid(2, 256)
     es = ScalarField.from_function(g, lambda x, y: np.exp(np.sin(2 * np.pi * x)))
     es = lowpass(es, 8)
     sg = ScalarField.from_function(g, lambda x, y: np.sin(2 * np.pi * x))
@@ -148,7 +151,7 @@ def test_riemann_lebesgue_band_limited_exponential_decay():
 
 
 def test_riemann_lebesgue_rejects_nonzero_mean():
-    g = make_grid(2, 128)
+    g = TorusGrid(2, 128)
     rng = np.random.default_rng(7)
     f = random_scalar(g, 3, rng)
     with pytest.raises(ValueError):

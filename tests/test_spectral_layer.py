@@ -6,7 +6,9 @@ named `torus` kernels), and no other module keeps its own relative
 divergence or antidivergence.  Likewise an iterate
 triple is built in two places only: the seed and the step, and the Sobolev
 norms are put together in `torus` only: no call selects a norm by a
-`flavor` keyword, and only `torus` calls `hypot`."""
+`flavor` keyword, and only `torus` calls `hypot`.  And every name a module
+exports in `__all__` is used by the package or the benchmark, not by tests
+alone."""
 
 import ast
 from pathlib import Path
@@ -14,6 +16,7 @@ from pathlib import Path
 import mikado_forge
 
 PACKAGE_DIR = Path(mikado_forge.__file__).parent
+PERFBENCH_DIR = PACKAGE_DIR.parents[1] / "perfbench"
 SHADOWED = ("relative_divergence", "grad_of_invlap")
 COMPLEX_TRANSFORMS = ("fft", "ifft", "fftn", "ifftn", "_fftn", "_ifftn")
 
@@ -124,3 +127,60 @@ def test_sobolev_norms_are_put_together_in_torus_only():
     hypot = sorted({name for name, node in calls
                     if getattr(node.func, "attr", getattr(node.func, "id", None)) == "hypot"})
     assert hypot == ["torus.py"]
+
+
+def _unreferenced_exports(modules, others) -> set:
+    """(module, name) of every `__all__` entry that no Name or Attribute
+    node refers to, in modules and others, outside the name's own
+    definition; imports and `__all__` entries are no such nodes."""
+    exports = {
+        (name, elt.value)
+        for name, tree in modules
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+        for elt in node.value.elts
+    }
+
+    def refs(node, skip: str | None):
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and node.name == skip):
+            return
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        for child in ast.iter_child_nodes(node):
+            yield from refs(child, skip)
+
+    trees = modules + others
+    return {
+        (module, name) for module, name in exports
+        if not any(ref == name for tree_name, tree in trees
+                   for ref in refs(tree, name if tree_name == module else None))
+    }
+
+
+def _perfbench_modules():
+    paths = sorted(PERFBENCH_DIR.rglob("*.py"))
+    assert any(p.name == "workloads.py" for p in paths)
+    return [(str(p.relative_to(PERFBENCH_DIR)), ast.parse(p.read_text(encoding="utf-8")))
+            for p in paths]
+
+
+def test_every_export_is_used_outside_the_tests():
+    assert _unreferenced_exports(_modules(), _perfbench_modules()) == set()
+
+
+def test_an_export_only_tests_use_is_caught():
+    # a re-added alias that no module calls, and a recursive operator whose
+    # only caller is itself
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE_DIR.glob("*.py"))}
+    sources["torus.py"] = sources["torus.py"].replace(
+        '__all__ = [', '__all__ = [\n    "make_grid",\n    "laplacian",') + (
+        "\n\ndef make_grid(d, n):\n    return TorusGrid(dim=int(d), n=int(n))\n"
+        "\n\ndef laplacian(f):\n    if isinstance(f, VectorField):\n"
+        "        return [laplacian(c) for c in f.components]\n    return f\n")
+    patched = [(name, ast.parse(src)) for name, src in sources.items()]
+    assert _unreferenced_exports(patched, _perfbench_modules()) == {
+        ("torus.py", "make_grid"), ("torus.py", "laplacian")}

@@ -8,6 +8,7 @@ from mikado_forge.driftdiff import SolveConfig, _split_symbol, _split_system, so
 from mikado_forge.oscillation import antidivergence
 from mikado_forge.torus import (
     ScalarField,
+    TorusGrid,
     VectorField,
     _antidivergence_values,
     _irfftn,
@@ -21,7 +22,6 @@ from mikado_forge.torus import (
     divergence,
     gradient,
     grad_magnitude,
-    make_grid,
     norm,
     random_scalar,
     random_solenoidal,
@@ -38,7 +38,7 @@ def band_limited(draw):
     n = draw(st.sampled_from([8, 16]))
     bmax = draw(st.integers(1, n // 2 - 1))
     seed = draw(st.integers(0, 2 ** 32 - 1))
-    return make_grid(d, n), bmax, np.random.default_rng(seed)
+    return TorusGrid(d, n), bmax, np.random.default_rng(seed)
 
 
 def _reference_relative_divergence(v: VectorField) -> float:

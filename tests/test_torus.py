@@ -1,5 +1,5 @@
-"""Spectral-calculus tests: grids, derivatives, norms, dilation,
-mollification, Leray projection, serialization."""
+"""Spectral-calculus tests: grids, derivatives, norms, dilation, low-pass
+filter, Leray projection, serialization."""
 
 import hashlib
 import tracemalloc
@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from mikado_forge.torus import (
-    MollifierSpec,
     ScalarField,
     TorusGrid,
     VectorField,
@@ -16,15 +15,10 @@ from mikado_forge.torus import (
     _parseval_sum,
     bandwidth,
     dilate,
-    divergence,
     grad_magnitude,
     gradient,
-    inv_laplacian,
-    laplacian,
     leray_project,
     lowpass,
-    make_grid,
-    mollify,
     norm,
     random_scalar,
     random_solenoidal,
@@ -35,34 +29,34 @@ from mikado_forge.oscillation import _c1_norm
 
 
 def test_make_grid_definitions():
-    g = make_grid(3, 64)
+    g = TorusGrid(3, 64)
     assert g.n ** g.dim == 262144
     assert g.weight == 64.0 ** -3
     assert g.spacing == 1.0 / 64
-    g4 = make_grid(4, 32)
+    g4 = TorusGrid(4, 32)
     assert g4.n ** g4.dim == 1048576
 
 
 def test_make_grid_rejections():
     with pytest.raises(ValueError):
-        make_grid(2, 7)       # odd resolution
+        TorusGrid(2, 7)       # odd resolution
     with pytest.raises(ValueError):
-        make_grid(1, 16)      # dimension too small
+        TorusGrid(1, 16)      # dimension too small
     with pytest.raises(ValueError):
-        make_grid(2, 6)       # below minimum resolution
+        TorusGrid(2, 6)       # below minimum resolution
     with pytest.raises(ValueError):
-        make_grid(3, 4096)    # memory budget
+        TorusGrid(3, 4096)    # memory budget
 
 
 def test_unit_measure():
-    g = make_grid(2, 32)
+    g = TorusGrid(2, 32)
     one = ScalarField.constant(g, 1.0)
     for p in (1.0, 2.0, 3.0, np.inf):
         assert norm(one, p=p) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_gradient_single_mode():
-    g = make_grid(3, 32)
+    g = TorusGrid(3, 32)
     f = ScalarField.from_function(g, lambda x, y, z: np.sin(2 * np.pi * x))
     gf = gradient(f)
     exact = ScalarField.from_function(g, lambda x, y, z: 2 * np.pi * np.cos(2 * np.pi * x))
@@ -71,60 +65,16 @@ def test_gradient_single_mode():
     assert norm(gf[2], p=2) < 1e-14
 
 
-def test_div_grad_equals_laplacian():
-    g = make_grid(2, 64)
-    rng = np.random.default_rng(0)
-    f = random_scalar(g, 5, rng)
-    lhs = divergence(gradient(f))
-    rhs = laplacian(f)
-    assert norm(lhs - rhs, p=2) <= 1e-12 * norm(rhs, p=2)
-
-
 def test_mikado_field_is_solenoidal():
     from mikado_forge.mikado import build_family
-    g = make_grid(3, 32)
+    g = TorusGrid(3, 32)
     fam = build_family(3, 1.5, 7.0, g, resolution_factor=2.0)
     for j in range(3):
         assert relative_divergence(fam.fields[j]) <= 1e-10
 
 
-def test_inv_laplacian_single_mode():
-    g = make_grid(3, 32)
-    f = ScalarField.from_function(g, lambda x, y, z: np.sin(2 * np.pi * x))
-    u = inv_laplacian(f)
-    exact = ScalarField.from_function(
-        g, lambda x, y, z: -np.sin(2 * np.pi * x) / (4 * np.pi ** 2))
-    assert norm(u - exact, p=2) < 1e-14
-    z = inv_laplacian(ScalarField.zero(g))
-    assert norm(z, p=2) == 0.0
-
-
-def test_inv_laplacian_residual_oracle():
-    # independent oracle: apply the forward laplacian spectrally and compare
-    g = make_grid(3, 32)
-    rng = np.random.default_rng(1)
-    f = random_scalar(g, 5, rng)
-    u = inv_laplacian(f)
-    assert abs(u.mean) < 1e-13
-    assert norm(laplacian(u) - f, p=2) <= 1e-12 * norm(f, p=2)
-
-
-def test_inv_laplacian_rejects_nonzero_mean():
-    g = make_grid(2, 32)
-    with pytest.raises(ValueError):
-        inv_laplacian(ScalarField.constant(g, 1.0))
-
-
-def test_invlap_lap_identity_on_mean_zero():
-    g = make_grid(2, 64)
-    rng = np.random.default_rng(2)
-    f = random_scalar(g, 6, rng)
-    back = inv_laplacian(laplacian(f))
-    assert norm(back - f, p=2) <= 1e-11 * norm(f, p=2)
-
-
 def test_parseval_hundred_fields():
-    g = make_grid(2, 32)
+    g = TorusGrid(2, 32)
     rng = np.random.default_rng(3)
     # conjugate-pair weight of the half spectrum: the k_last = 0 and Nyquist
     # columns are their own partners, every other column stands for two
@@ -140,7 +90,7 @@ def test_parseval_hundred_fields():
 
 def test_coeffs_are_the_half_spectrum_and_from_coeffs_checks_the_shape():
     for d, n in [(2, 16), (3, 8), (4, 8)]:
-        g = make_grid(d, n)
+        g = TorusGrid(d, n)
         f = random_scalar(g, 3, np.random.default_rng(d))
         assert f.coeffs.shape == g.shape[:-1] + (n // 2 + 1,) == g.half_shape
         back = ScalarField.from_coeffs(g, f.coeffs)
@@ -155,7 +105,7 @@ def test_random_scalar_is_the_real_part_of_the_drawn_series():
     # reference: the drawn block placed on the full spectrum, and the real
     # part of its complex inverse transform
     for d, n, bmax in [(2, 16, 3), (3, 16, 7), (4, 8, 3)]:
-        g = make_grid(d, n)
+        g = TorusGrid(d, n)
         f = random_scalar(g, bmax, np.random.default_rng(7), mean_zero=False, unit_l2=False)
         rng = np.random.default_rng(7)
         size = (2 * bmax + 1,) * d
@@ -167,7 +117,7 @@ def test_random_scalar_is_the_real_part_of_the_drawn_series():
 
 
 def test_l2_norm_of_sine():
-    g = make_grid(2, 64)
+    g = TorusGrid(2, 64)
     f = ScalarField.from_function(g, lambda x, y: np.sin(2 * np.pi * x))
     assert norm(f, p=2) == pytest.approx(1 / np.sqrt(2), rel=1e-13)
 
@@ -175,7 +125,7 @@ def test_l2_norm_of_sine():
 def test_l1_norm_of_sine_against_refined_oracle():
     # 1-d quadrature oracle at 10x resolution, and the closed form 2/pi
     n = 256
-    g = make_grid(2, n)
+    g = TorusGrid(2, n)
     f = ScalarField.from_function(g, lambda x, y: np.sin(2 * np.pi * x))
     coarse = norm(f, p=1)
     xs = -0.5 + np.arange(10 * n) / (10 * n)
@@ -186,14 +136,14 @@ def test_l1_norm_of_sine_against_refined_oracle():
 
 
 def test_norm_rejects_p_below_one():
-    g = make_grid(2, 32)
+    g = TorusGrid(2, 32)
     f = ScalarField.constant(g, 1.0)
     with pytest.raises(ValueError):
         norm(f, p=0.5)
 
 
 def test_c_norm_requires_resolved_field():
-    g = make_grid(2, 32)
+    g = TorusGrid(2, 32)
     rng = np.random.default_rng(4)
     rough = ScalarField(g, rng.standard_normal(g.shape))
     with pytest.raises(ValueError):
@@ -203,7 +153,7 @@ def test_c_norm_requires_resolved_field():
 
 
 def test_w1p_additive_convention():
-    g = make_grid(2, 64)
+    g = TorusGrid(2, 64)
     rng = np.random.default_rng(5)
     f = random_scalar(g, 4, rng)
     assert _mode_norm("W1R", 1.5, f.values, grad_magnitude(f)) == pytest.approx(
@@ -219,7 +169,7 @@ def test_grad_magnitude_memory_in_fields():
     # values' slabs, and the accumulator (measured 3.25 at one and at two
     # workers); only the result outlives the call, and no coefficients are
     # cached on the input
-    g = make_grid(3, 64)
+    g = TorusGrid(3, 64)
     f = random_scalar(g, 5, np.random.default_rng(6))
     field = g.n ** g.dim * 8
     tracemalloc.start()
@@ -236,7 +186,7 @@ def test_grad_magnitude_memory_in_fields():
 
 
 def test_dilate_single_mode():
-    g = make_grid(2, 64)
+    g = TorusGrid(2, 64)
     f = ScalarField.from_function(g, lambda x, y: np.sin(2 * np.pi * x))
     d3 = dilate(f, 3)
     exact = ScalarField.from_function(g, lambda x, y: np.sin(6 * np.pi * x))
@@ -244,7 +194,7 @@ def test_dilate_single_mode():
 
 
 def test_dilate_spectral_support_map():
-    g = make_grid(2, 64)
+    g = TorusGrid(2, 64)
     f = ScalarField.from_function(g, lambda x, y: np.cos(2 * np.pi * (x + 2 * y)))
     d2 = dilate(f, 2)
     c = d2.coeffs
@@ -257,7 +207,7 @@ def test_dilate_spectral_support_map():
 
 
 def test_dilate_lp_isometry():
-    g = make_grid(2, 128)
+    g = TorusGrid(2, 128)
     rng = np.random.default_rng(6)
     f = random_scalar(g, 3, rng)
     # coprime factor: exact sample permutation, all norms preserved exactly
@@ -276,7 +226,7 @@ def test_dilate_lp_isometry():
 
 
 def test_dilate_aliasing_guard():
-    g = make_grid(2, 64)
+    g = TorusGrid(2, 64)
     rng = np.random.default_rng(7)
     f = random_scalar(g, 5, rng)
     with pytest.raises(ValueError):
@@ -284,51 +234,22 @@ def test_dilate_aliasing_guard():
 
 
 def test_bandwidth_and_lowpass():
-    g = make_grid(2, 64)
+    g = TorusGrid(2, 64)
     rng = np.random.default_rng(8)
     f = random_scalar(g, 9, rng)
     assert bandwidth(f) == 9
     assert bandwidth(lowpass(f, 4)) <= 4
 
 
-def test_mollify_constant_and_mean():
-    g = make_grid(3, 32)
-    m = MollifierSpec(epsilon=1 / 8)
-    c = ScalarField.constant(g, 2.5)
-    assert np.abs(mollify(c, m).values - 2.5).max() < 1e-12
-    rng = np.random.default_rng(9)
-    f = 1.0 + random_scalar(g, 4, rng)
-    assert abs(mollify(f, m).mean - f.mean) <= 1e-12
-
-
-def test_mollify_converges_with_radius():
-    g = make_grid(3, 32)
-    rng = np.random.default_rng(10)
-    f = random_scalar(g, 3, rng)
-    errs = [norm(mollify(f, MollifierSpec(epsilon=e)) - f, p=2)
-            for e in (1 / 8, 1 / 16, 1 / 32)]
-    assert errs[0] > errs[1] >= errs[2]
-
-
-def test_mollifier_spec_validation():
-    with pytest.raises(ValueError):
-        MollifierSpec(epsilon=0.3)
-    with pytest.raises(ValueError):
-        MollifierSpec(epsilon=0.0)
-    g = make_grid(2, 64)
-    kernel = MollifierSpec(epsilon=1 / 8).grid_kernel(g)
-    assert kernel.mean() == pytest.approx(1.0, abs=1e-14)
-
-
 def test_leray_annihilates_gradients():
-    g = make_grid(3, 32)
+    g = TorusGrid(3, 32)
     rng = numpy_rng = np.random.default_rng(11)
     phi = random_scalar(g, 4, numpy_rng)
     assert norm(leray_project(gradient(phi)), p=2) <= 1e-10 * norm(gradient(phi), p=2)
 
 
 def test_leray_idempotent_and_solenoidal():
-    g = make_grid(3, 32)
+    g = TorusGrid(3, 32)
     rng = np.random.default_rng(12)
     b = VectorField.from_components(
         [random_scalar(g, 4, rng, unit_l2=False) for _ in range(3)])
@@ -338,14 +259,14 @@ def test_leray_idempotent_and_solenoidal():
 
 
 def test_leray_fixes_solenoidal_fields():
-    g = make_grid(3, 32)
+    g = TorusGrid(3, 32)
     rng = np.random.default_rng(13)
     b = random_solenoidal(g, 4, rng)
     assert norm(leray_project(b) - b, p=2) <= 1e-12
 
 
 def test_field_serialization_roundtrip(tmp_path):
-    g = make_grid(2, 32)
+    g = TorusGrid(2, 32)
     rng = np.random.default_rng(14)
     f = random_scalar(g, 5, rng)
     h1 = fieldio.write_field(tmp_path / "f.bin", f)
@@ -364,7 +285,7 @@ def test_write_field_writes_field_bytes(tmp_path):
     # write_field streams each component from its array; the file and its
     # hash are field_bytes and its sha256, for a scalar, a vector and a
     # field whose values are a broadcast (stride-0) view
-    g = make_grid(3, 16)
+    g = TorusGrid(3, 16)
     rng = np.random.default_rng(15)
     fields = {
         "scalar": random_scalar(g, 5, rng),
