@@ -27,10 +27,10 @@ from .torus import (
     TorusGrid,
     VectorField,
     _bump,
+    _fft_of,
     _irfftn,
     _lp_of_values,
     _mode_norm,
-    _rfftn,
     _split_symbol,
     grad_magnitude,
     gradient,
@@ -61,11 +61,13 @@ __all__ = [
 ]
 
 
+_RESTART = 40   # GMRES restart length
+
+
 @dataclass(frozen=True)
 class SolveConfig:
     tol: float = 1e-10
-    max_iter: int = 400     # total budget of max_iter * restart matvecs over all rounds
-    restart: int = 40
+    max_matvecs: int = 16000    # total budget over all rounds and residual checks
 
     def __post_init__(self) -> None:
         if self.tol <= 0:
@@ -74,9 +76,8 @@ class SolveConfig:
 
 class NonConvergence(RuntimeError):
     def __init__(self, achieved: float, matvecs: int, cfg: SolveConfig, limit: str):
-        super().__init__(f"no convergence: {limit} after {matvecs} matvecs (budget max_iter = "
-                         f"{cfg.max_iter} restart cycles of {cfg.restart} matvecs); "
-                         f"achieved relative residual {achieved:.3e}")
+        super().__init__(f"no convergence: {limit} after {matvecs} matvecs (budget "
+                         f"{cfg.max_matvecs} matvecs); achieved relative residual {achieved:.3e}")
         self.achieved, self.matvecs = achieved, matvecs
 
 
@@ -117,16 +118,16 @@ def _split_system(b: VectorField, grid: TorusGrid):
     bvals = [c.values for c in b.components]
 
     def drift_hat(u: np.ndarray) -> np.ndarray:  # real transform of -div(b u)
-        return sum(d_j * _rfftn(b_j * u) for d_j, b_j in zip(minus_d, bvals))
+        return sum(d_j * _fft_of(b_j * u) for d_j, b_j in zip(minus_d, bvals))
 
     def apply_a(u: np.ndarray) -> np.ndarray:
-        return _irfftn(lap * _rfftn(u) + drift_hat(u), grid.shape)
+        return _irfftn(lap * _fft_of(u) + drift_hat(u), grid.shape)
 
     def apply_p(r: np.ndarray) -> np.ndarray:
-        return _irfftn(p * _rfftn(r), grid.shape)
+        return _irfftn(p * _fft_of(r), grid.shape)
 
     def apply_b(y: np.ndarray) -> np.ndarray:
-        yh = _rfftn(y.reshape(grid.shape))
+        yh = _fft_of(y.reshape(grid.shape))
         u = _irfftn(p * yh, grid.shape)
         return _irfftn(keep * yh + p * drift_hat(u), grid.shape).ravel()
 
@@ -141,7 +142,7 @@ def solve(b: VectorField, f: ScalarField, cfg: SolveConfig = SolveConfig()) -> S
     to P r, adds P y to u and computes achieved = ||A u - f|| / ||f||; u is
     accepted only once that is <= cfg.tol.  A round that fails to halve it
     raises NonConvergence at once, as does a spent budget: all rounds and
-    their residual checks share max_iter * restart matvecs.
+    their residual checks share cfg.max_matvecs matvecs.
 
     Preconditions: f mean-zero (torus solvability), b divergence-free at
     grid scale, both bounded (finite grid values).
@@ -156,7 +157,7 @@ def solve(b: VectorField, f: ScalarField, cfg: SolveConfig = SolveConfig()) -> S
     if rd > 1e-8:
         raise ValueError(f"drift is not divergence-free at grid scale ({rd:.3e})")
     apply_a, apply_p, apply_b = _split_system(b, grid)
-    matvecs, budget, achieved, u, r = 0, cfg.max_iter * cfg.restart, 1.0, 0.0, f.values
+    matvecs, achieved, u, r = 0, 1.0, 0.0, f.values
 
     def counted_b(y: np.ndarray) -> np.ndarray:
         nonlocal matvecs
@@ -166,10 +167,10 @@ def solve(b: VectorField, f: ScalarField, cfg: SolveConfig = SolveConfig()) -> S
     B = LinearOperator((r.size, r.size), matvec=counted_b, dtype=np.float64)
     while True:
         # a GMRES(restart) cycle costs restart + 1 matvecs, the true residual 1
-        left = budget - matvecs
+        left = cfg.max_matvecs - matvecs
         if left < 3:
             raise NonConvergence(achieved, matvecs, cfg, "the matvec budget is spent")
-        restart = min(cfg.restart, left - 2)
+        restart = min(_RESTART, left - 2)
         # the split residual stands in for the true one: aim at half the
         # tolerance, and at a tenfold cut at least in a correction round
         y, _ = gmres(B, apply_p(r).ravel(), rtol=max(min(0.1, 0.5 * cfg.tol / achieved), 1e-13),
@@ -444,7 +445,7 @@ def _shift(field_coeffs: np.ndarray, grid: TorusGrid, s: np.ndarray) -> np.ndarr
         e = np.exp(-2j * np.pi * grid.axis_k(ax) * s[ax])
         e.flat[grid.n // 2] = e.flat[grid.n // 2].real
         phase = phase * e
-    return _irfftn(field_coeffs * phase, grid.shape) * (grid.n ** grid.dim)
+    return _irfftn(field_coeffs * phase, grid.shape)
 
 
 def commutator_check(

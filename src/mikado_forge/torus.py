@@ -12,12 +12,12 @@ last axis keeps its frequencies 0..n/2.  A column 0 < k_last < n/2 stands
 for itself and its conjugate partner (see `_parseval_sum`).
 
 This module is the package's only spectral layer.  It owns every
-transform (the real-transform helpers `_rfftn` / `_irfftn`, capped by the
+transform (the forward `_fft_of` and the inverse `_irfftn`, capped by the
 one worker setting `set_fft_workers`), every wavenumber symbol (the
 `TorusGrid` frequency arrays, all in the half layout), and the
-array-level kernels the other modules build on: coefficients without
-caching (`_fft_of`), derivative, gradient, gradient magnitude, divergence
-and antidivergence on coefficient and value arrays, the de-aliased
+array-level kernels the other modules build on: derivative, gradient,
+gradient magnitude, divergence and antidivergence on coefficient and
+value arrays, the de-aliased
 product part of a divergence (`_dealiased_product_divergence`), the
 Parseval sum, the Lp quadrature of value arrays, the one Sobolev-norm
 combinator `_mode_norm` (W^{1,r} or H1 from values and `grad_magnitude`),
@@ -25,23 +25,26 @@ and the C-infinity bump.  The kernels work in place on the arrays they
 allocate.  The field-level operators below are thin wrappers over those
 kernels; `norm` is the Lp norm.
 
-Transforms.  Below the pool gate each transform is one scipy call.  From
+Transforms.  The one normalisation is the coefficient convention above:
+the forward transform carries the 1/N (N the number of grid points), the
+inverse is the plain sum, so the two kernels equal
+`scipy.fft.rfftn(x, norm="forward")` and `irfftn(c, s, norm="forward")`
+bit for bit.  Below the pool gate each is that one scipy call.  From
 the gate up, the two transform kernels run as two passes over slabs,
 each a run of independent 1-d transforms along the axes a slab holds
-whole, in pocketfft's axis order, so that they equal `scipy.fft.rfftn`
-and `irfftn` bit for bit.  The inverse kernel `_irfftn` consumes its
-input: pass A, over axis-1 slabs, fills each slab (the derivative symbol
-of `_partial_values`, the factor N of `from_coeffs`) and runs the axis-0
-complex stage in the input's own buffer; pass B, over axis-0 slabs, runs
-the other leading axes, the last-axis real inverse, the scaling, and a
+whole, in pocketfft's axis order.  The inverse kernel `_irfftn` consumes
+its input: pass A, over axis-1 slabs, fills each slab (the derivative
+symbol of `_partial_values`, the copy of `from_coeffs`) and runs the
+axis-0 complex stage in the input's own buffer; pass B, over axis-0
+slabs, runs the other leading axes, the last-axis real inverse, and a
 consumer that takes the slab's values (the gradient-magnitude sum, the
 Nash step's flux parts and corrector), so those values are never formed
 whole.  The forward kernel `_fft_of`: pass A, over axis-1 slabs, runs the
-last-axis real transform and the axis-0 stage into the spectrum; pass B,
-over axis-0 slabs, the remaining axes, the division by N, and optionally
-acc += ik c, which accumulates a divergence without forming any
-derivative's coefficients.  Callers of `_irfftn` pass a temporary, never
-a cached `coeffs` array.  Complex transforms appear only as the
+last-axis real transform, its scaling by 1/N and the axis-0 stage into
+the spectrum; pass B, over axis-0 slabs, the remaining axes and
+optionally acc += ik c, which accumulates a divergence without forming
+any derivative's coefficients.  Callers of `_irfftn` pass a temporary,
+never a cached `coeffs` array.  Complex transforms appear only as the
 leading-axis stages of a real transform, in these two kernels and in
 `_dealiased_product_divergence`; no full complex spectrum is formed.
 
@@ -55,13 +58,13 @@ loops of the two transform kernels, the Parseval sum and the de-aliased
 product run there through `_slab_map`.  A transform slab covers a quarter
 of `_TASK_ELEMS`, so that a task's transform output and its consumer's
 buffers stay near one task's size; the transforms inside a slab run with
-one worker.  The transforms of `_rfftn` and `axis_derivative_norm` get
-`workers` > 1 instead.  Smaller arrays, every 32^3 field among them, run
-on the calling thread as one call.  Every result is bit for bit the same
-for any worker count: the kernels are pointwise, each 1-d transform is
-the same whatever slab holds it, the slab loops add their slab results
-in slab order, and reductions over a whole array (`np.mean`, `.sum`) stay
-one numpy call on the calling thread.
+one worker.  The transforms of `axis_derivative_norm` and the product's
+leading stages get `workers` > 1 instead.  Smaller arrays, every 32^3
+field among them, run on the calling thread as one call.  Every result
+is bit for bit the same for any worker count: the kernels are pointwise,
+each 1-d transform is the same whatever slab holds it, the slab loops
+add their slab results in slab order, and reductions over a whole array
+(`np.mean`, `.sum`) stay one numpy call on the calling thread.
 
 All operations are pure: fields are immutable after construction.
 """
@@ -210,10 +213,11 @@ def _part(a: np.ndarray, idx: tuple) -> np.ndarray:
 
 def _slabs(fn: Callable[[tuple], None], shape: Sequence[int], axis: int, size: int) -> None:
     """fn(idx) for every slab along one axis of an array of this shape,
-    idx selecting the slab, on the pool (`_slab_map`).  A slab covers about
+    idx selecting the slab, on the pool (`_slab_map`): the slab rule of the
+    two transform kernels and the de-aliased product.  A slab covers about
     a quarter of _TASK_ELEMS of the transform's size real elements, so that
     its transform output and the consumer's buffers together stay near one
-    task's size, as in the de-aliased product."""
+    task's size."""
     n = shape[axis]
     head = (slice(None),) * axis
     _slab_map(lambda s: fn(head + (s,)), n, max(1, _TASK_ELEMS * n // (4 * size)), size)
@@ -226,45 +230,35 @@ def _into(view: np.ndarray, out: np.ndarray) -> None:
         view[...] = out
 
 
-def _rfftn(a: np.ndarray) -> np.ndarray:
-    return sfft.rfftn(a, workers=_workers(a.size))
-
-
-def _inverse_scale(size: int) -> float:
-    # pocketfft's own inverse normalisation: 1/size rounded from long double
-    return float(1 / np.longdouble(size))
-
-
 def _irfftn(a: np.ndarray, s: Sequence[int],
-            fill: Callable[[tuple], None] | None = None, factor: float | None = None,
+            fill: Callable[[tuple], None] | None = None,
             consume: Callable[[slice, np.ndarray], None] | None = None) -> np.ndarray | None:
-    """Real values of shape s from the complex half spectrum a, bit for bit
-    `scipy.fft.irfftn(a, s)`, times factor if given.  Consumes a: every
-    caller passes a temporary.  fill(idx), if given, first writes the part
-    a[idx] of each slab (a may then come uninitialised).  Returns the
-    values, or hands them to consume(rows, values) one axis-0 slab at a
-    time and returns None.
+    """Real values of shape s from the complex half spectrum a, the plain
+    sum f(x) = sum_k a_k exp(2 pi i k.x): bit for bit
+    `scipy.fft.irfftn(a, s, norm="forward")`.  Consumes a: every caller
+    passes a temporary.  fill(idx), if given, first writes the part a[idx]
+    of each slab (a may then come uninitialised).  Returns the values, or
+    hands them to consume(rows, values) one axis-0 slab at a time and
+    returns None.
 
     Below the pool gate that is one scipy call (consume gets rows =
     slice(None)).  Above it, two passes over slabs on the pool, in
     pocketfft's axis order 0, 1, ..., last.  Pass A, over axis-1 slabs:
     fill, then the axis-0 complex stage in a's own buffer.  Pass B, over
     axis-0 slabs: the remaining leading axes in place, the last-axis real
-    inverse (a slab-sized output), the scaling, factor, and consume.  So no
-    full-grid temporary beyond a and the values is formed, and none at all
-    when consume takes the values."""
+    inverse (a slab-sized output), and consume.  So no full-grid temporary
+    beyond a and the values is formed, and none at all when consume takes
+    the values."""
     size = math.prod(s)
     if size < _POOL_GATE:
         if fill is not None:
             fill((slice(None),))
-        v = sfft.irfftn(a, s=tuple(s), overwrite_x=True, workers=1)
-        if factor is not None:
-            v *= factor
+        v = sfft.irfftn(a, s=tuple(s), norm="forward", overwrite_x=True, workers=1)
         if consume is None:
             return v
         consume(slice(None), v)
         return None
-    d, scale = len(s), _inverse_scale(size)
+    d = len(s)
     out = np.empty(s) if consume is None else None
 
     def leading(idx: tuple) -> None:
@@ -278,12 +272,10 @@ def _irfftn(a: np.ndarray, s: Sequence[int],
         for ax in range(1, d - 1):
             _into(v, sfft.ifft(v, axis=ax, norm="forward", overwrite_x=True, workers=1))
         r = sfft.irfft(v, n=s[-1], axis=-1, norm="forward", workers=1)
-        dst = r if out is None else out[idx]
-        np.multiply(r, scale, out=dst)
-        if factor is not None:
-            dst *= factor
-        if consume is not None:
-            consume(idx[0], dst)
+        if consume is None:
+            out[idx] = r
+        else:
+            consume(idx[0], r)
 
     _slabs(leading, a.shape, 1, size)
     _slabs(trailing, a.shape, 0, size)
@@ -418,12 +410,12 @@ class ScalarField:
             # irfftn would crop or pad any other shape without complaint
             raise ValueError(f"coefficient shape {coeffs.shape} is not the half-spectrum "
                              f"shape {grid.half_shape}")
-        scaled = np.empty(coeffs.shape, dtype=np.complex128)
+        buf = np.empty(coeffs.shape, dtype=np.complex128)
 
         def fill(idx: tuple) -> None:
-            np.multiply(coeffs[idx], grid.n ** grid.dim, out=scaled[idx])
+            buf[idx] = coeffs[idx]
 
-        f = cls(grid=grid, values=_irfftn(scaled, grid.shape, fill=fill))
+        f = cls(grid=grid, values=_irfftn(buf, grid.shape, fill=fill))
         # fills the `coeffs` cache, which a cached_property keeps in __dict__
         object.__setattr__(f, "coeffs", np.ascontiguousarray(coeffs))
         return f
@@ -545,16 +537,17 @@ def _fft_of(x: ScalarField | np.ndarray, acc: np.ndarray | None = None,
             ik: np.ndarray | None = None) -> np.ndarray:
     """Normalised coefficients of a field, as `.coeffs` gives them but
     without filling its cache (keeps the large-grid paths from retaining
-    duplicate spectral arrays), or of a value array.  With acc and a
-    derivative symbol ik (`_ik`), also acc += ik c: the coefficients of
-    that derivative are added to acc, slab by slab, and never formed whole.
+    duplicate spectral arrays), or of a value array: bit for bit
+    `scipy.fft.rfftn(x, norm="forward")`.  With acc and a derivative
+    symbol ik (`_ik`), also acc += ik c: the coefficients of that
+    derivative are added to acc, slab by slab, and never formed whole.
 
     Below the pool gate that is one scipy call.  Above it, two passes over
     slabs on the pool, in pocketfft's axis order last, 0, 1, ...  Pass A,
-    over axis-1 slabs: the last-axis real transform, then the axis-0 stage
-    (for d = 2 it runs over axis-0 slabs, and the axis-0 stage moves to
-    pass B).  Pass B, over axis-0 slabs (axis-1 for d = 2): the remaining
-    axes in place, the division by N and the accumulation."""
+    over axis-1 slabs: the last-axis real transform and the scaling by 1/N,
+    then the axis-0 stage (for d = 2 it runs over axis-0 slabs, and the
+    axis-0 stage moves to pass B).  Pass B, over axis-0 slabs (axis-1 for
+    d = 2): the remaining axes in place and the accumulation."""
     if isinstance(x, ScalarField):
         c = x.__dict__.get("coeffs")
         if c is not None:
@@ -564,16 +557,19 @@ def _fft_of(x: ScalarField | np.ndarray, acc: np.ndarray | None = None,
         x = x.values
     size, d = x.size, x.ndim
     if size < _POOL_GATE:
-        c = sfft.rfftn(x, workers=1)
-        c /= size
+        c = sfft.rfftn(x, norm="forward", workers=1)
         if acc is not None:
             _add_product(acc, ik, c)
         return c
     c = np.empty(x.shape[:-1] + (x.shape[-1] // 2 + 1,), dtype=np.complex128)
     first, rest = (1, range(1, d - 1)) if d > 2 else (0, (0,))
+    scale = float(1 / np.longdouble(size))    # pocketfft's 1/N, rounded from long double
 
     def leading(idx: tuple) -> None:
         t = sfft.rfft(x[idx], axis=-1, workers=1)
+        # per real component, as pocketfft scales its first stage: a
+        # complex product would turn a -0 component into +0
+        t.view(np.float64)[...] *= scale
         if d > 2:
             t = sfft.fft(t, axis=0, overwrite_x=True, workers=1)
         c[idx] = t
@@ -582,7 +578,6 @@ def _fft_of(x: ScalarField | np.ndarray, acc: np.ndarray | None = None,
         v = c[idx]
         for ax in rest:
             _into(v, sfft.fft(v, axis=ax, overwrite_x=True, workers=1))
-        v /= size
         if acc is not None:
             _add_product(acc[idx], _part(ik, idx), v)
 
@@ -636,7 +631,7 @@ def _partial_values(grid: TorusGrid, coeffs: np.ndarray, axis: int,
     def fill(idx: tuple) -> None:
         np.multiply(_part(ik, idx), coeffs[idx], out=buf[idx])
 
-    return _irfftn(buf, grid.shape, fill=fill, factor=grid.n ** grid.dim, consume=consume)
+    return _irfftn(buf, grid.shape, fill=fill, consume=consume)
 
 
 def _grad_values(grid: TorusGrid, coeffs: np.ndarray) -> list[np.ndarray]:
@@ -701,7 +696,7 @@ def _dealiased_product_divergence(grid: TorusGrid, b_coeffs: Iterable[np.ndarray
     order and is drawn one component at a time; u_coeffs is not modified.
 
     Only the band is transformed (a pruned transform).  Each input's band,
-    scaled as a padded spectrum, goes through the inverse transforms of the
+    placed in a padded spectrum, goes through the inverse transforms of the
     leading axes in their order, skipping the columns whose later axes are
     still zero; its last axis keeps only the band columns.  The last-axis
     transforms and the product run slab by slab along axis 0, and each
@@ -712,19 +707,11 @@ def _dealiased_product_divergence(grid: TorusGrid, b_coeffs: Iterable[np.ndarray
     n, d = grid.n, grid.dim
     m = (3 * n) // 2
     npts_m = m ** d
-    scale = _inverse_scale(npts_m)
     kcap = n // 2 - 1
     # each leading axis' band: its two runs of frequencies on both grids
     runs_n = (slice(0, kcap + 1), slice(n - kcap, n))
     runs_m = (slice(0, kcap + 1), slice(m - kcap, m))
     lead = (m,) * (d - 1) + (kcap + 1,)
-    # rows per slab: at most _SLAB slabs along axis 0, or on the pool
-    # slabs whose three transform outputs stay near one task's size, so
-    # the workers' temporaries stay small; each row's transforms are the
-    # same whatever the slab
-    step = -(-m // _SLAB)
-    if _pooled(npts_m):
-        step = max(1, _TASK_ELEMS // (4 * m ** (d - 1)))
 
     def blocks(k: int):
         # the 2^k combinations of band runs over the first k axes
@@ -741,24 +728,23 @@ def _dealiased_product_divergence(grid: TorusGrid, b_coeffs: Iterable[np.ndarray
     def leading_values(c: np.ndarray, buf: np.ndarray) -> np.ndarray:
         buf[...] = 0.0
         for blk in blocks(d - 1):
-            np.multiply(c[tuple(runs_n[i] for i in blk) + (slice(0, kcap + 1),)], npts_m,
-                        out=buf[tuple(runs_m[i] for i in blk)])
+            band = tuple(runs_n[i] for i in blk) + (slice(0, kcap + 1),)
+            buf[tuple(runs_m[i] for i in blk)] = c[band]
         for ax in range(d - 1):
             for blk in blocks(d - 2 - ax):
                 transform(buf[(slice(None),) * (ax + 1) + tuple(runs_m[i] for i in blk)],
                           ax, inverse=True)
         return buf
 
-    def product(rows: slice) -> None:
-        # the last-axis transforms and the product of one slab; its band
-        # columns go back into the drift's buffer
-        bu = sfft.irfft(buf[rows], n=m, axis=-1, norm="forward", workers=1)
-        bu *= scale
-        uv = sfft.irfft(u_lead[rows], n=m, axis=-1, norm="forward", workers=1)
-        uv *= scale
+    def product(idx: tuple) -> None:
+        # the last-axis transforms and the product of one axis-0 slab; its
+        # band columns go back into the drift's buffer.  Each row's
+        # transforms are the same whatever the slab
+        bu = sfft.irfft(buf[idx], n=m, axis=-1, norm="forward", workers=1)
+        uv = sfft.irfft(u_lead[idx], n=m, axis=-1, norm="forward", workers=1)
         bu *= uv
         del uv
-        buf[rows] = sfft.rfft(bu, axis=-1, workers=1)[..., :kcap + 1]
+        buf[idx] = sfft.rfft(bu, axis=-1, workers=1)[..., :kcap + 1]
 
     u_lead = leading_values(u_coeffs, np.empty(lead, dtype=np.complex128))
     buf = np.empty(lead, dtype=np.complex128)
@@ -768,7 +754,7 @@ def _dealiased_product_divergence(grid: TorusGrid, b_coeffs: Iterable[np.ndarray
         c = next(comps)
         leading_values(c, buf)
         del c
-        _slab_map(product, m, step, npts_m)
+        _slabs(product, lead, 0, npts_m)
         for lax in range(d - 1):
             for blk in blocks(lax):
                 transform(buf[tuple(runs_m[i] for i in blk)], lax, inverse=False)
@@ -1034,7 +1020,7 @@ def random_scalar(
     block = [i % grid.n for i in range(-bmax, bmax + 1)]
     c = np.zeros(grid.half_shape, dtype=np.complex128)
     c[np.ix_(*([block] * (grid.dim - 1) + [range(bmax + 1)]))] = herm[..., bmax:]
-    vals = _irfftn(c * (grid.n ** grid.dim), grid.shape)
+    vals = _irfftn(c, grid.shape)
     if mean_zero:
         vals = vals - vals.mean()
     f = ScalarField(grid, vals)

@@ -193,7 +193,7 @@ def test_solver_nonconvergence_exits_three_with_report(tmp_path):
     assert data["error"] == "non_convergence"
     assert data["achieved"] > 1e-18
     assert data["checks"] == {"convergence": False}
-    assert "restart cycles of 40 matvecs" in data["message"]
+    assert "(budget 16000 matvecs)" in data["message"]
 
 
 @pytest.mark.parametrize("experiment, cfg", [

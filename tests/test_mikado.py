@@ -324,6 +324,7 @@ def test_verify_family_makes_no_transform(family64, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("verify_family made a transform")
 
-    monkeypatch.setattr(torus, "_rfftn", refuse)
+    monkeypatch.setattr(torus, "_fft_of", refuse)
     monkeypatch.setattr(sfft, "rfft", refuse)
+    monkeypatch.setattr(sfft, "rfftn", refuse)
     assert verify_family(family64).passed

@@ -2,8 +2,10 @@
 every field is real, so real transforms and the half spectrum serve
 throughout and no full complex spectrum is formed (the only complex
 transforms are the leading-axis stages of a real transform, in three
-named `torus` kernels), and no other module keeps its own relative
-divergence or antidivergence.  Likewise an iterate
+named `torus` kernels), the real transforms are called in four named
+`torus` functions only, so no private transform helper exists beside the
+forward `_fft_of` and the inverse `_irfftn`, and no other module keeps
+its own relative divergence or antidivergence.  Likewise an iterate
 triple is built in two places only: the seed and the step, and the Sobolev
 norms are put together in `torus` only: no call selects a norm by a
 `flavor` keyword, and only `torus` calls `hypot`.  And every name a module
@@ -19,6 +21,7 @@ PACKAGE_DIR = Path(mikado_forge.__file__).parent
 PERFBENCH_DIR = PACKAGE_DIR.parents[1] / "perfbench"
 SHADOWED = ("relative_divergence", "grad_of_invlap")
 COMPLEX_TRANSFORMS = ("fft", "ifft", "fftn", "ifftn", "_fftn", "_ifftn")
+REAL_TRANSFORMS = ("rfft", "rfftn", "irfft", "irfftn", "_rfftn")
 
 
 def _modules():
@@ -68,9 +71,24 @@ COMPLEX_STAGES = {
 }
 
 
-def _complex_transform_calls(modules) -> set:
+# the real transforms: the forward and inverse kernels, the last-axis
+# stages of the pruned product, and the 1-d derivative of the slab-wise
+# norm
+REAL_STAGES = {
+    ("torus.py", "_fft_of", "rfftn"),
+    ("torus.py", "_fft_of", "rfft"),
+    ("torus.py", "_irfftn", "irfftn"),
+    ("torus.py", "_irfftn", "irfft"),
+    ("torus.py", "_dealiased_product_divergence", "rfft"),
+    ("torus.py", "_dealiased_product_divergence", "irfft"),
+    ("torus.py", "axis_derivative_norm", "rfft"),
+    ("torus.py", "axis_derivative_norm", "irfft"),
+}
+
+
+def _transform_calls(modules, callees=COMPLEX_TRANSFORMS) -> set:
     """(module, enclosing top-level definition or None, callee) of every
-    complex transform call."""
+    call of one of callees."""
     return {
         (name, getattr(top, "name", None), callee)
         for name, tree in modules
@@ -78,15 +96,22 @@ def _complex_transform_calls(modules) -> set:
         for call in ast.walk(top)
         if isinstance(call, ast.Call)
         and (callee := getattr(call.func, "attr", getattr(call.func, "id", None)))
-        in COMPLEX_TRANSFORMS
+        in callees
     }
 
 
 def test_no_complex_transforms():
-    assert _complex_transform_calls(_modules()) == COMPLEX_STAGES
+    assert _transform_calls(_modules()) == COMPLEX_STAGES
     torus = dict(_modules())["torus.py"]
     defined = {node.name for node in ast.walk(torus) if isinstance(node, ast.FunctionDef)}
     assert defined.isdisjoint(COMPLEX_TRANSFORMS)
+
+
+def test_real_transforms_are_called_by_the_pinned_functions_only():
+    assert _transform_calls(_modules(), REAL_TRANSFORMS) == REAL_STAGES
+    torus = dict(_modules())["torus.py"]
+    defined = {node.name for node in ast.walk(torus) if isinstance(node, ast.FunctionDef)}
+    assert defined.isdisjoint(REAL_TRANSFORMS)
 
 
 def test_a_complex_transform_elsewhere_is_caught():
@@ -102,7 +127,18 @@ def test_a_complex_transform_elsewhere_is_caught():
     for module, text, expected in injections:
         patched = [(name, ast.parse(src + text if name == module else src))
                    for name, src in sources.items()]
-        assert _complex_transform_calls(patched) - COMPLEX_STAGES == {expected}
+        assert _transform_calls(patched) - COMPLEX_STAGES == {expected}
+
+
+def test_a_private_real_transform_is_caught():
+    # a re-added raw forward helper, and a module calling it
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE_DIR.glob("*.py"))}
+    sources["torus.py"] += ("\n\ndef _rfftn(a):\n"
+                            "    return sfft.rfftn(a, workers=_workers(a.size))\n")
+    sources["driftdiff.py"] += "\n\ndef _probe(u):\n    return _rfftn(u)\n"
+    patched = [(name, ast.parse(src)) for name, src in sources.items()]
+    assert _transform_calls(patched, REAL_TRANSFORMS) - REAL_STAGES == {
+        ("torus.py", "_rfftn", "rfftn"), ("driftdiff.py", "_probe", "_rfftn")}
 
 
 def test_iterate_triples_are_built_by_the_seed_and_the_step_only():

@@ -1,8 +1,8 @@
 """The transform kernels of `torus` against the formulas they replace, bit
 for bit: the two-pass `_irfftn` and `_fft_of` against `scipy.fft.irfftn`
-and `rfftn` and the operators built on them, and the pruned de-aliased
-product against the 3n/2 zero-padded product it computes; and the worker
-pool's slab helpers against the serial loop."""
+and `rfftn` with norm="forward", and the operators built on them, and the
+pruned de-aliased product against the 3n/2 zero-padded product it
+computes; and the worker pool's slab helpers against the serial loop."""
 
 import os
 import sys
@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from mikado_forge import torus
 from mikado_forge.torus import (
+    ScalarField,
     TorusGrid,
     _dealiased_product_divergence,
     _divergence_coeffs,
@@ -43,10 +44,9 @@ def workers():
     torus.set_fft_workers(saved)
 
 
-# (2731, 2): a size whose 1/N in double differs in the last bit from
-# pocketfft's 1/N rounded from long double.  The last six shapes lie just
-# below and at or above the pool gate (2^18 elements): one scipy call below
-# it, the staged transform with 2 workers above it.
+# The last six shapes lie just below and at or above the pool gate (2^18
+# elements): one scipy call below it, the staged transform with 2 workers
+# above it.
 SHAPES = ([(n, n) for n in (6, 12, 48, 64, 256)]
           + [(n,) * 3 for n in (6, 12, 32, 48)]
           + [(n,) * 4 for n in (6, 12, 16)]
@@ -62,10 +62,38 @@ def test_irfftn_is_scipy_irfftn_bit_for_bit(shape, n_workers, workers):
     rng = np.random.default_rng(sum(shape) + n_workers)
     half = shape[:-1] + (shape[-1] // 2 + 1,)
     a = rng.standard_normal(half) + 1j * rng.standard_normal(half)
-    ref = sfft.irfftn(a, s=shape)
+    ref = sfft.irfftn(a, s=shape, norm="forward")
     got = _irfftn(a.copy(), shape)
     assert got.shape == ref.shape
     assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("n_workers", [1, 2])
+@pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "x".join(map(str, s)))
+def test_fft_of_is_scipy_rfftn_bit_for_bit(shape, n_workers, workers):
+    # (2731, 2): a size whose 1/N in double differs in the last bit from
+    # pocketfft's 1/N rounded from long double, which the staged forward
+    # transform applies in its first stage, as pocketfft does; the field
+    # of -0 checks that it keeps the signs of pocketfft's zeros too
+    workers(n_workers)
+    x = np.random.default_rng(sum(shape) + n_workers).standard_normal(shape)
+    for v in (x, np.full(shape, -0.0)):
+        assert _fft_of(v).tobytes() == sfft.rfftn(v, norm="forward").tobytes()
+
+
+@pytest.mark.parametrize("n_workers", [1, 2])
+@pytest.mark.parametrize("grid", [TorusGrid(2, 48), TorusGrid(3, 12), TorusGrid(3, 64),
+                                  TorusGrid(2, 514)], ids=lambda g: f"{g.dim}d{g.n}")
+def test_from_coeffs_is_the_plain_inverse_sum(grid, n_workers, workers):
+    # the inverse carries no normalisation: coefficients c give the values
+    # sum_k c_k exp(2 pi i k.x), below and above the pool gate
+    workers(n_workers)
+    rng = np.random.default_rng(grid.n + n_workers)
+    c = rng.standard_normal(grid.half_shape) + 1j * rng.standard_normal(grid.half_shape)
+    kept = c.copy()
+    f = ScalarField.from_coeffs(grid, c)
+    assert f.values.tobytes() == sfft.irfftn(c, s=grid.shape, norm="forward").tobytes()
+    assert np.array_equal(c, kept)
 
 
 def _padded_product_divergence(grid, b_coeffs, u_hat):
@@ -74,7 +102,6 @@ def _padded_product_divergence(grid, b_coeffs, u_hat):
     # the band, then differentiated
     n, d = grid.n, grid.dim
     m = (3 * n) // 2
-    npts_m = m ** d
     kcap = n // 2 - 1
     full_n = list(range(kcap + 1)) + list(range(n - kcap, n))
     full_m = list(range(kcap + 1)) + list(range(m - kcap, m))
@@ -85,8 +112,7 @@ def _padded_product_divergence(grid, b_coeffs, u_hat):
     def pad_values(c):
         cm = np.zeros(half_m, dtype=np.complex128)
         cm[dst] = c[src]
-        cm *= npts_m
-        return sfft.irfftn(cm, s=(m,) * d)
+        return sfft.irfftn(cm, s=(m,) * d, norm="forward")
 
     u_fine = pad_values(u_hat)
     e_hat = np.zeros(grid.half_shape, dtype=np.complex128)
@@ -96,7 +122,7 @@ def _padded_product_divergence(grid, b_coeffs, u_hat):
         ph = sfft.rfftn(b_fine)
         block = np.zeros(grid.half_shape, dtype=np.complex128)
         block[src] = ph[dst]
-        np.multiply((2j * np.pi / npts_m) * grid.axis_k(ax, diff=True), block, out=block)
+        np.multiply((2j * np.pi / m ** d) * grid.axis_k(ax, diff=True), block, out=block)
         e_hat += block
     return e_hat
 
@@ -277,19 +303,17 @@ def test_two_pass_kernels_are_the_one_call_transforms(case):
     # uneven slabs, against one scipy call each and the full-array
     # formulas of the operators they serve, byte for byte
     grid, rows, n_workers, rng = case
-    d, npts = grid.dim, grid.n ** grid.dim
+    d = grid.dim
     vals = [rng.standard_normal(grid.shape) for _ in range(d)]
     vals[0][0, ...] = -0.0
     a = rng.standard_normal(grid.half_shape) + 1j * rng.standard_normal(grid.half_shape)
-    c = sfft.rfftn(vals[0])
-    c /= npts
-    ref = {"irfftn": sfft.irfftn(a, s=grid.shape), "rfftn": c,
+    c = sfft.rfftn(vals[0], norm="forward")
+    ref = {"irfftn": sfft.irfftn(a, s=grid.shape, norm="forward"), "rfftn": c,
            "div": _divergence_coeffs(grid, map(_fft_of, vals)),
            "antidiv": _old_antidivergence(grid, a)}
     for ax in range(d):
-        v = sfft.irfftn(np.multiply(_ik(grid, ax), c), s=grid.shape)
-        v *= npts
-        ref[f"partial{ax}"] = v
+        ref[f"partial{ax}"] = sfft.irfftn(np.multiply(_ik(grid, ax), c), s=grid.shape,
+                                          norm="forward")
 
     got = {}
     with _pool_on_small_arrays(n_workers, 4 * rows * grid.n ** (d - 1)):
