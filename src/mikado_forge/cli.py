@@ -21,10 +21,13 @@ Exit codes:
 1  a check failed; report.json names it.
 2  the config was rejected and no report.json is written: the file is
    unreadable, load_config found an unknown key, a wrong type, a
-   non-finite float (nan, inf), a value out of range or a Nash-step mode
-   outside its exponent window (validate_mode) before any work, or a
-   constructor raised a parameter-domain ValueError such as
-   build_family's tube-resolution check.  osc-verify needs N >= 162: its fixed Riemann-Lebesgue
+   non-finite float (nan, inf), a value out of range, a sweep (lambda,
+   eps, clamp_levels, scaling_mu_list) of fewer than 3 points or out of
+   order (lambda and clamp_levels strictly increasing, eps strictly
+   decreasing) or a Nash-step mode outside its exponent window
+   (validate_mode) before any work, or a constructor raised a
+   parameter-domain ValueError such as build_family's tube-resolution
+   check.  osc-verify needs N >= 162: its fixed Riemann-Lebesgue
    frequencies 3, 9 and 27 at bandwidth 3 must fit in n/2, so at N = 64
    it exits 2 with "aliasing: lam * bandwidth = 27*3 exceeds n/2 = 32".
 3  a budget ran out, of the parameter search or of the solver's matvecs;
@@ -210,13 +213,17 @@ _RANGES = {
     **dict.fromkeys(("scale_span", "delta_divisor", "eps_frac"), (lambda v: v > 0, " > 0")),
     "seed_kind": (lambda v: v in ("shifted-cosine", "cascade"), " in (shifted-cosine, cascade)"),
 }
+# the list keys a rate is fitted over, each with the order its points must
+# keep: +1 strictly increasing, -1 strictly decreasing, 0 any
+_SWEEPS = {"lambda": 1, "clamp_levels": 1, "eps": -1, "scaling_mu_list": 0}
 
 
 def load_config(experiment: str, raw: dict) -> dict:
     """Every key of the experiment, converted to its declared type or set to its
     default; a W1R mode's r defaults to 1.1.  Raises ConfigError naming the key
-    on an unknown key, a wrong type, a non-finite float, or a value out of range,
-    and on a mode whose exponents lie outside its window (`validate_mode`)."""
+    on an unknown key, a wrong type, a non-finite float, a value out of range, a
+    sweep (`_SWEEPS`) of fewer than 3 points or out of its order, and on a mode
+    whose exponents lie outside its window (`validate_mode`)."""
     keys = EXPERIMENTS[experiment][1]
     unknown = sorted(set(raw) - set(keys))
     if unknown:
@@ -240,6 +247,13 @@ def load_config(experiment: str, raw: dict) -> dict:
                                   f"{'finite ' if kind is float else ''}{kind.__name__}{text}")
         items = [float(v) for v in items] if kind is float else items
         cfg[key] = items if listed else items[0]
+    for key, order in _SWEEPS.items():
+        sweep = cfg.get(key)
+        if isinstance(sweep, list) and (len(sweep) < 3 or order and any(
+                order * (b - a) <= 0 for a, b in zip(sweep, sweep[1:]))):
+            rule = {1: ", strictly increasing", -1: ", strictly decreasing", 0: ""}[order]
+            raise ConfigError(f"{experiment}: {key} = {sweep!r}, expected at least 3 "
+                              f"entries{rule}")
     for key in ("lam_schedule", "mu_schedule"):    # ci-run's schedules, one entry a step
         sched = cfg.get(key)
         if sched is not None and (len(sched) != cfg["K"] or cfg["lam_schedule"] is None):

@@ -48,8 +48,8 @@ from .torus import (
     ScalarField,
     TorusGrid,
     VectorField,
-    _axis_derivative_coeffs,
     _dealiased_product_divergence,
+    _divergence_coeffs,
     _fft_of,
     _grad_magnitude_of,
     _ik,
@@ -354,8 +354,7 @@ def sampled_residual(t: IterateTriple) -> float:
     e_hat = -4.0 * np.pi ** 2 * grid.k_squared_diff * _fft_of(t.u)
     for ax in range(grid.dim):
         prod = t.b[ax].values * t.u.values
-        e_hat = e_hat + _axis_derivative_coeffs(
-            grid, _fft_of(prod) + _fft_of(t.f[ax]), ax)
+        e_hat = e_hat + _ik(grid, ax) * (_fft_of(prod) + _fft_of(t.f[ax]))
     resid = math.sqrt(_parseval_sum(e_hat, _sobolev_weight(grid)))
     return resid / max(norm(t.f, p=2), 1e-300)
 
@@ -379,8 +378,7 @@ def equation_residual(t: IterateTriple) -> float:
     construction actually commits, which decays under grid refinement.
     """
     grid = t.grid
-    n, d = grid.n, grid.dim
-    kcap = n // 2 - 1
+    kcap = grid.n // 2 - 1
 
     # de-aliased product part of the divergence
     u_hat = _fft_of(t.u)
@@ -389,8 +387,7 @@ def equation_residual(t: IterateTriple) -> float:
     # band-limited parts: laplacian of u and divergence of f
     e_hat += -4.0 * np.pi ** 2 * grid.k_squared_diff * u_hat
     del u_hat
-    for ax in range(d):
-        _fft_of(t.f[ax], e_hat, _ik(grid, ax))
+    _divergence_coeffs(grid, t.f.components, e_hat)
 
     # the Sobolev-weighted norm on |k_i| <= kcap
     resid = math.sqrt(_parseval_sum(e_hat, _sobolev_weight(grid, kcap)))
@@ -564,9 +561,7 @@ def assemble_step(
 
     # corrector restoring div b1 = 0: w_c = -grad phi, where div grad phi is
     # the measured div w
-    phi_hat = np.zeros(grid.half_shape, dtype=np.complex128)
-    for i in range(d):
-        _fft_of(w_comps[i], phi_hat, _ik(grid, i))
+    phi_hat = _divergence_coeffs(grid, w_comps)
     _inverse_div_grad_coeffs(grid, phi_hat, out=phi_hat)
 
     def corrector_kernel(g, wc, u, w, du):

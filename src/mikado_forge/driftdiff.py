@@ -27,6 +27,7 @@ from .torus import (
     TorusGrid,
     VectorField,
     _bump,
+    _divergence_coeffs,
     _fft_of,
     _irfftn,
     _lp_of_values,
@@ -111,17 +112,17 @@ def _split_system(b: VectorField, grid: TorusGrid):
     """Maps on real grid values: A u = -lap(u) - div(b u) in the
     odd-derivative convention the diagnostics use, the split preconditioner
     P and B = P A P, the identity plus the drift part off the corner modes
-    where P vanishes.  All run on real transforms, d + 3 of them for B."""
+    where P vanishes; div(b u) is `_divergence_coeffs` of the b_j u.  All
+    run on real transforms, d + 3 of them for B."""
     k2 = grid.k_squared_diff
     p, keep, lap = _split_symbol(k2), k2 > 0.0, 4.0 * np.pi ** 2 * k2
-    minus_d = [-2j * np.pi * grid.axis_k(ax, diff=True) for ax in range(grid.dim)]
     bvals = [c.values for c in b.components]
 
-    def drift_hat(u: np.ndarray) -> np.ndarray:  # real transform of -div(b u)
-        return sum(d_j * _fft_of(b_j * u) for d_j, b_j in zip(minus_d, bvals))
+    def div_bu(u: np.ndarray) -> np.ndarray:
+        return _divergence_coeffs(grid, (b_j * u for b_j in bvals))
 
     def apply_a(u: np.ndarray) -> np.ndarray:
-        return _irfftn(lap * _fft_of(u) + drift_hat(u), grid.shape)
+        return _irfftn(lap * _fft_of(u) - div_bu(u), grid.shape)
 
     def apply_p(r: np.ndarray) -> np.ndarray:
         return _irfftn(p * _fft_of(r), grid.shape)
@@ -129,7 +130,7 @@ def _split_system(b: VectorField, grid: TorusGrid):
     def apply_b(y: np.ndarray) -> np.ndarray:
         yh = _fft_of(y.reshape(grid.shape))
         u = _irfftn(p * yh, grid.shape)
-        return _irfftn(keep * yh + p * drift_hat(u), grid.shape).ravel()
+        return _irfftn(keep * yh - p * div_bu(u), grid.shape).ravel()
 
     return apply_a, apply_p, apply_b
 
@@ -289,11 +290,13 @@ def max_principle_sweep(f: ScalarField, drift_family: list[VectorField],
         slope, err = slope_stderr(np.array(bnorms), np.array(ratios))
     else:
         slope, err = None, None  # too few points for a trend statement
+    # with every solve failed there is no ratio to bound; the rows say why
+    max_ratio = max(ratios) if ratios else None
     return {
         "rows": rows,
-        "max_ratio": max(ratios),
+        "max_ratio": max_ratio,
         "bound": cd,
-        "all_bounded": max(ratios) <= cd,
+        "all_bounded": max_ratio is not None and max_ratio <= cd,
         "trend_slope": slope,
         "trend_stderr": err,
         # upward trend must be statistically indistinguishable from <= 0

@@ -14,10 +14,13 @@ for itself and its conjugate partner (see `_parseval_sum`).
 This module is the package's only spectral layer.  It owns every
 transform (the forward `_fft_of` and the inverse `_irfftn`, capped by the
 one worker setting `set_fft_workers`), every wavenumber symbol (the
-`TorusGrid` frequency arrays, all in the half layout), and the
-array-level kernels the other modules build on: derivative, gradient,
-gradient magnitude, divergence and antidivergence on coefficient and
-value arrays, the de-aliased
+`TorusGrid` frequency arrays in the half layout, and the one derivative
+symbol 2 pi i k, `_ik`), and the array-level kernels the other modules
+build on.  A derivative is applied in one of two directions: out of a
+transform into values (`_partial_values`, under the gradient values and
+magnitude), or into a transform's accumulator (`_fft_of`'s acc += ik c,
+which `_divergence_coeffs` runs over a divergence's components, fields
+or value arrays).  Beside them: the antidivergence, the de-aliased
 product part of a divergence (`_dealiased_product_divergence`), the
 Parseval sum, the Lp quadrature of value arrays, the one Sobolev-norm
 combinator `_mode_norm` (W^{1,r} or H1 from values and `grad_magnitude`),
@@ -610,13 +613,6 @@ def _ik(grid: TorusGrid, axis: int) -> np.ndarray:
     return (2j * np.pi) * grid.axis_k(axis, diff=True)
 
 
-def _axis_derivative_coeffs(grid: TorusGrid, coeffs: np.ndarray, axis: int) -> np.ndarray:
-    ik = _ik(grid, axis)
-    out = np.empty(coeffs.shape, dtype=np.result_type(ik, coeffs))
-    _slabwise(lambda o, k, c: np.multiply(k, c, out=o), out, ik, coeffs)
-    return out
-
-
 def _partial_values(grid: TorusGrid, coeffs: np.ndarray, axis: int,
                     consume: Callable[[slice, np.ndarray], None] | None = None
                     ) -> np.ndarray | None:
@@ -640,14 +636,17 @@ def _grad_values(grid: TorusGrid, coeffs: np.ndarray) -> list[np.ndarray]:
     return [_partial_values(grid, coeffs, ax) for ax in range(grid.dim)]
 
 
-def _divergence_coeffs(grid: TorusGrid, comp_coeffs: Iterable[np.ndarray]) -> np.ndarray:
-    """Coefficients of the divergence.  The component coefficients are
-    drawn one at a time and released after use, so a lazy iterable keeps
-    at most one of them alive."""
-    acc = np.zeros(grid.half_shape, dtype=np.complex128)
-    comps = iter(comp_coeffs)
+def _divergence_coeffs(grid: TorusGrid, comps: Iterable[ScalarField | np.ndarray],
+                       acc: np.ndarray | None = None) -> np.ndarray:
+    """Coefficients of the divergence of comps, fields or value arrays in
+    axis order, added to acc (zeros if not given) through `_fft_of`: a
+    field's cached spectrum is reused.  A lazy comps is drawn one at a
+    time, so at most one component is alive."""
+    if acc is None:
+        acc = np.zeros(grid.half_shape, dtype=np.complex128)
+    comps = iter(comps)
     for ax in range(grid.dim):
-        acc += _axis_derivative_coeffs(grid, next(comps), ax)
+        _fft_of(next(comps), acc, _ik(grid, ax))
     return acc
 
 
@@ -780,7 +779,7 @@ def axis_derivative_norm(grid: TorusGrid, values: np.ndarray, axis: int) -> floa
     n, d = grid.n, grid.dim
     shape = [1] * d
     shape[axis] = n // 2 + 1
-    ik = ((2j * np.pi) * grid.k1_diff[: n // 2 + 1]).reshape(shape)
+    ik = _ik(grid, d - 1).reshape(shape)
     across = (axis + 1) % d
 
     # the slabs stay on the calling thread, with the transforms' workers:
@@ -800,16 +799,12 @@ def axis_derivative_norm(grid: TorusGrid, values: np.ndarray, axis: int) -> floa
 
 
 def gradient(f: ScalarField) -> VectorField:
-    c = f.coeffs
-    comps = []
-    for ax in range(f.grid.dim):
-        comps.append(ScalarField.from_coeffs(f.grid, _axis_derivative_coeffs(f.grid, c, ax)))
-    return VectorField.from_components(comps)
+    return VectorField.from_components(
+        [ScalarField.from_coeffs(f.grid, _ik(f.grid, ax) * f.coeffs) for ax in range(f.grid.dim)])
 
 
 def divergence(v: VectorField) -> ScalarField:
-    return ScalarField.from_coeffs(
-        v.grid, _divergence_coeffs(v.grid, (c.coeffs for c in v.components)))
+    return ScalarField.from_coeffs(v.grid, _divergence_coeffs(v.grid, v.components))
 
 
 # ---------------------------------------------------------------------------
@@ -953,11 +948,12 @@ def leray_project(b: VectorField) -> VectorField:
     through unchanged.
     """
     grid = b.grid
-    phihat = _inverse_div_grad_coeffs(
-        grid, _divergence_coeffs(grid, (c.coeffs for c in b.components)))
+    # fills each cache, which the divergence then reuses
+    coeffs = [c.coeffs for c in b.components]
+    phihat = _inverse_div_grad_coeffs(grid, _divergence_coeffs(grid, b.components))
     return VectorField.from_components(tuple(
-        ScalarField.from_coeffs(grid, b[ax].coeffs - _axis_derivative_coeffs(grid, phihat, ax))
-        for ax in range(grid.dim)))
+        ScalarField.from_coeffs(grid, c - _ik(grid, ax) * phihat)
+        for ax, c in enumerate(coeffs)))
 
 
 def _parseval_sum(c: np.ndarray,

@@ -196,6 +196,20 @@ def test_solver_nonconvergence_exits_three_with_report(tmp_path):
     assert "(budget 16000 matvecs)" in data["message"]
 
 
+def test_maxprinc_with_every_solve_failed_reports_the_unbounded_sweep(tmp_path, capsys):
+    # tol = 1e-18 fails every drift's solve: there is no ratio to bound,
+    # which is a failed check with a report, not a config error
+    cfg = tmp_path / "maxprinc.cfg"
+    cfg.write_text("d = 2\nN = 16\ndrifts = 3\nscale_span = 10\ntol = 1e-18\n")
+    assert main(["maxprinc", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert "config error" not in capsys.readouterr().err
+    data = json.loads((tmp_path / "out" / "maxprinc" / "report.json").read_text())
+    assert data["max_ratio"] is None
+    assert [k for k, ok in data["checks"].items() if not ok] == ["uniform_bound"]
+    ratios = (tmp_path / "out" / "maxprinc" / "ratios.csv").read_text().splitlines()
+    assert [row.split(",")[1] for row in ratios[2:]] == ["None"] * 3
+
+
 @pytest.mark.parametrize("experiment, cfg", [
     ("ci-step", {"d": 3, "N": 32, "lambda": 1, "mu": 7, "resolution_factor": 2,
                  "flux_shift": 1536}),
@@ -271,6 +285,10 @@ def test_load_config_takes_ints_for_float_keys(experiment):
         assert type(cfg[key]) is float and cfg[key] == raw[key]
 
 
+# the list keys a rate is fitted over
+SWEEPS = ("lambda", "eps", "clamp_levels", "scaling_mu_list")
+
+
 @pytest.mark.parametrize("experiment, raw, key, loaded", [
     ("mikado-verify", {"mu": 16}, "mu", [16.0]),
     ("mikado-verify", {"scaling_mu_list": 8}, "scaling_mu_list", [8.0]),
@@ -282,6 +300,13 @@ def test_load_config_takes_ints_for_float_keys(experiment):
     ("uniqueness", {"clamp_levels": 3.0}, "clamp_levels", [3.0]),
 ])
 def test_load_config_fills_a_list_key_from_one_value(experiment, raw, key, loaded):
+    if key in SWEEPS:
+        # a sweep is filled the same way, and then rejected: a rate needs
+        # at least 3 points
+        with pytest.raises(ConfigError) as err:
+            load_config(experiment, raw)
+        assert f"{key} = {loaded!r}, expected at least 3 entries" in str(err.value)
+        return
     got = load_config(experiment, raw)[key]
     assert got == loaded and [type(v) for v in got] == [type(v) for v in loaded]
 
@@ -324,15 +349,24 @@ _CI_STEP = "d = 3\nN = 32\nlambda = 1\nmu = 7\nresolution_factor = 2\n"
                  id="unknown-mode"),
     pytest.param("ci-step", _CI_STEP + "mode = H1\n", "H1 mode needs d >= 4",
                  id="h1-below-d4"),
+    # a sweep has at least 3 points, in its order, before anything is drawn
+    pytest.param("osc-verify", "lambda = 4, 8\n", "lambda = [4, 8]", id="two-lambdas"),
+    pytest.param("osc-verify", "lambda = 8, 4, 16\n", "lambda = [8, 4, 16]",
+                 id="unordered-lambdas"),
+    pytest.param("mikado-verify", "scaling_mu_list = 8, 16\n", "scaling_mu_list = [8.0, 16.0]",
+                 id="two-scaling-mus"),
+    pytest.param("uniqueness", "clamp_levels = 2, 5\n", "clamp_levels = [2.0, 5.0]",
+                 id="two-clamp-levels"),
+    pytest.param("uniqueness", "clamp_levels = 5, 2, 50\n", "clamp_levels = [5.0, 2.0, 50.0]",
+                 id="unordered-clamp-levels"),
+    pytest.param("commutator", "eps = 0.1, 0.05\n", "eps = [0.1, 0.05]", id="two-eps"),
 ])
 def test_bad_config_exits_two_before_any_work(tmp_path, capsys, experiment, text, named):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text)
     assert main([experiment, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert named in capsys.readouterr().err
-    out = tmp_path / "out" / experiment
-    assert not (out / "report.json").exists()
-    assert not (out / "step_1").exists()
+    assert not (tmp_path / "out" / experiment).exists()
 
 
 def test_seed_and_out_dir_in_the_config_file_are_honoured(tmp_path):

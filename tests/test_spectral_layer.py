@@ -5,7 +5,10 @@ transforms are the leading-axis stages of a real transform, in three
 named `torus` kernels), the real transforms are called in four named
 `torus` functions only, so no private transform helper exists beside the
 forward `_fft_of` and the inverse `_irfftn`, and no other module keeps
-its own relative divergence or antidivergence.  Likewise an iterate
+its own relative divergence or antidivergence.  The derivative symbol
+2 pi i k is built by `torus._ik` only, beside the de-aliased product's
+normalised copy, and the derivative frequencies `k1_diff` are read inside
+`TorusGrid` only.  Likewise an iterate
 triple is built in two places only: the seed and the step, and the Sobolev
 norms are put together in `torus` only: no call selects a norm by a
 `flavor` keyword, and only `torus` calls `hypot`.  And every name a module
@@ -139,6 +142,55 @@ def test_a_private_real_transform_is_caught():
     patched = [(name, ast.parse(src)) for name, src in sources.items()]
     assert _transform_calls(patched, REAL_TRANSFORMS) - REAL_STAGES == {
         ("torus.py", "_rfftn", "rfftn"), ("driftdiff.py", "_probe", "_rfftn")}
+
+
+# the builders of the derivative symbol from the derivative frequencies:
+# `_ik`, and the de-aliased product's `coef`, which also carries the
+# product's forward normalisation 1/M: (module, top-level definition)
+DERIVATIVE_SYMBOLS = {
+    ("torus.py", "_ik"),
+    ("torus.py", "_dealiased_product_divergence"),
+}
+
+
+def _derivative_frequency_reads(modules) -> set:
+    """(module, enclosing top-level definition) of every axis_k call with
+    a constant true diff, and of every read of k1_diff outside the
+    `TorusGrid` class that defines it."""
+    def diff_true(call) -> bool:
+        flags = [k.value for k in call.keywords if k.arg == "diff"] + call.args[1:2]
+        return any(isinstance(f, ast.Constant) and f.value for f in flags)
+
+    return {
+        (name, top.name)
+        for name, tree in modules
+        for top in tree.body
+        if not (isinstance(top, ast.ClassDef) and top.name == "TorusGrid")
+        for node in ast.walk(top)
+        if (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "axis_k"
+            and diff_true(node))
+        or (isinstance(node, ast.Attribute) and node.attr == "k1_diff")
+    }
+
+
+def test_the_derivative_symbol_is_built_in_one_place():
+    assert _derivative_frequency_reads(_modules()) == DERIVATIVE_SYMBOLS
+
+
+def test_a_private_derivative_symbol_is_caught():
+    # a re-added solver symbol -2 pi i k, and a torus helper building the
+    # symbol from k1_diff
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE_DIR.glob("*.py"))}
+    bvals = "    bvals = [c.values for c in b.components]\n"
+    assert sources["driftdiff.py"].count(bvals) == 1
+    sources["driftdiff.py"] = sources["driftdiff.py"].replace(
+        bvals, "    minus_d = [-2j * np.pi * grid.axis_k(ax, diff=True)"
+               " for ax in range(grid.dim)]\n" + bvals)
+    sources["torus.py"] += ("\n\ndef _probe(grid, axis):\n"
+                            "    return (2j * np.pi) * grid.k1_diff[: grid.n // 2 + 1]\n")
+    patched = [(name, ast.parse(src)) for name, src in sources.items()]
+    assert _derivative_frequency_reads(patched) - DERIVATIVE_SYMBOLS == {
+        ("driftdiff.py", "_split_system"), ("torus.py", "_probe")}
 
 
 def test_iterate_triples_are_built_by_the_seed_and_the_step_only():

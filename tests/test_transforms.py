@@ -7,7 +7,7 @@ computes; and the worker pool's slab helpers against the serial loop."""
 import os
 import sys
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 import pytest
@@ -15,9 +15,11 @@ import scipy.fft as sfft
 from hypothesis import given, settings, strategies as st
 
 from mikado_forge import torus
+from mikado_forge.driftdiff import _split_system
 from mikado_forge.torus import (
     ScalarField,
     TorusGrid,
+    VectorField,
     _dealiased_product_divergence,
     _divergence_coeffs,
     _fft_of,
@@ -29,9 +31,12 @@ from mikado_forge.torus import (
     _scratch,
     _slab_map,
     _slabwise,
+    _split_symbol,
     axis_derivative_norm,
+    divergence,
     grad_magnitude,
     gradient,
+    leray_project,
     random_scalar,
 )
 
@@ -309,7 +314,8 @@ def test_two_pass_kernels_are_the_one_call_transforms(case):
     a = rng.standard_normal(grid.half_shape) + 1j * rng.standard_normal(grid.half_shape)
     c = sfft.rfftn(vals[0], norm="forward")
     ref = {"irfftn": sfft.irfftn(a, s=grid.shape, norm="forward"), "rfftn": c,
-           "div": _divergence_coeffs(grid, map(_fft_of, vals)),
+           "div": sum(_ik(grid, ax) * sfft.rfftn(v, norm="forward")
+                      for ax, v in enumerate(vals)),
            "antidiv": _old_antidivergence(grid, a)}
     for ax in range(d):
         ref[f"partial{ax}"] = sfft.irfftn(np.multiply(_ik(grid, ax), c), s=grid.shape,
@@ -319,9 +325,7 @@ def test_two_pass_kernels_are_the_one_call_transforms(case):
     with _pool_on_small_arrays(n_workers, 4 * rows * grid.n ** (d - 1)):
         got["irfftn"] = _irfftn(a.copy(), grid.shape)
         got["rfftn"] = _fft_of(vals[0])
-        got["div"] = np.zeros(grid.half_shape, dtype=np.complex128)
-        for ax in range(d):
-            _fft_of(vals[ax], got["div"], _ik(grid, ax))
+        got["div"] = _divergence_coeffs(grid, vals)
         got["antidiv"] = _inverse_div_grad_coeffs(grid, a)
         in_place = a.copy()
         assert _inverse_div_grad_coeffs(grid, in_place, out=in_place) is in_place
@@ -343,3 +347,92 @@ def test_two_pass_kernels_are_the_one_call_transforms(case):
     assert streamed.tobytes() == ref[f"partial{d - 1}"].tobytes()
     covered = sorted(i for start, stop in slabs for i in range(start, min(stop, grid.n)))
     assert covered == list(range(grid.n)) and len(slabs) > 1
+
+
+def _old_leray_project(grid, vals):
+    # the per-axis formula the divergence sum replaces: P v = v - grad phi
+    # with div grad phi = div v, from one transform per component
+    c = [sfft.rfftn(v, norm="forward") for v in vals]
+    div = np.zeros(grid.half_shape, dtype=np.complex128)
+    for ax in range(grid.dim):
+        div += _ik(grid, ax) * c[ax]
+    phihat = _old_antidivergence(grid, div)
+    return [sfft.irfftn(c[ax] - _ik(grid, ax) * phihat, s=grid.shape, norm="forward")
+            for ax in range(grid.dim)]
+
+
+def _old_split_maps(b, grid):
+    # the solver's maps with their own symbol -2 pi i k and Python's sum
+    k2 = grid.k_squared_diff
+    p, keep, lap = _split_symbol(k2), k2 > 0.0, 4.0 * np.pi ** 2 * k2
+    minus_d = [-2j * np.pi * grid.axis_k(ax, diff=True) for ax in range(grid.dim)]
+    bvals = [c.values for c in b.components]
+
+    def fft(x):
+        return sfft.rfftn(x, norm="forward")
+
+    def ifft(c):
+        return sfft.irfftn(c, s=grid.shape, norm="forward")
+
+    def drift_hat(u):
+        return sum(d_j * fft(b_j * u) for d_j, b_j in zip(minus_d, bvals))
+
+    def apply_a(u):
+        return ifft(lap * fft(u) + drift_hat(u))
+
+    def apply_b(y):
+        yh = fft(y.reshape(grid.shape))
+        return ifft(keep * yh + p * drift_hat(ifft(p * yh))).ravel()
+
+    return apply_a, apply_b
+
+
+# below the pool gate (one worker) and on the pool with uneven slabs
+FOLDED_GRIDS = [TorusGrid(2, 14), TorusGrid(3, 10), TorusGrid(4, 8)]
+
+
+def _below_or_above_the_gate(grid, n_workers):
+    # on the pool: 3 rows per slab, which divides none of the grids' n
+    return (nullcontext() if n_workers == 1
+            else _pool_on_small_arrays(n_workers, 4 * 3 * grid.n ** (grid.dim - 1)))
+
+
+@pytest.mark.parametrize("n_workers", [1, 2, 3])
+@pytest.mark.parametrize("grid", FOLDED_GRIDS, ids=lambda g: f"{g.dim}d{g.n}")
+def test_divergence_and_leray_projection_are_the_old_formulas(grid, n_workers):
+    rng = np.random.default_rng(grid.n * grid.dim + n_workers)
+    vals = [rng.standard_normal(grid.shape) for _ in range(grid.dim)]
+    vals[0][0, ...] = -0.0
+    ref_div = sfft.irfftn(
+        sum(_ik(grid, ax) * sfft.rfftn(v, norm="forward") for ax, v in enumerate(vals)),
+        s=grid.shape, norm="forward")
+    ref_leray = _old_leray_project(grid, vals)
+    with _below_or_above_the_gate(grid, n_workers):
+        # components without and with a cached spectrum take the two
+        # branches of the accumulating forward transform
+        plain = VectorField.from_arrays(grid, vals)
+        cached = VectorField.from_components(
+            [ScalarField.from_coeffs(grid, sfft.rfftn(v, norm="forward")) for v in vals])
+        for v in (plain, cached):
+            assert divergence(v).values.tobytes() == ref_div.tobytes()
+        got_leray = leray_project(VectorField.from_arrays(grid, vals))
+    for ax in range(grid.dim):
+        assert got_leray[ax].values.tobytes() == ref_leray[ax].tobytes()
+
+
+@pytest.mark.parametrize("n_workers", [1, 2, 3])
+@pytest.mark.parametrize("grid", FOLDED_GRIDS, ids=lambda g: f"{g.dim}d{g.n}")
+def test_split_maps_are_the_old_drift_sum(grid, n_workers):
+    # -div(b u) as -(sum of ik F(b_j u)) equals the sum of -ik F(b_j u):
+    # IEEE negation is exact and commutes with rounding
+    rng = np.random.default_rng(grid.n * grid.dim + n_workers)
+    b = VectorField.from_arrays(grid, [rng.standard_normal(grid.shape)
+                                       for _ in range(grid.dim)])
+    u = rng.standard_normal(grid.shape)
+    y = rng.standard_normal(grid.shape).ravel()
+    ref_a, ref_b = _old_split_maps(b, grid)
+    with _below_or_above_the_gate(grid, n_workers):
+        apply_a, _, apply_b = _split_system(b, grid)
+        got_a, got_b = apply_a(u), apply_b(y)
+    assert got_a.tobytes() == ref_a(u).tobytes()
+    assert got_b.tobytes() == ref_b(y).tobytes()
