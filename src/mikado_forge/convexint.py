@@ -48,12 +48,14 @@ from .torus import (
     ScalarField,
     TorusGrid,
     VectorField,
+    _band,
     _dealiased_product_divergence,
     _divergence_coeffs,
     _fft_of,
     _grad_magnitude_of,
     _ik,
     _inverse_div_grad_coeffs,
+    _laplacian_symbol,
     _lp_of_values,
     _magnitude,
     _mode_norm,
@@ -325,21 +327,19 @@ def grid_lambda_max(n: int, d: int, resolution_factor: float) -> int:
 # ---------------------------------------------------------------------------
 # the de-aliased equation residual
 
-def _sobolev_weight(grid: TorusGrid, kcap: int | None = None) -> Callable[[slice], np.ndarray]:
-    """The weight of the residuals' H^-1 norm on the axis-0 rows of one
-    Parseval slab: the squared `_split_symbol` of |k|^2, zero off the band
-    |k_i| <= kcap if kcap is given.  Built slab by slab, so no full
-    half-spectrum weight or mask is formed."""
+def _residual_size(t: IterateTriple, e_hat: np.ndarray, kcap: int | None = None) -> float:
+    """H^-1 size of a residual with coefficients e_hat over ||f||_2: the
+    Parseval sum weighted by the squared `_split_symbol` of the full |k|^2,
+    zero off the band |k_i| <= kcap if given, built per Parseval slab."""
+    grid = t.grid
+
     def weight(rows: slice) -> np.ndarray:
-        w = _split_symbol(grid.k_squared_rows(rows)) ** 2
+        w = _split_symbol(grid, rows, diff=False) ** 2
         if kcap is not None:
-            band = np.ones(w.shape, dtype=bool)
-            for ax in range(grid.dim):
-                inside = np.abs(grid.axis_k(ax)) <= kcap
-                band &= inside[rows] if ax == 0 else inside
-            w[~band] = 0.0
+            w[~_band(grid, kcap, rows)] = 0.0
         return w
-    return weight
+
+    return math.sqrt(_parseval_sum(e_hat, weight)) / max(norm(t.f, p=2), 1e-300)
 
 
 def sampled_residual(t: IterateTriple) -> float:
@@ -351,12 +351,11 @@ def sampled_residual(t: IterateTriple) -> float:
     measure below is the one that sees the committed sampling error.
     """
     grid = t.grid
-    e_hat = -4.0 * np.pi ** 2 * grid.k_squared_diff * _fft_of(t.u)
+    e_hat = _laplacian_symbol(grid) * _fft_of(t.u)
     for ax in range(grid.dim):
         prod = t.b[ax].values * t.u.values
         e_hat = e_hat + _ik(grid, ax) * (_fft_of(prod) + _fft_of(t.f[ax]))
-    resid = math.sqrt(_parseval_sum(e_hat, _sobolev_weight(grid)))
-    return resid / max(norm(t.f, p=2), 1e-300)
+    return _residual_size(t, e_hat)
 
 
 def residual_refinement(coarse: float, fine: float) -> tuple[float, bool]:
@@ -385,13 +384,10 @@ def equation_residual(t: IterateTriple) -> float:
     e_hat = _dealiased_product_divergence(grid, (_fft_of(c) for c in t.b.components), u_hat)
 
     # band-limited parts: laplacian of u and divergence of f
-    e_hat += -4.0 * np.pi ** 2 * grid.k_squared_diff * u_hat
+    e_hat += _laplacian_symbol(grid) * u_hat
     del u_hat
     _divergence_coeffs(grid, t.f.components, e_hat)
-
-    # the Sobolev-weighted norm on |k_i| <= kcap
-    resid = math.sqrt(_parseval_sum(e_hat, _sobolev_weight(grid, kcap)))
-    return resid / max(norm(t.f, p=2), 1e-300)
+    return _residual_size(t, e_hat, kcap)
 
 
 # ---------------------------------------------------------------------------
@@ -423,9 +419,9 @@ def assemble_step(
     caller that passes its only reference to t (`run_iteration` on a fixed
     schedule, the ci-step experiment) has f0 freed as the step goes; one
     that keeps t (`select_parameters`, whose trials share it) does not.
-    At d = 3 the step's peak is about 8.8 full-grid fields above what its
-    caller held at the call with the handover (8.3 with two workers), and
-    about 11.3 when the caller keeps t."""
+    At 64^3 the step's peak is about 8.3 full-grid fields above what its
+    caller held at the call with the handover (8.5 with two workers), and
+    about 11.3 (11.5) when the caller keeps t."""
     if params.mode in ("W1R", "W1R_W1Q") and params.r is None:
         raise ValueError(f"mode {params.mode} needs the Sobolev exponent r")
     if params.mode == "W1R_W1Q" and params.q is None:

@@ -30,8 +30,10 @@ from .torus import (
     _divergence_coeffs,
     _fft_of,
     _irfftn,
+    _laplacian_symbol,
     _lp_of_values,
     _mode_norm,
+    _shift_values,
     _split_symbol,
     grad_magnitude,
     gradient,
@@ -112,10 +114,11 @@ def _split_system(b: VectorField, grid: TorusGrid):
     """Maps on real grid values: A u = -lap(u) - div(b u) in the
     odd-derivative convention the diagnostics use, the split preconditioner
     P and B = P A P, the identity plus the drift part off the corner modes
-    where P vanishes; div(b u) is `_divergence_coeffs` of the b_j u.  All
-    run on real transforms, d + 3 of them for B."""
-    k2 = grid.k_squared_diff
-    p, keep, lap = _split_symbol(k2), k2 > 0.0, 4.0 * np.pi ** 2 * k2
+    where P vanishes: -lap is the negated `_laplacian_symbol`, P the
+    derivative-frequency `_split_symbol`, div(b u) `_divergence_coeffs` of
+    the b_j u.  All run on real transforms, d + 3 of them for B."""
+    p, lap = _split_symbol(grid), -_laplacian_symbol(grid)
+    keep = p > 0.0
     bvals = [c.values for c in b.components]
 
     def div_bu(u: np.ndarray) -> np.ndarray:
@@ -439,18 +442,6 @@ def mollifier_moment_matrix(d: int) -> np.ndarray:
     return mom * (w * (z[1] - z[0]))
 
 
-def _shift(field_coeffs: np.ndarray, grid: TorusGrid, s: np.ndarray) -> np.ndarray:
-    """Values of f(x - s) for an off-grid shift s, via spectral phases.  A
-    Nyquist mode is its own conjugate partner: it shifts by the mean of the
-    phases of -n/2 and +n/2, cos(pi n s), on every axis alike."""
-    phase = np.ones(grid.half_shape, dtype=np.complex128)
-    for ax in range(grid.dim):
-        e = np.exp(-2j * np.pi * grid.axis_k(ax) * s[ax])
-        e.flat[grid.n // 2] = e.flat[grid.n // 2].real
-        phase = phase * e
-    return _irfftn(field_coeffs * phase, grid.shape)
-
-
 def commutator_check(
     b: VectorField,
     u: ScalarField,
@@ -489,12 +480,12 @@ def commutator_check(
             if not np.any(g):
                 continue
             s = np.array([coords[i][iz] for i in range(d)]) * eps
-            u_sh = _shift(uc, grid, s)
+            u_sh = _shift_values(grid, uc, s)
             acc = 0.0
             for i in range(d):
                 if g[i] == 0.0:
                     continue
-                b_sh = _shift(bc[i], grid, s)
+                b_sh = _shift_values(grid, bc[i], s)
                 acc += g[i] * float((u_sh * (bvals[i] - b_sh) * vvals).mean())
             total += acc * w / eps
         values.append(total)

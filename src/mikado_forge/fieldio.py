@@ -64,20 +64,27 @@ def content_hash(f: Field) -> str:
 
 
 def read_field(path: str | Path) -> Field:
+    """The field in a TFLD file; ValueError if the file is not one, or its
+    length is not the header's 20 bytes plus the payload it announces."""
     data = Path(path).read_bytes()
     if data[:4] != MAGIC:
         raise ValueError(f"{path}: not a TFLD container")
+    off = 4 + 16
+    if len(data) < off:
+        raise ValueError(f"{path}: {len(data)} bytes, expected a {off}-byte header")
     version, d, n, rank = struct.unpack_from("<III I", data, 4)
     if version != VERSION:
         raise ValueError(f"{path}: unsupported TFLD version {version}")
+    if rank not in (0, 1):
+        raise ValueError(f"{path}: unsupported rank {rank}")
     grid = TorusGrid(dim=d, n=n)
     count = n ** d
-    off = 4 + 16
+    expected = off + (d if rank else 1) * count * 8
+    if len(data) != expected:
+        raise ValueError(f"{path}: {len(data)} bytes, expected {expected}")
     if rank == 0:
         vals = np.frombuffer(data, dtype="<f8", count=count, offset=off)
         return ScalarField(grid, vals.reshape(grid.shape).copy())
-    if rank != 1:
-        raise ValueError(f"{path}: unsupported rank {rank}")
     comps = []
     for _ in range(d):
         vals = np.frombuffer(data, dtype="<f8", count=count, offset=off)

@@ -13,20 +13,22 @@ for itself and its conjugate partner (see `_parseval_sum`).
 
 This module is the package's only spectral layer.  It owns every
 transform (the forward `_fft_of` and the inverse `_irfftn`, capped by the
-one worker setting `set_fft_workers`), every wavenumber symbol (the
-`TorusGrid` frequency arrays in the half layout, and the one derivative
-symbol 2 pi i k, `_ik`), and the array-level kernels the other modules
-build on.  A derivative is applied in one of two directions: out of a
-transform into values (`_partial_values`, under the gradient values and
-magnitude), or into a transform's accumulator (`_fft_of`'s acc += ik c,
-which `_divergence_coeffs` runs over a divergence's components, fields
-or value arrays).  Beside them: the antidivergence, the de-aliased
-product part of a divergence (`_dealiased_product_divergence`), the
-Parseval sum, the Lp quadrature of value arrays, the one Sobolev-norm
-combinator `_mode_norm` (W^{1,r} or H1 from values and `grad_magnitude`),
-and the C-infinity bump.  The kernels work in place on the arrays they
-allocate.  The field-level operators below are thin wrappers over those
-kernels; `norm` is the Lp norm.
+one worker setting `set_fft_workers`), every wavenumber symbol, built
+from the 1-d `TorusGrid` frequencies on the axis-0 rows a slab asks for
+(2 pi i k `_ik`, -4 pi^2 |k|^2 `_laplacian_symbol`, 1/(2 pi |k|)
+`_split_symbol`, the band mask `_band`, the shift phases `_shift_values`;
+no full-spectrum array is cached on a grid), and the array-level kernels
+the other modules build on.  A derivative is applied in one of two
+directions: out of a transform into values (`_partial_values`, under the
+gradient values and magnitude), or into a transform's accumulator
+(`_fft_of`'s acc += ik c, which `_divergence_coeffs` runs over a
+divergence's components, fields or value arrays).  Beside them: the
+antidivergence, the de-aliased product part of a divergence
+(`_dealiased_product_divergence`), the Parseval sum, the Lp quadrature of
+value arrays, the one Sobolev-norm combinator `_mode_norm` (W^{1,r} or H1
+from values and `grad_magnitude`), and the C-infinity bump.  The kernels
+work in place on the arrays they allocate.  The field-level operators
+below are thin wrappers over those kernels; `norm` is the Lp norm.
 
 Transforms.  The one normalisation is the coefficient convention above:
 the forward transform carries the 1/N (N the number of grid points), the
@@ -182,17 +184,18 @@ def _slab_map(fn: Callable[[slice], object], n0: int, rows: int, size: int) -> l
 def _slabwise(kernel: Callable[..., None], *arrays: np.ndarray) -> None:
     """kernel(*slabs) over matching axis-0 slabs of arrays, in place.  The
     first array sets the extent; an array of axis-0 length 1 broadcasts and
-    is passed whole.  Kernels are pointwise, so the result is the one call
+    is passed whole, and a function (a symbol) is called with the slab's
+    rows.  Kernels are pointwise, so the result is the one call
     kernel(*arrays) bit for bit, which is what arrays below the gate get.
     A kernel writes only into the arrays it is given, which the calling
     thread allocates; it takes at most one `_scratch` buffer."""
     n0, size = arrays[0].shape[0], arrays[0].size
     if not _pooled(size):
-        kernel(*arrays)
+        kernel(*(a(slice(None)) if callable(a) else a for a in arrays))
         return
     rows = max(1, _TASK_ELEMS * n0 // size)
-    _slab_map(lambda s: kernel(*(a[s] if a.shape[0] == n0 else a for a in arrays)),
-              n0, rows, size)
+    _slab_map(lambda s: kernel(*(a(s) if callable(a) else a[s] if a.shape[0] == n0 else a
+                                 for a in arrays)), n0, rows, size)
 
 
 def _scratch(like: np.ndarray, dtype=np.float64) -> np.ndarray:
@@ -356,18 +359,13 @@ class TorusGrid:
 
     def k_squared_rows(self, rows: slice, diff: bool = False) -> np.ndarray:
         """|k|^2 (sum of squared derivative frequencies if diff) on the
-        axis-0 rows of the half spectrum, without the cached full array."""
+        axis-0 rows of the half spectrum, built from the 1-d frequencies;
+        no full-spectrum array is cached."""
         k2 = np.zeros((len(range(self.n)[rows]),) + self.half_shape[1:])
         for ax in range(self.dim):
             k = self.axis_k(ax, diff).astype(np.float64) ** 2
             k2 += k[rows] if ax == 0 else k
         return k2
-
-    @cached_property
-    def k_squared_diff(self) -> np.ndarray:
-        """sum of squared derivative frequencies on the half spectrum: the
-        symbol of div(grad .) in the odd-derivative convention."""
-        return self.k_squared_rows(slice(None), diff=True)
 
     def meshes(self) -> list[np.ndarray]:
         """Coordinate meshes (built on demand, not cached)."""
@@ -613,6 +611,42 @@ def _ik(grid: TorusGrid, axis: int) -> np.ndarray:
     return (2j * np.pi) * grid.axis_k(axis, diff=True)
 
 
+def _laplacian_symbol(grid: TorusGrid, rows: slice = slice(None)) -> np.ndarray:
+    """-4 pi^2 |k|^2 (derivative frequencies), the symbol of div(grad .), on axis-0 rows."""
+    return (-4.0 * np.pi ** 2) * grid.k_squared_rows(rows, diff=True)
+
+
+def _split_symbol(grid: TorusGrid, rows: slice = slice(None), diff: bool = True) -> np.ndarray:
+    """1/(2 pi |k|), exactly 0 where |k| = 0, on axis-0 rows: (-lap)^(-1/2)
+    off its kernel.  With the derivative frequencies (diff) it splits the
+    drift-diffusion preconditioner, its kernel the mean and the Nyquist
+    corners; with the full |k|^2 it weights the residuals' H^-1 norms."""
+    k2 = grid.k_squared_rows(rows, diff)
+    with np.errstate(divide="ignore"):
+        return np.where(k2 > 0.0, 1.0 / (2.0 * np.pi * np.sqrt(k2)), 0.0)
+
+
+def _band(grid: TorusGrid, kmax: float, rows: slice = slice(None)) -> np.ndarray:
+    """The mask |k_i| <= kmax on every axis, on axis-0 rows."""
+    band = np.ones((len(range(grid.n)[rows]),) + grid.half_shape[1:], dtype=bool)
+    for ax in range(grid.dim):
+        inside = np.abs(grid.axis_k(ax)) <= kmax
+        band &= inside[rows] if ax == 0 else inside
+    return band
+
+
+def _shift_values(grid: TorusGrid, coeffs: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Values of f(x - s) from the coefficients of f, via spectral phases.
+    A Nyquist mode is its own conjugate partner: it shifts by the mean of
+    the phases of -n/2 and +n/2, cos(pi n s), on every axis alike."""
+    phase = np.ones(grid.half_shape, dtype=np.complex128)
+    for ax in range(grid.dim):
+        e = np.exp(-2j * np.pi * grid.axis_k(ax) * s[ax])
+        e.flat[grid.n // 2] = e.flat[grid.n // 2].real
+        phase = phase * e
+    return _irfftn(coeffs * phase, grid.shape)
+
+
 def _partial_values(grid: TorusGrid, coeffs: np.ndarray, axis: int,
                     consume: Callable[[slice, np.ndarray], None] | None = None
                     ) -> np.ndarray | None:
@@ -656,28 +690,16 @@ def _inverse_div_grad_coeffs(grid: TorusGrid, coeffs: np.ndarray,
     calculus; zero on the modes where that symbol vanishes (the mean and
     the unpaired Nyquist corners, which lie outside the range of div).
     Written into out if given, which may be coeffs itself when the caller
-    hands over a temporary.  A slab kernel."""
-    def kernel(o, c, k2):
-        zero = k2 == 0.0
-        den = np.multiply(k2, -4.0 * np.pi ** 2, out=_scratch(k2))
-        den[zero] = -4.0 * np.pi ** 2
-        np.divide(c, den, out=o)
+    hands over a temporary.  A slab kernel; the symbol is built per slab."""
+    def kernel(o, c, lap):
+        zero = lap == 0.0
+        np.divide(c, lap, out=o, where=~zero)
         o[zero] = 0.0
 
     if out is None:
         out = np.empty(coeffs.shape, dtype=np.complex128)
-    _slabwise(kernel, out, coeffs, grid.k_squared_diff)
+    _slabwise(kernel, out, coeffs, lambda rows: _laplacian_symbol(grid, rows))
     return out
-
-
-def _split_symbol(k2: np.ndarray) -> np.ndarray:
-    """1/(2 pi sqrt(k2)), exactly 0 where k2 = 0: the symbol of
-    (-lap)^(-1/2) off its kernel, which splits the drift-diffusion
-    preconditioner and weights the H^-1 norms of equation residuals.  With
-    k2 = k_squared_diff the kernel is the mean and the unpaired Nyquist
-    corners, outside the range of div."""
-    with np.errstate(divide="ignore"):
-        return np.where(k2 > 0.0, 1.0 / (2.0 * np.pi * np.sqrt(k2)), 0.0)
 
 
 def _antidivergence_values(grid: TorusGrid, coeffs: np.ndarray) -> list[np.ndarray]:
@@ -934,11 +956,7 @@ def lowpass(f: Field, kmax: float) -> Field:
     """Zero all coefficients with any |k_i| > kmax."""
     if isinstance(f, VectorField):
         return VectorField.from_components(tuple(lowpass(c, kmax) for c in f.components))
-    grid = f.grid
-    keep = np.ones(grid.half_shape, dtype=bool)
-    for ax in range(grid.dim):
-        keep &= np.abs(grid.axis_k(ax)) <= kmax
-    return ScalarField.from_coeffs(grid, np.where(keep, f.coeffs, 0.0))
+    return ScalarField.from_coeffs(f.grid, np.where(_band(f.grid, kmax), f.coeffs, 0.0))
 
 
 def leray_project(b: VectorField) -> VectorField:
@@ -988,7 +1006,7 @@ def relative_divergence(v: VectorField) -> float:
     den_sq = 0.0
     for ax in range(grid.dim):
         c = _fft_of(v[ax], acc, _ik(grid, ax))
-        den_sq += _parseval_sum(c, grid.k_squared_diff)
+        den_sq += _parseval_sum(c, lambda rows: grid.k_squared_rows(rows, diff=True))
         del c
     num = math.sqrt(_parseval_sum(acc))
     den = 2.0 * np.pi * math.sqrt(den_sq)

@@ -4,6 +4,7 @@ estimates, parameter search, and the surrogate iteration laws."""
 import math
 import tracemalloc
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -160,8 +161,8 @@ def test_step_structure_and_residuals(toy64):
 
 def test_step_and_residual_memory_in_fields():
     # extra memory of one step and of the de-aliased residual at 64^3, in
-    # units of one full-grid float64 field (measured 8.78 and 7.72 with one
-    # worker, 8.33 and 7.73 with two: the step streams its perturbation,
+    # units of one full-grid float64 field (measured 8.27 and 7.66 with one
+    # worker, 8.46 and 7.73 with two: the step streams its perturbation,
     # flux parts and corrector one component at a time, consumes its input
     # flux, and takes its spectral parts slab by slab from the inverse
     # transforms; the residual transforms only the band, slab by slab, and
@@ -210,7 +211,7 @@ def _step_and_residual_peaks():
         resid_peak = tracemalloc.get_traced_memory()[1] / field
     finally:
         tracemalloc.stop()
-    # measured 11.26 and 11.33 fields when the caller keeps the seed
+    # measured 11.27 and 11.46 fields when the caller keeps the seed
     assert kept <= 11.6
     assert handed_over <= 9.1
     assert kept - handed_over >= 1.5
@@ -219,23 +220,28 @@ def _step_and_residual_peaks():
 
 def test_residual_weight_is_the_full_array_weight():
     # the residuals' Sobolev weight and band mask, built per Parseval slab
-    # (here 16 rows and a short slab of 8), give the sums of the full
-    # half-spectrum weight and of the coefficients cut to the band
+    # (here 16 rows and a short slab of 8), give the sizes from the full
+    # half-spectrum weight and from the coefficients cut to the band
     g = TorusGrid(3, 24)
     rng = np.random.default_rng(21)
     e = rng.standard_normal(g.half_shape) + 1j * rng.standard_normal(g.half_shape)
+    t = SimpleNamespace(grid=g, f=VectorField.from_arrays(
+        g, [rng.standard_normal(g.shape) for _ in range(3)]))
+    scale = max(norm(t.f, p=2), 1e-300)
     kcap = g.n // 2 - 1
     band = np.ones(g.half_shape, dtype=bool)
     for ax in range(3):
         band &= np.abs(g.axis_k(ax)) <= kcap
-    weight = torus._split_symbol(g.k_squared_rows(slice(None))) ** 2
+    k2 = g.k_squared_rows(slice(None))
+    with np.errstate(divide="ignore"):
+        weight = np.where(k2 > 0.0, 1.0 / (2.0 * np.pi * np.sqrt(k2)), 0.0) ** 2
     cut = np.where(band, e, 0.0)
-    assert (torus._parseval_sum(e, convexint._sobolev_weight(g))
-            == torus._parseval_sum(e, weight))
-    assert (torus._parseval_sum(e, convexint._sobolev_weight(g, kcap))
-            == torus._parseval_sum(cut, weight))
+    assert convexint._residual_size(t, e) == math.sqrt(torus._parseval_sum(e, weight)) / scale
+    assert (convexint._residual_size(t, e, kcap)
+            == math.sqrt(torus._parseval_sum(cut, weight)) / scale)
+    full = g.k_squared_rows(slice(None), diff=True)
     for rows in (slice(0, 16), slice(16, 32)):
-        assert np.array_equal(g.k_squared_rows(rows, diff=True), g.k_squared_diff[rows])
+        assert np.array_equal(g.k_squared_rows(rows, diff=True), full[rows])
 
 
 def test_perturbation_norm_line(toy64):

@@ -19,7 +19,7 @@ from mikado_forge.driftdiff import (
     solve,
     uniqueness_probe,
 )
-from mikado_forge.driftdiff import _bump_normalisation, _shift, mollifier_moment_matrix
+from mikado_forge.driftdiff import _bump_normalisation, mollifier_moment_matrix
 from mikado_forge.torus import (
     _bump,
     ScalarField,
@@ -28,6 +28,7 @@ from mikado_forge.torus import (
     divergence,
     gradient,
     _lp_of_values,
+    _shift_values,
     grad_magnitude,
     leray_project,
     norm,
@@ -318,11 +319,11 @@ def test_shift_treats_every_axis_alike():
     g = TorusGrid(2, 16)
     v = np.random.default_rng(11).standard_normal(g.shape)
     s = np.array([0.013, -0.027])
-    a = _shift(ScalarField(g, v).coeffs, g, s)
-    b = _shift(ScalarField(g, v.T.copy()).coeffs, g, s[::-1])
+    a = _shift_values(g, ScalarField(g, v).coeffs, s)
+    b = _shift_values(g, ScalarField(g, v.T.copy()).coeffs, s[::-1])
     assert np.abs(a.T - b).max() <= 1e-13 * np.abs(a).max()
     # a shift by whole cells permutes the samples
-    c = _shift(ScalarField(g, v).coeffs, g, np.array([3, -5]) / 16)
+    c = _shift_values(g, ScalarField(g, v).coeffs, np.array([3, -5]) / 16)
     assert np.abs(c - np.roll(v, (3, -5), axis=(0, 1))).max() <= 1e-13 * np.abs(v).max()
 
 

@@ -8,7 +8,8 @@ forward `_fft_of` and the inverse `_irfftn`, and no other module keeps
 its own relative divergence or antidivergence.  The derivative symbol
 2 pi i k is built by `torus._ik` only, beside the de-aliased product's
 normalised copy, and the derivative frequencies `k1_diff` are read inside
-`TorusGrid` only.  Likewise an iterate
+`TorusGrid` only.  No module but `torus` reads the grid's frequencies, and
+no grid caches a full-spectrum array.  Likewise an iterate
 triple is built in two places only: the seed and the step, and the Sobolev
 norms are put together in `torus` only: no call selects a norm by a
 `flavor` keyword, and only `torus` calls `hypot`.  And every name a module
@@ -18,7 +19,13 @@ alone."""
 import ast
 from pathlib import Path
 
+import numpy as np
+
 import mikado_forge
+from mikado_forge.convexint import StepParams, assemble_step, equation_residual
+from mikado_forge.mikado import build_family
+from mikado_forge.seeds import shifted_cosine_seed
+from mikado_forge.torus import TorusGrid
 
 PACKAGE_DIR = Path(mikado_forge.__file__).parent
 PERFBENCH_DIR = PACKAGE_DIR.parents[1] / "perfbench"
@@ -191,6 +198,52 @@ def test_a_private_derivative_symbol_is_caught():
     patched = [(name, ast.parse(src)) for name, src in sources.items()]
     assert _derivative_frequency_reads(patched) - DERIVATIVE_SYMBOLS == {
         ("driftdiff.py", "_split_system"), ("torus.py", "_probe")}
+
+
+# the grid's frequency arrays and the methods that build symbols from them
+GRID_FREQUENCIES = ("axis_k", "k_squared_rows", "k_squared_diff", "k1", "k1_diff")
+
+
+def _frequency_reads(modules) -> set:
+    """(module, enclosing top-level definition) of every attribute read of
+    the grid's frequencies in a module other than `torus`."""
+    return {
+        (name, getattr(top, "name", None))
+        for name, tree in modules if name != "torus.py"
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Attribute) and node.attr in GRID_FREQUENCIES
+    }
+
+
+def test_the_grid_frequencies_are_read_in_torus_only():
+    assert _frequency_reads(_modules()) == set()
+
+
+def test_a_private_laplacian_symbol_is_caught():
+    # a re-added solver symbol 4 pi^2 |k|^2
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE_DIR.glob("*.py"))}
+    bvals = "    bvals = [c.values for c in b.components]\n"
+    assert sources["driftdiff.py"].count(bvals) == 1
+    sources["driftdiff.py"] = sources["driftdiff.py"].replace(
+        bvals, "    lap = 4.0 * np.pi ** 2 * grid.k_squared_rows(slice(None), diff=True)\n"
+               + bvals)
+    patched = [(name, ast.parse(src)) for name, src in sources.items()]
+    assert _frequency_reads(patched) == {("driftdiff.py", "_split_system")}
+
+
+def test_a_step_and_its_residual_cache_no_spectrum_on_the_grid():
+    # every array a grid caches is one of its 1-d frequency or coordinate
+    # arrays, of at most n elements
+    g = TorusGrid(3, 32)
+    fam = build_family(3, 1.5, 7.0, g, resolution_factor=2.0)
+    t0 = shifted_cosine_seed(g, u_amp=0.5, flux_shift=64.0)
+    params = StepParams(delta=t0.f_l1 / 16, lam=1, mu=7.0, mode="W1R", r=1.1)
+    t1, _ = assemble_step(t0, params, fam)
+    equation_residual(t1)
+    for grid in (g, t1.grid, fam.grid):
+        cached = [a for a in vars(grid).values() if isinstance(a, np.ndarray)]
+        assert cached and all(a.size <= grid.n for a in cached)
 
 
 def test_iterate_triples_are_built_by_the_seed_and_the_step_only():

@@ -2,6 +2,7 @@
 filter, Leray projection, serialization."""
 
 import hashlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -279,6 +280,24 @@ def test_field_serialization_roundtrip(tmp_path):
     back_b = fieldio.read_field(tmp_path / "b.bin")
     for i in range(2):
         assert np.array_equal(back_b[i].values, b[i].values)
+
+
+@pytest.mark.parametrize("rank", ["scalar", "vector"])
+def test_read_field_rejects_a_wrong_length(tmp_path, rank):
+    # a cut header, a truncated payload and trailing bytes each raise a
+    # ValueError that names the file and the byte count it should have
+    g = TorusGrid(2, 16)
+    rng = np.random.default_rng(16)
+    f = random_scalar(g, 5, rng) if rank == "scalar" else random_solenoidal(g, 4, rng)
+    data = fieldio.field_bytes(f)
+    expected = 20 + (1 if rank == "scalar" else 2) * 16 ** 2 * 8
+    assert len(data) == expected
+    for name, bad, count in [("header", data[:10], 20), ("truncated", data[:-8], expected),
+                             ("trailing", data + b"\0" * 8, expected)]:
+        path = tmp_path / f"{name}.bin"
+        path.write_bytes(bad)
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}.* expected .*{count}"):
+            fieldio.read_field(path)
 
 
 def test_write_field_writes_field_bytes(tmp_path):

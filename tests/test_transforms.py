@@ -4,6 +4,7 @@ and `rfftn` with norm="forward", and the operators built on them, and the
 pruned de-aliased product against the 3n/2 zero-padded product it
 computes; and the worker pool's slab helpers against the serial loop."""
 
+import math
 import os
 import sys
 import threading
@@ -26,18 +27,20 @@ from mikado_forge.torus import (
     _ik,
     _inverse_div_grad_coeffs,
     _irfftn,
+    _laplacian_symbol,
     _partial_values,
     _parseval_sum,
     _scratch,
     _slab_map,
     _slabwise,
-    _split_symbol,
     axis_derivative_norm,
     divergence,
     grad_magnitude,
     gradient,
     leray_project,
+    lowpass,
     random_scalar,
+    relative_divergence,
 )
 
 
@@ -247,7 +250,7 @@ def test_slab_loops_match_serial_above_the_gate(workers):
     out = {}
     for n_workers in (1, 2):
         workers(n_workers)
-        out[n_workers] = (_parseval_sum(c, g.k_squared_diff),
+        out[n_workers] = (_parseval_sum(c, g.k_squared_rows(slice(None), diff=True)),
                           [axis_derivative_norm(g, f.values, ax) for ax in range(3)])
     assert out[1] == out[2]
 
@@ -293,7 +296,7 @@ def two_pass_case(draw):
 
 def _old_antidivergence(grid, coeffs):
     # the full-array formula the slab kernel replaces
-    k2 = grid.k_squared_diff.copy()
+    k2 = grid.k_squared_rows(slice(None), diff=True)
     zero = k2 == 0.0
     k2[zero] = 1.0
     phihat = coeffs / (-4.0 * np.pi ** 2 * k2)
@@ -362,9 +365,11 @@ def _old_leray_project(grid, vals):
 
 
 def _old_split_maps(b, grid):
-    # the solver's maps with their own symbol -2 pi i k and Python's sum
-    k2 = grid.k_squared_diff
-    p, keep, lap = _split_symbol(k2), k2 > 0.0, 4.0 * np.pi ** 2 * k2
+    # the solver's maps with their own symbols and Python's sum
+    k2 = grid.k_squared_rows(slice(None), diff=True)
+    with np.errstate(divide="ignore"):
+        p = np.where(k2 > 0.0, 1.0 / (2.0 * np.pi * np.sqrt(k2)), 0.0)
+    keep, lap = k2 > 0.0, 4.0 * np.pi ** 2 * k2
     minus_d = [-2j * np.pi * grid.axis_k(ax, diff=True) for ax in range(grid.dim)]
     bvals = [c.values for c in b.components]
 
@@ -436,3 +441,53 @@ def test_split_maps_are_the_old_drift_sum(grid, n_workers):
         got_a, got_b = apply_a(u), apply_b(y)
     assert got_a.tobytes() == ref_a(u).tobytes()
     assert got_b.tobytes() == ref_b(y).tobytes()
+
+
+def _symbol_kernel(out, c, lap):
+    # pointwise, with a symbol that vanishes on the corner modes
+    np.divide(c, lap, out=out, where=lap != 0.0)
+    out[lap == 0.0] = -0.0
+
+
+@pytest.mark.parametrize("n_workers", [1, 2, 3])
+@pytest.mark.parametrize("grid", [TorusGrid(2, 40), TorusGrid(3, 18), TorusGrid(4, 8)],
+                         ids=lambda g: f"{g.dim}d{g.n}")
+def test_slab_built_symbols_are_the_full_array_formulas(grid, n_workers):
+    # the symbols are built per slab from the 1-d frequencies; below the
+    # gate and on the pool, with 3 half-spectrum rows per pointwise slab
+    # and the Parseval sum's 16, neither dividing n, they give the
+    # full-array formulas byte for byte
+    rng = np.random.default_rng(grid.n * grid.dim + 7 * n_workers)
+    a = rng.standard_normal(grid.half_shape) + 1j * rng.standard_normal(grid.half_shape)
+    vals = [rng.standard_normal(grid.shape) for _ in range(grid.dim)]
+    vals[0][0, ...] = -0.0
+    k2 = grid.k_squared_rows(slice(None), diff=True)
+
+    ref_slab = np.empty(grid.half_shape, dtype=np.complex128)
+    _symbol_kernel(ref_slab, a, _laplacian_symbol(grid))
+    cs = [sfft.rfftn(v, norm="forward") for v in vals]
+    div = sum(_ik(grid, ax) * c for ax, c in enumerate(cs))
+    den_sq = 0.0
+    for c in cs:
+        den_sq += _parseval_sum(c, k2)
+    ref_rel = math.sqrt(_parseval_sum(div)) / (2.0 * np.pi * math.sqrt(den_sq))
+    kmax = grid.n // 4
+    keep = np.ones(grid.half_shape, dtype=bool)
+    for ax in range(grid.dim):
+        keep &= np.abs(grid.axis_k(ax)) <= kmax
+    ref_low = sfft.irfftn(np.where(keep, cs[0], 0.0), s=grid.shape, norm="forward")
+
+    with (nullcontext() if n_workers == 1 else
+          _pool_on_small_arrays(n_workers, 3 * math.prod(grid.half_shape[1:]))):
+        got_slab = np.empty(grid.half_shape, dtype=np.complex128)
+        _slabwise(_symbol_kernel, got_slab, a, lambda rows: _laplacian_symbol(grid, rows))
+        antidiv = _inverse_div_grad_coeffs(grid, a)
+        in_place = a.copy()
+        assert _inverse_div_grad_coeffs(grid, in_place, out=in_place) is in_place
+        got_rel = relative_divergence(VectorField.from_arrays(grid, vals))
+        got_low = lowpass(ScalarField(grid, vals[0]), kmax)
+    assert got_slab.tobytes() == ref_slab.tobytes()
+    assert antidiv.tobytes() == _old_antidivergence(grid, a).tobytes()
+    assert in_place.tobytes() == antidiv.tobytes()
+    assert got_rel == ref_rel
+    assert got_low.values.tobytes() == ref_low.tobytes()
