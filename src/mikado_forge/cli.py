@@ -14,7 +14,9 @@ of 64^3 points and more on a pool of worker threads, and their transforms
 with as many FFT workers; smaller fields stay on one thread.  The worker
 count defaults to the usable cores.  MF_THREADS sets it instead, clamped
 to [1, usable cores]; MF_THREADS=1 runs everything on one thread.  Every
-output is byte-identical for any setting.
+output is byte-identical for any setting.  The solver makes no threaded
+BLAS call (its inner products run in `np.einsum`, not `np.dot`), so the
+pool of `torus` is the only pool that runs the program's work.
 
 Exit codes:
 0  every named check passed.
@@ -480,13 +482,15 @@ def _exp_maxprinc(cfg: dict, out: Path, rng) -> dict:
         "uniform_bound": bool(table["all_bounded"]),
         "no_upward_trend": bool(table["trend_ok"]),
     }
-    write_csv(out / "ratios.csv", "columns: drift L2 norm, sup-norm ratio",
+    statuses = [r["status"] for r in table["rows"]]
+    write_csv(out / "ratios.csv", "columns: drift L2 norm, sup-norm ratio, solve status",
               {"b_l2": [r["b_l2"] for r in table["rows"]],
-               "ratio": [r["ratio"] for r in table["rows"]]})
+               "ratio": [r["ratio"] for r in table["rows"]],
+               "status": statuses})
     return {"experiment": "maxprinc", "d": d, "N": n,
             "max_ratio": table["max_ratio"], "bound": table["bound"],
             "trend_slope": table["trend_slope"], "trend_stderr": table["trend_stderr"],
-            "checks": checks}
+            "statuses": statuses, "checks": checks}
 
 
 def _exp_moser(cfg: dict, out: Path, rng) -> dict:

@@ -4,12 +4,20 @@ weakly divergence-free drift b.
 
 The solver is GMRES on P A P y = P f, u = P y, for A u = -lap(u) - div(b u)
 split-preconditioned by P = (-lap)^(-1/2); div b = 0 makes the drift term
-skew-adjoint, so P A P is the identity plus a nearly skew operator.  Around
-it sit the diagnostics this problem is known for: truncation-based
-approximation solutions, the energy identity/inequality, a drift-independent
-maximum-principle sweep, dyadic-power testing with the companion
-Gagliardo-Nirenberg bound, the mollifier-commutator functional, and a
-two-schedule uniqueness probe.
+skew-adjoint, so P A P is the identity plus a nearly skew operator.  Its
+Krylov space is the half spectrum of y: each coefficient scaled by the
+square root of its Parseval weight (2 on the columns 0 < k_last < n/2,
+1 on k_last = 0 and n/2), the complex array viewed as float64.  So the
+Euclidean inner product of two Krylov vectors is the grid mean of the
+product of the fields they stand for, GMRES takes the iterates it would
+take on grid values, and a matvec needs d + 1 transforms.  The GMRES
+itself (`_gmres`, restarted, modified Gram-Schmidt and Givens rotations)
+takes its inner products with `np.einsum`, so no call starts a threaded
+BLAS.  Around it sit the diagnostics this problem is known for:
+truncation-based approximation solutions, the energy identity/inequality,
+a drift-independent maximum-principle sweep, dyadic-power testing with the
+companion Gagliardo-Nirenberg bound, the mollifier-commutator functional,
+and a two-schedule uniqueness probe.
 """
 
 from __future__ import annotations
@@ -17,9 +25,9 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, gmres
 
 from .ratefit import fit_loglog, slope_stderr
 from .torus import (
@@ -110,15 +118,29 @@ class TruncationSchedule:
         return leray_project(clamped)
 
 
+def _root_weight(grid: TorusGrid) -> np.ndarray:
+    """The square root of the Parseval weight of each half-spectrum column:
+    sqrt(2) on 0 < k_last < n/2, which stand for themselves and their
+    conjugate partners, 1 on k_last = 0 and n/2 (see `_parseval_sum`)."""
+    sw = np.full(grid.half_shape[-1], math.sqrt(2.0))
+    sw[[0, -1]] = 1.0
+    return sw
+
+
 def _split_system(b: VectorField, grid: TorusGrid):
-    """Maps on real grid values: A u = -lap(u) - div(b u) in the
-    odd-derivative convention the diagnostics use, the split preconditioner
-    P and B = P A P, the identity plus the drift part off the corner modes
-    where P vanishes: -lap is the negated `_laplacian_symbol`, P the
-    derivative-frequency `_split_symbol`, div(b u) `_divergence_coeffs` of
-    the b_j u.  All run on real transforms, d + 3 of them for B."""
+    """The maps of the split system B = P A P, the identity plus the drift
+    part off the corner modes where P vanishes.  A u = -lap(u) - div(b u)
+    maps grid values to grid values in the odd-derivative convention the
+    diagnostics use: -lap is the negated `_laplacian_symbol`, div(b u)
+    `_divergence_coeffs` of the b_j u.  B maps the Krylov space (see the
+    module docstring) to itself: z = sqrt(w) c for y with coefficients c,
+    and B z = keep z - (p sqrt(w)) div_bu(values of (p / sqrt(w)) z), with p
+    the derivative-frequency `_split_symbol`.  p_rhs(r) is P r in the Krylov
+    space, (p sqrt(w)) F(r), and p_values(z) is P y in grid values.  All run
+    on real transforms, d + 1 of them for B."""
     p, lap = _split_symbol(grid), -_laplacian_symbol(grid)
-    keep = p > 0.0
+    sw = _root_weight(grid)
+    keep, p_up, p_down = p > 0.0, p * sw, p / sw
     bvals = [c.values for c in b.components]
 
     def div_bu(u: np.ndarray) -> np.ndarray:
@@ -127,26 +149,98 @@ def _split_system(b: VectorField, grid: TorusGrid):
     def apply_a(u: np.ndarray) -> np.ndarray:
         return _irfftn(lap * _fft_of(u) - div_bu(u), grid.shape)
 
-    def apply_p(r: np.ndarray) -> np.ndarray:
-        return _irfftn(p * _fft_of(r), grid.shape)
+    def p_rhs(r: np.ndarray) -> np.ndarray:
+        return (p_up * _fft_of(r)).view(np.float64).ravel()
 
-    def apply_b(y: np.ndarray) -> np.ndarray:
-        yh = _fft_of(y.reshape(grid.shape))
-        u = _irfftn(p * yh, grid.shape)
-        return _irfftn(keep * yh - p * div_bu(u), grid.shape).ravel()
+    def p_values(z: np.ndarray) -> np.ndarray:
+        return _irfftn(p_down * z.view(np.complex128).reshape(p.shape), grid.shape)
 
-    return apply_a, apply_p, apply_b
+    def apply_b(z: np.ndarray) -> np.ndarray:
+        zc = z.view(np.complex128).reshape(p.shape)
+        return (keep * zc - p_up * div_bu(p_values(z))).view(np.float64).ravel()
+
+    return apply_a, p_rhs, apply_b, p_values
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> float:
+    # einsum's own loop: np.dot and np.linalg.norm would start the
+    # threaded BLAS pool, which costs more than it gives at field sizes
+    return float(np.einsum("i,i->", x, y))
+
+
+def _norm(x: np.ndarray) -> float:
+    return math.sqrt(_dot(x, x))
+
+
+def _gmres(apply: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray, rtol: float,
+           restart: int, budget: int) -> tuple[np.ndarray, int]:
+    """GMRES(restart) for apply(x) = rhs from x = 0 (Saad & Schultz 1986):
+    modified Gram-Schmidt Arnoldi, Givens rotations, inner products by
+    `_dot`.  A cycle stops once its Arnoldi estimate of the residual is
+    <= rtol ||rhs|| and returns at once; a cycle that ends short of it
+    restarts from rhs - apply(x), which costs one matvec more.  Returns x
+    and the matvecs spent, at most budget (>= 1): a cycle is cut where the
+    budget ends, and no restart is begun without room for one step."""
+    x = np.zeros_like(rhs)
+    beta = _norm(rhs)
+    if beta == 0.0:
+        return x, 0
+    target, r, matvecs = rtol * beta, rhs, 0
+    basis = np.empty((restart + 1, rhs.size))
+    while True:
+        np.multiply(r, 1.0 / beta, out=basis[0])
+        hess = np.zeros((restart + 1, restart))
+        cs, sn = np.zeros(restart), np.zeros(restart)
+        g = np.zeros(restart + 1)
+        g[0] = beta
+        for j in range(min(restart, budget - matvecs)):
+            w = apply(basis[j])
+            matvecs += 1
+            for i in range(j + 1):
+                hess[i, j] = hij = _dot(basis[i], w)
+                w -= hij * basis[i]
+            hess[j + 1, j] = h = _norm(w)
+            if h > 0.0:
+                np.multiply(w, 1.0 / h, out=basis[j + 1])
+            for i in range(j):
+                h0, h1 = hess[i, j], hess[i + 1, j]
+                hess[i, j], hess[i + 1, j] = cs[i] * h0 + sn[i] * h1, cs[i] * h1 - sn[i] * h0
+            h0, h1 = hess[j, j], hess[j + 1, j]
+            rho = math.sqrt(h0 * h0 + h1 * h1)
+            cs[j], sn[j] = (h0 / rho, h1 / rho) if rho > 0.0 else (1.0, 0.0)
+            hess[j, j], hess[j + 1, j] = rho, 0.0
+            g[j], g[j + 1] = cs[j] * g[j], -sn[j] * g[j]
+            if abs(g[j + 1]) <= target or h == 0.0:
+                break
+        # back substitution on the rotated Hessenberg matrix, k steps
+        k = j + 1
+        y = [0.0] * k
+        for i in reversed(range(k)):
+            acc = g[i] - sum(hess[i, m] * y[m] for m in range(i + 1, k))
+            y[i] = acc / hess[i, i] if hess[i, i] != 0.0 else 0.0
+        for i in range(k):
+            x += y[i] * basis[i]
+        if abs(g[k]) <= target or h == 0.0 or budget - matvecs < 2:
+            return x, matvecs
+        r = rhs - apply(x)
+        matvecs += 1
+        beta = _norm(r)
+        if beta <= target:
+            return x, matvecs
 
 
 def solve(b: VectorField, f: ScalarField, cfg: SolveConfig = SolveConfig()) -> ScalarField:
     """Mean-zero u with -lap(u) - div(b u) = f to relative residual cfg.tol.
 
-    Each round runs GMRES on B y = P r, r the true residual (f at first),
-    to a split residual of max(min(0.1, tol / (2 achieved)), 1e-13) relative
-    to P r, adds P y to u and computes achieved = ||A u - f|| / ||f||; u is
-    accepted only once that is <= cfg.tol.  A round that fails to halve it
-    raises NonConvergence at once, as does a spent budget: all rounds and
-    their residual checks share cfg.max_matvecs matvecs.
+    Each round runs `_gmres` on B z = P r in the Krylov space (see the
+    module docstring), r the true residual (f at first), to a split
+    residual of max(min(0.1, tol / (2 achieved)), 1e-13) relative to P r,
+    adds P y to u and computes achieved = ||A u - f|| / ||f|| in flux form;
+    u is accepted only once that is <= cfg.tol.  A round that fails to
+    halve it raises NonConvergence at once, as does a spent budget: all
+    rounds share cfg.max_matvecs matvecs.  A round whose GMRES cycle
+    converges after k steps costs k + 1 (the residual in flux form is
+    one); each restart of a cycle costs 1 more.
 
     Preconditions: f mean-zero (torus solvability), b divergence-free at
     grid scale, both bounded (finite grid values).
@@ -160,29 +254,21 @@ def solve(b: VectorField, f: ScalarField, cfg: SolveConfig = SolveConfig()) -> S
     rd = relative_divergence(b)
     if rd > 1e-8:
         raise ValueError(f"drift is not divergence-free at grid scale ({rd:.3e})")
-    apply_a, apply_p, apply_b = _split_system(b, grid)
+    apply_a, p_rhs, apply_b, p_values = _split_system(b, grid)
     matvecs, achieved, u, r = 0, 1.0, 0.0, f.values
-
-    def counted_b(y: np.ndarray) -> np.ndarray:
-        nonlocal matvecs
-        matvecs += 1
-        return apply_b(y)
-
-    B = LinearOperator((r.size, r.size), matvec=counted_b, dtype=np.float64)
     while True:
-        # a GMRES(restart) cycle costs restart + 1 matvecs, the true residual 1
+        # a round needs one Krylov step and its true residual
         left = cfg.max_matvecs - matvecs
-        if left < 3:
+        if left < 2:
             raise NonConvergence(achieved, matvecs, cfg, "the matvec budget is spent")
-        restart = min(_RESTART, left - 2)
         # the split residual stands in for the true one: aim at half the
         # tolerance, and at a tenfold cut at least in a correction round
-        y, _ = gmres(B, apply_p(r).ravel(), rtol=max(min(0.1, 0.5 * cfg.tol / achieved), 1e-13),
-                     atol=0.0, restart=restart, maxiter=(left - 1) // (restart + 1))
-        u = u + apply_p(y.reshape(grid.shape))
+        z, spent = _gmres(apply_b, p_rhs(r), max(min(0.1, 0.5 * cfg.tol / achieved), 1e-13),
+                          _RESTART, left - 1)
+        u = u + p_values(z)
         r = f.values - apply_a(u)
-        matvecs += 1
-        previous, achieved = achieved, float(np.linalg.norm(r) / np.linalg.norm(f.values))
+        matvecs += spent + 1
+        previous, achieved = achieved, _lp_of_values(r, 2.0) / fl2
         if achieved <= cfg.tol:
             return ScalarField(grid, u - u.mean())
         if achieved > 0.5 * previous:

@@ -180,6 +180,7 @@ def test_moser_and_maxprinc_experiments(tmp_path):
         "maxprinc", {"d": 2, "N": 32, "drifts": 8, "scale_span": 10.0},
         tmp_path / "x", seed=1)
     assert code2 == 0
+    assert rep2["statuses"] == ["ok"] * 8
     assert (tmp_path / "x" / "ratios.csv").exists()
 
 
@@ -206,8 +207,14 @@ def test_maxprinc_with_every_solve_failed_reports_the_unbounded_sweep(tmp_path, 
     data = json.loads((tmp_path / "out" / "maxprinc" / "report.json").read_text())
     assert data["max_ratio"] is None
     assert [k for k, ok in data["checks"].items() if not ok] == ["uniform_bound"]
+    # each drift's solver message arrives in the report and the table
+    assert len(data["statuses"]) == 3
+    assert all(s.startswith("solver failure: no convergence:") and "failed to halve" in s
+               for s in data["statuses"])
     ratios = (tmp_path / "out" / "maxprinc" / "ratios.csv").read_text().splitlines()
+    assert ratios[1] == "b_l2,ratio,status"
     assert [row.split(",")[1] for row in ratios[2:]] == ["None"] * 3
+    assert [row.split(",", 2)[2] for row in ratios[2:]] == data["statuses"]
 
 
 @pytest.mark.parametrize("experiment, cfg", [

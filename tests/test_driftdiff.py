@@ -19,7 +19,10 @@ from mikado_forge.driftdiff import (
     solve,
     uniqueness_probe,
 )
-from mikado_forge.driftdiff import _bump_normalisation, mollifier_moment_matrix
+from mikado_forge.convexint import StepParams, assemble_step
+from mikado_forge.driftdiff import _bump_normalisation, _gmres, mollifier_moment_matrix
+from mikado_forge.mikado import build_family
+from mikado_forge.seeds import shifted_cosine_seed
 from mikado_forge.torus import (
     _bump,
     ScalarField,
@@ -363,3 +366,40 @@ def test_budget_is_counted_in_matvecs(grid3):
     assert exc.value.matvecs <= 20
     assert exc.value.achieved > 1e-10
     assert "budget is spent" in str(exc.value)
+
+
+def test_gmres_restarts_to_its_target_within_its_budget():
+    # a dense nonsymmetric system whose GMRES needs several cycles of 8
+    rng = np.random.default_rng(60)
+    a = 2.0 * np.eye(60) + rng.standard_normal((60, 60)) / np.sqrt(60)
+    rhs = rng.standard_normal(60)
+    calls = []
+
+    def apply(x):
+        calls.append(1)
+        return a @ x
+
+    x, matvecs = _gmres(apply, rhs, 1e-10, 8, 1000)
+    assert matvecs == len(calls) > 3 * (8 + 1)
+    assert np.linalg.norm(rhs - a @ x) <= 1e-10 * np.linalg.norm(rhs)
+    # a budget cuts the cycles where it ends, and is never exceeded
+    needed = matvecs
+    for budget in range(1, needed + 3):
+        calls.clear()
+        _, matvecs = _gmres(apply, rhs, 1e-10, 8, budget)
+        assert matvecs == len(calls) <= budget
+        # a cycle is cut where the budget ends, and a restart residual is
+        # not spent without room for one more step: a cycle costs 8 + 1
+        assert matvecs == (needed if budget >= needed else budget - (budget % 9 == 0))
+
+
+def test_solve_returns_the_nash_step_iterate():
+    # the step's (b1, u1, f1) solves -div(grad u1 + b1 u1) = div f1 on its
+    # grid, so the solver must return u1; measured: 4.8e-11 in 82 matvecs
+    g = TorusGrid(3, 32)
+    fam = build_family(3, 1.5, 7.0, g, resolution_factor=2.0)
+    t0 = shifted_cosine_seed(g, u_amp=0.5, flux_shift=64.0)
+    params = StepParams(delta=t0.f_l1 / 16, lam=1, mu=7.0, mode="W1R", r=1.1)
+    t1, _ = assemble_step(t0, params, fam)
+    u = solve(t1.b, divergence(t1.f), SolveConfig(tol=1e-10, max_matvecs=200))
+    assert norm(u - t1.u, p=2) <= 1e-8 * norm(t1.u, p=2)

@@ -14,9 +14,13 @@ triple is built in two places only: the seed and the step, and the Sobolev
 norms are put together in `torus` only: no call selects a norm by a
 `flavor` keyword, and only `torus` calls `hypot`.  And every name a module
 exports in `__all__` is used by the package or the benchmark, not by tests
-alone."""
+alone.  The solver starts no threaded BLAS: `solve` and its GMRES call no
+BLAS inner product or norm and no matrix product, and importing the
+package loads no `scipy.sparse`."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -325,3 +329,62 @@ def test_an_export_only_tests_use_is_caught():
     patched = [(name, ast.parse(src)) for name, src in sources.items()]
     assert _unreferenced_exports(patched, _perfbench_modules()) == {
         ("torus.py", "make_grid"), ("torus.py", "laplacian")}
+
+
+# the numpy calls that run on the threaded BLAS pool for field-sized
+# vectors, and the functions that must not make them
+BLAS_CALLS = {("np", "dot"), ("np", "vdot"), ("np", "inner"), ("linalg", "norm")}
+SOLVER_FUNCTIONS = ("solve", "_gmres")
+
+
+def _blas_calls(modules) -> set:
+    """(module, top-level function, call) of every BLAS inner product,
+    norm or matrix product (`@`) in the solver functions."""
+    found = set()
+    for name, tree in modules:
+        for top in tree.body:
+            if not (isinstance(top, ast.FunctionDef) and top.name in SOLVER_FUNCTIONS):
+                continue
+            for node in ast.walk(top):
+                if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                    found.add((name, top.name, "@"))
+                elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                    owner = node.func.value
+                    owner = getattr(owner, "id", getattr(owner, "attr", None))
+                    if (owner, node.func.attr) in BLAS_CALLS:
+                        found.add((name, top.name, node.func.attr))
+    return found
+
+
+def test_the_solver_makes_no_blas_call():
+    modules = _modules()
+    defined = {(name, top.name) for name, tree in modules for top in tree.body
+               if isinstance(top, ast.FunctionDef) and top.name in SOLVER_FUNCTIONS}
+    assert defined == {("driftdiff.py", "solve"), ("driftdiff.py", "_gmres")}
+    assert _blas_calls(modules) == set()
+
+
+def test_a_blas_call_in_the_solver_is_caught():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE_DIR.glob("*.py"))}
+    line = "    apply_a, p_rhs, apply_b, p_values = _split_system(b, grid)\n"
+    assert sources["driftdiff.py"].count(line) == 1
+    sources["driftdiff.py"] = sources["driftdiff.py"].replace(
+        line, line + "    fl2 = np.linalg.norm(f.values) + np.dot(f.values.ravel(), f.values.ravel())"
+                     " + f.values.ravel() @ f.values.ravel()\n")
+    dot = "w -= hij * basis[i]"
+    assert sources["driftdiff.py"].count(dot) == 1
+    sources["driftdiff.py"] = sources["driftdiff.py"].replace(
+        dot, "w -= np.vdot(basis[i], w) * np.inner(basis[i], w) * basis[i]")
+    patched = [(name, ast.parse(src)) for name, src in sources.items()]
+    assert _blas_calls(patched) == {
+        ("driftdiff.py", "solve", "norm"), ("driftdiff.py", "solve", "dot"),
+        ("driftdiff.py", "solve", "@"), ("driftdiff.py", "_gmres", "vdot"),
+        ("driftdiff.py", "_gmres", "inner")}
+
+
+def test_importing_the_package_loads_no_sparse_module():
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import mikado_forge; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))")
+    out = subprocess.run([sys.executable, "-c", code, str(PACKAGE_DIR.parent)],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -4,7 +4,7 @@ d in {2, 3, 4} and n in {8, 16}."""
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from mikado_forge.driftdiff import SolveConfig, _split_system, solve
+from mikado_forge.driftdiff import SolveConfig, _root_weight, _split_system, solve
 from mikado_forge.oscillation import antidivergence
 from mikado_forge.torus import (
     ScalarField,
@@ -185,6 +185,15 @@ def _white_noise(grid, rng):
     return rng.standard_normal(grid.shape)
 
 
+def _to_krylov(grid, y):
+    # the solver's Krylov vector of grid values y: sqrt(w) F(y) as float64
+    return (_root_weight(grid) * _fft_of(y)).view(np.float64).ravel()
+
+
+def _half(grid, z):
+    return z.view(np.complex128).reshape(grid.half_shape)
+
+
 @PROPERTY_SETTINGS
 @given(band_limited())
 def test_split_symbol_vanishes_exactly_on_the_corner_modes(case):
@@ -195,9 +204,10 @@ def test_split_symbol_vanishes_exactly_on_the_corner_modes(case):
     assert np.array_equal(p == 0.0, corner)
     assert np.allclose(p[~corner] * 2 * np.pi * np.sqrt(k2[~corner]), 1.0,
                        rtol=1e-15, atol=0.0)
-    _, apply_p, _ = _split_system(VectorField.zero(grid), grid)
+    _, p_rhs, _, p_values = _split_system(VectorField.zero(grid), grid)
     r = _white_noise(grid, rng)
-    ph = _fft_of(apply_p(r))
+    assert not _half(grid, p_rhs(r))[corner].any()
+    ph = _fft_of(p_values(_to_krylov(grid, r)))
     assert np.abs(ph[corner]).max() <= 1e-12 * np.abs(ph).max()
 
 
@@ -205,15 +215,37 @@ def test_split_symbol_vanishes_exactly_on_the_corner_modes(case):
 @given(band_limited())
 def test_split_operator_without_drift_projects_off_the_corner_modes(case):
     grid, _, rng = case
-    _, _, apply_b = _split_system(VectorField.zero(grid), grid)
+    _, _, apply_b, _ = _split_system(VectorField.zero(grid), grid)
     y = _white_noise(grid, rng)
     k2 = grid.k_squared_rows(slice(None), diff=True)
     yh = _fft_of(y)
     yh[k2 == 0.0] = 0.0
     projected = _irfftn(yh, grid.shape)
-    got = apply_b(y.ravel()).reshape(grid.shape)
-    assert _max_rel(got, projected) <= 1e-13
-    assert _max_rel(apply_b(projected.ravel()).reshape(grid.shape), projected) <= 1e-13
+    z = _to_krylov(grid, y)
+    got = apply_b(z)
+    # without a drift B is exactly keep z, a projection
+    assert np.array_equal(got, ((k2 > 0.0) * _half(grid, z)).view(np.float64).ravel())
+    assert np.array_equal(apply_b(got), got)
+    back = _irfftn(_half(grid, got) / _root_weight(grid), grid.shape)
+    assert _max_rel(back, projected) <= 1e-13
+
+
+@PROPERTY_SETTINGS
+@given(band_limited())
+def test_krylov_inner_product_is_the_grid_mean(case):
+    # Parseval: the Euclidean product of two Krylov vectors is the grid
+    # mean of the product of their fields, and p_rhs maps r to P r
+    grid, _, rng = case
+    y, y2 = _white_noise(grid, rng), _white_noise(grid, rng)
+    for ref, got in (
+        (np.mean(y * y2), _to_krylov(grid, y) @ _to_krylov(grid, y2)),
+        (np.mean(y * y), _to_krylov(grid, y) @ _to_krylov(grid, y)),
+    ):
+        assert abs(got - ref) <= 1e-14 * np.sqrt(np.mean(y * y) * np.mean(y2 * y2))
+    _, p_rhs, _, _ = _split_system(VectorField.zero(grid), grid)
+    py, py2 = (_irfftn(_split_symbol(grid) * _fft_of(v), grid.shape) for v in (y, y2))
+    ref = np.mean(py * py2)
+    assert abs(p_rhs(y) @ p_rhs(y2) - ref) <= 1e-14 * np.sqrt(np.mean(py * py) * np.mean(py2 * py2))
 
 
 @PROPERTY_SETTINGS

@@ -16,7 +16,7 @@ import scipy.fft as sfft
 from hypothesis import given, settings, strategies as st
 
 from mikado_forge import torus
-from mikado_forge.driftdiff import _split_system
+from mikado_forge.driftdiff import _root_weight, _split_system
 from mikado_forge.torus import (
     ScalarField,
     TorusGrid,
@@ -33,6 +33,7 @@ from mikado_forge.torus import (
     _scratch,
     _slab_map,
     _slabwise,
+    _split_symbol,
     axis_derivative_norm,
     divergence,
     grad_magnitude,
@@ -365,7 +366,8 @@ def _old_leray_project(grid, vals):
 
 
 def _old_split_maps(b, grid):
-    # the solver's maps with their own symbols and Python's sum
+    # the solver's maps on grid values, with their own symbols and
+    # Python's sum: B = P A P on values
     k2 = grid.k_squared_rows(slice(None), diff=True)
     with np.errstate(divide="ignore"):
         p = np.where(k2 > 0.0, 1.0 / (2.0 * np.pi * np.sqrt(k2)), 0.0)
@@ -390,6 +392,35 @@ def _old_split_maps(b, grid):
         return ifft(keep * yh + p * drift_hat(ifft(p * yh))).ravel()
 
     return apply_a, apply_b
+
+
+def _krylov_split_maps(b, grid):
+    # the solver's maps on the half spectrum scaled by the square root of
+    # the Parseval weight, written out with scipy and Python's sum
+    k2 = grid.k_squared_rows(slice(None), diff=True)
+    with np.errstate(divide="ignore"):
+        p = np.where(k2 > 0.0, 1.0 / (2.0 * np.pi * np.sqrt(k2)), 0.0)
+    sw = np.ones(grid.n // 2 + 1)
+    sw[1:-1] = math.sqrt(2.0)
+    keep, p_up, p_down = k2 > 0.0, p * sw, p / sw
+    bvals = [c.values for c in b.components]
+
+    def div_bu(u):
+        return sum(_ik(grid, ax) * sfft.rfftn(b_j * u, norm="forward")
+                   for ax, b_j in enumerate(bvals))
+
+    def p_rhs(r):
+        return (p_up * sfft.rfftn(r, norm="forward")).view(np.float64).ravel()
+
+    def p_values(z):
+        return sfft.irfftn(p_down * z.view(np.complex128).reshape(k2.shape),
+                           s=grid.shape, norm="forward")
+
+    def apply_b(z):
+        zc = z.view(np.complex128).reshape(k2.shape)
+        return (keep * zc - p_up * div_bu(p_values(z))).view(np.float64).ravel()
+
+    return p_rhs, apply_b, p_values
 
 
 # below the pool gate (one worker) and on the pool with uneven slabs
@@ -429,18 +460,52 @@ def test_divergence_and_leray_projection_are_the_old_formulas(grid, n_workers):
 @pytest.mark.parametrize("grid", FOLDED_GRIDS, ids=lambda g: f"{g.dim}d{g.n}")
 def test_split_maps_are_the_old_drift_sum(grid, n_workers):
     # -div(b u) as -(sum of ik F(b_j u)) equals the sum of -ik F(b_j u):
-    # IEEE negation is exact and commutes with rounding
+    # IEEE negation is exact and commutes with rounding; the Krylov maps
+    # are the written-out scaled formulas, byte for byte
     rng = np.random.default_rng(grid.n * grid.dim + n_workers)
     b = VectorField.from_arrays(grid, [rng.standard_normal(grid.shape)
                                        for _ in range(grid.dim)])
     u = rng.standard_normal(grid.shape)
-    y = rng.standard_normal(grid.shape).ravel()
-    ref_a, ref_b = _old_split_maps(b, grid)
+    z = rng.standard_normal(2 * math.prod(grid.half_shape))
+    ref_a, _ = _old_split_maps(b, grid)
+    ref_rhs, ref_b, ref_values = _krylov_split_maps(b, grid)
     with _below_or_above_the_gate(grid, n_workers):
-        apply_a, _, apply_b = _split_system(b, grid)
-        got_a, got_b = apply_a(u), apply_b(y)
-    assert got_a.tobytes() == ref_a(u).tobytes()
-    assert got_b.tobytes() == ref_b(y).tobytes()
+        apply_a, p_rhs, apply_b, p_values = _split_system(b, grid)
+        got = [apply_a(u), p_rhs(u), apply_b(z), p_values(z)]
+    assert got[0].tobytes() == ref_a(u).tobytes()
+    assert got[1].tobytes() == ref_rhs(u).tobytes()
+    assert got[2].tobytes() == ref_b(z).tobytes()
+    assert got[3].tobytes() == ref_values(z).tobytes()
+
+
+@pytest.mark.parametrize("scale", [1.0, 30.0])
+@pytest.mark.parametrize("grid", FOLDED_GRIDS, ids=lambda g: f"{g.dim}d{g.n}")
+def test_krylov_operator_is_the_values_operator_conjugated(grid, scale):
+    # with T y = sqrt(w) F(y), the Krylov space's B is T B_values T^-1:
+    # B mapped back to values equals the old values map, and P y is
+    # p_values(T y)
+    rng = np.random.default_rng(grid.n + grid.dim)
+    b = leray_project(VectorField.from_arrays(
+        grid, [scale * rng.standard_normal(grid.shape) for _ in range(grid.dim)]))
+    y = rng.standard_normal(grid.shape)
+    sw = _root_weight(grid)
+
+    def to_krylov(v):
+        return (sw * sfft.rfftn(v, norm="forward")).view(np.float64).ravel()
+
+    def to_values(z):
+        return sfft.irfftn(z.view(np.complex128).reshape(grid.half_shape) / sw,
+                           s=grid.shape, norm="forward")
+
+    _, ref_b = _old_split_maps(b, grid)
+    _, p_rhs, apply_b, p_values = _split_system(b, grid)
+    ref = ref_b(y.ravel()).reshape(grid.shape)
+    got = to_values(apply_b(to_krylov(y)))
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+    py = sfft.irfftn(_split_symbol(grid) * sfft.rfftn(y, norm="forward"),
+                     s=grid.shape, norm="forward")
+    assert np.abs(p_values(to_krylov(y)) - py).max() <= 1e-13 * np.abs(py).max()
+    assert np.abs(to_values(p_rhs(y)) - py).max() <= 1e-13 * np.abs(py).max()
 
 
 def _symbol_kernel(out, c, lap):
