@@ -254,9 +254,20 @@ class FamilyReport:
         return all(self.checks.values())
 
 
+def _stored(values: np.ndarray) -> np.ndarray:
+    """The elements a broadcast view stores: index 0 (kept as an axis of
+    length 1) on each stride-0 axis.  The view repeats them, so a maximum
+    or a constancy test along an axis reads the same on both."""
+    return values[tuple(slice(0, 1) if st == 0 else slice(None) for st in values.strides)]
+
+
 def _axis_defect(values: np.ndarray, axis: int) -> float:
     """0.0 when values is constant along axis, otherwise its largest
-    deviation from the slice at index 0 relative to its largest |value|."""
+    deviation from the slice at index 0 relative to its largest |value|.
+    A stride-0 axis is constant by construction."""
+    if values.strides[axis] == 0:
+        return 0.0
+    values = _stored(values)
     first = values[(slice(None),) * axis + (slice(0, 1),)]
     if np.array_equal(values, np.broadcast_to(first, values.shape)):
         return 0.0
@@ -275,7 +286,14 @@ def verify_family(fam: MikadoFamily) -> FamilyReport:
     cannot see the unpaired Nyquist mode.  div_field_rel and div_product_rel
     are 0.0 when the structure holds, otherwise the largest relative defect.
     Given that structure every other identity is a function of the
-    transverse slices and is measured on them."""
+    transverse slices and is measured on them.
+
+    The fields are broadcast views (stride 0 along the pipe axis, and
+    along every axis for the zero components), and the structure is read
+    only on the elements they store: an axis of stride 0 is constant, and
+    maxima run on index 0 of each stride-0 axis (`_stored`).  A view
+    repeats its stored elements, so the report is the one a materialised
+    copy of the family gives."""
     d = fam.d
     theta_t = [fam.density_transverse(j) for j in range(d)]
     w_t = [fam.field_transverse(j) for j in range(d)]
@@ -284,9 +302,8 @@ def verify_family(fam: MikadoFamily) -> FamilyReport:
     div_field = []
     div_product = []
     for j in range(d):
-        off_axis = [c.values for i, c in enumerate(fam.fields[j].components)
-                    if i != j and np.any(c.values)]
-        off_defect = max((float(np.abs(v).max()) for v in off_axis), default=0.0)
+        off_defect = max(float(np.abs(_stored(c.values)).max())
+                         for i, c in enumerate(fam.fields[j].components) if i != j)
         div_field.append(max(_axis_defect(fam.fields[j][j].values, j),
                              off_defect / max(float(np.abs(w_t[j]).max()), 1e-300)))
         div_product.append(max(div_field[j], _axis_defect(fam.densities[j].values, j)))

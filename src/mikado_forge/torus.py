@@ -60,10 +60,11 @@ pool starts at its first use.  Arrays of at least `_POOL_GATE` = 2^18
 elements (64^3) run their pointwise kernels on it through `_slabwise`,
 over small axis-0 slabs the workers pull one at a time, and the slab
 loops of the two transform kernels, the Parseval sum and the de-aliased
-product run there through `_slab_map`.  A transform slab covers a quarter
-of `_TASK_ELEMS`, so that a task's transform output and its consumer's
-buffers stay near one task's size; the transforms inside a slab run with
-one worker.  The transforms of `axis_derivative_norm` and the product's
+product run there through `_slab_map`.  A transform slab covers 1/32 of
+the transform, clamped to [`_TASK_ELEMS`/4, `_TASK_ELEMS`] (`_slabs`):
+few slabs, since each costs one scipy call per stage, and small enough
+that a task's transform output and its consumer's buffers stay near one
+task's size; the transforms inside a slab run with one worker.  The transforms of `axis_derivative_norm` and the product's
 leading stages get `workers` > 1 instead.  Smaller arrays, every 32^3
 field among them, run on the calling thread as one call.  Every result
 is bit for bit the same for any worker count: the kernels are pointwise,
@@ -220,13 +221,21 @@ def _part(a: np.ndarray, idx: tuple) -> np.ndarray:
 def _slabs(fn: Callable[[tuple], None], shape: Sequence[int], axis: int, size: int) -> None:
     """fn(idx) for every slab along one axis of an array of this shape,
     idx selecting the slab, on the pool (`_slab_map`): the slab rule of the
-    two transform kernels and the de-aliased product.  A slab covers about
-    a quarter of _TASK_ELEMS of the transform's size real elements, so that
-    its transform output and the consumer's buffers together stay near one
-    task's size."""
+    two transform kernels and the de-aliased product.  A slab covers 1/32
+    of the transform's size real elements, clamped to [_TASK_ELEMS / 4,
+    _TASK_ELEMS], and at least one row.  Each slab costs one scipy call per
+    stage, and a call's overhead does not shrink with its rows, so a
+    transform wants few slabs: 32 slabs of 3-4 rows at 96^3 and 128^3
+    (2-4 rows from 91^3 to 181^3).  The lower clamp keeps a 64^3 slab at
+    a quarter of _TASK_ELEMS, because the 64^3 memory guard counts each
+    worker's task buffers in field units; the upper clamp keeps the 192^3
+    product slab (a 128^3 residual) at one row, because a larger one
+    raised peak RSS.  The 64^3, 192^3 and 256^3 transforms and every
+    d = 4 grid up to 64^4 get one quarter-task slab as before the clamp."""
     n = shape[axis]
     head = (slice(None),) * axis
-    _slab_map(lambda s: fn(head + (s,)), n, max(1, _TASK_ELEMS * n // (4 * size)), size)
+    elems = max(_TASK_ELEMS // 4, min(_TASK_ELEMS, size // 32))
+    _slab_map(lambda s: fn(head + (s,)), n, max(1, elems * n // size), size)
 
 
 def _into(view: np.ndarray, out: np.ndarray) -> None:

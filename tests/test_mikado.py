@@ -13,6 +13,7 @@ from mikado_forge.mikado import (
     MEAN_TOL,
     PRODUCT_TOL,
     FamilyReport,
+    _axis_defect,
     _expand_along,
     _snap_offset,
     build_family,
@@ -318,6 +319,42 @@ def test_off_axis_field_component_detected(family64):
     assert rep.div_field_rel[0] > 0.0 and rep.div_product_rel[0] > 0.0
     assert rep.div_field_rel[1:] == [0.0, 0.0]
     assert not rep.checks["div_field"] and not rep.checks["div_product"]
+
+
+def _materialised(fam):
+    # the family with every field a full array: no stride-0 axis
+    def full(f):
+        return ScalarField(f.grid, np.array(f.values))
+
+    return dataclasses.replace(
+        fam, densities=tuple(full(t) for t in fam.densities),
+        fields=tuple(VectorField.from_components([full(c) for c in w.components])
+                     for w in fam.fields))
+
+
+def test_materialised_family_gives_the_same_report(family64):
+    # verify_family reads a broadcast view on the elements it stores; a
+    # full copy of every field reads the same report, field by field
+    full = _materialised(family64)
+    assert all(0 not in c.values.strides for w in full.fields for c in w.components)
+    assert dataclasses.asdict(verify_family(full)) == dataclasses.asdict(verify_family(family64))
+    # one perturbed slice along the pipe axis is still caught
+    w = np.array(full.fields[0][0].values)
+    w[5] *= 1.0 + 1e-6
+    comps = list(full.fields[0].components)
+    comps[0] = ScalarField(full.grid, w)
+    rep = verify_family(dataclasses.replace(
+        full, fields=(VectorField.from_components(comps),) + full.fields[1:]))
+    assert rep.div_field_rel[0] > DIV_TOL and not rep.checks["div_field"]
+    assert rep.div_field_rel[1:] == [0.0, 0.0]
+
+
+def test_axis_defect_of_a_view_is_read_along_its_own_axis():
+    # stride 0 along axes 1 and 2 only: constant there, not along axis 0
+    v = np.broadcast_to(np.arange(1.0, 5.0)[:, None, None], (4, 3, 2))
+    assert _axis_defect(v, 0) == 0.75
+    assert _axis_defect(v, 1) == _axis_defect(v, 2) == 0.0
+    assert _axis_defect(np.array(v), 0) == 0.75
 
 
 def test_verify_family_makes_no_transform(family64, monkeypatch):

@@ -53,15 +53,17 @@ def workers():
     torus.set_fft_workers(saved)
 
 
-# The last six shapes lie just below and at or above the pool gate (2^18
+# The last eight shapes lie just below and at or above the pool gate (2^18
 # elements): one scipy call below it, the staged transform with 2 workers
-# above it.
+# above it.  At 128^3 a slab holds 4 rows (1/32 of the array); at 130 x
+# 128^2 it holds 3 rows of axis 1 and 4 of axis 0, so the last slab is
+# short on both passes.
 SHAPES = ([(n, n) for n in (6, 12, 48, 64, 256)]
           + [(n,) * 3 for n in (6, 12, 32, 48)]
           + [(n,) * 4 for n in (6, 12, 16)]
           + [(12, 48), (48, 6, 12), (2731, 2)]
           + [(511, 512), (512, 512), (63, 64, 64), (64, 64, 64), (64, 64, 66),
-             (2731, 96)])
+             (2731, 96), (128, 128, 128), (130, 128, 128)])
 
 
 @pytest.mark.parametrize("n_workers", [1, 2])
@@ -88,6 +90,32 @@ def test_fft_of_is_scipy_rfftn_bit_for_bit(shape, n_workers, workers):
     x = np.random.default_rng(sum(shape) + n_workers).standard_normal(shape)
     for v in (x, np.full(shape, -0.0)):
         assert _fft_of(v).tobytes() == sfft.rfftn(v, norm="forward").tobytes()
+
+
+TRANSFORM_CALLS = ("fft", "ifft", "rfft", "irfft", "rfftn", "irfftn")
+
+
+@pytest.mark.parametrize("n_workers", [1, 2])
+@pytest.mark.parametrize("n, most", [(64, 48), (128, 96)])
+def test_transform_slabs_make_few_scipy_calls(n, most, n_workers, workers, monkeypatch):
+    # one scipy call per slab and stage: 16 slabs of 4 rows at 64^3 (a
+    # quarter of a pool task), and at 128^3 32 slabs of 4 rows (1/32 of
+    # the array), not 128 slabs of one row (384 calls)
+    workers(n_workers)
+    calls = []
+    for name in TRANSFORM_CALLS:
+        fn = getattr(sfft, name)
+        monkeypatch.setattr(sfft, name, lambda *a, _fn=fn, _name=name, **k:
+                            calls.append(_name) or _fn(*a, **k))
+    x = np.random.default_rng(n).standard_normal((n,) * 3)
+    c = _fft_of(x)
+    forward = len(calls)
+    _irfftn(c, x.shape)
+    inverse = len(calls) - forward
+    if n == 64:
+        assert forward == inverse == most
+    else:
+        assert forward <= most and inverse <= most
 
 
 @pytest.mark.parametrize("n_workers", [1, 2])
