@@ -64,9 +64,10 @@ product run there through `_slab_map`.  A transform slab covers 1/32 of
 the transform, clamped to [`_TASK_ELEMS`/4, `_TASK_ELEMS`] (`_slabs`):
 few slabs, since each costs one scipy call per stage, and small enough
 that a task's transform output and its consumer's buffers stay near one
-task's size; the transforms inside a slab run with one worker.  The transforms of `axis_derivative_norm` and the product's
-leading stages get `workers` > 1 instead.  Smaller arrays, every 32^3
-field among them, run on the calling thread as one call.  Every result
+task's size; the transforms inside a slab run with one worker.  The
+transforms of `axis_derivative_norm` and the product's leading stages get
+`workers` > 1 instead.  Smaller arrays, every 32^3 field among them, run
+on the calling thread as one call.  Every result
 is bit for bit the same for any worker count: the kernels are pointwise,
 each 1-d transform is the same whatever slab holds it, the slab loops
 add their slab results in slab order, and reductions over a whole array
@@ -230,8 +231,8 @@ def _slabs(fn: Callable[[tuple], None], shape: Sequence[int], axis: int, size: i
     a quarter of _TASK_ELEMS, because the 64^3 memory guard counts each
     worker's task buffers in field units; the upper clamp keeps the 192^3
     product slab (a 128^3 residual) at one row, because a larger one
-    raised peak RSS.  The 64^3, 192^3 and 256^3 transforms and every
-    d = 4 grid up to 64^4 get one quarter-task slab as before the clamp."""
+    raised peak RSS.  So a 64^3 slab holds 4 rows, and a slab at 192^3 and
+    above, and on every d = 4 grid up to 64^4, one row."""
     n = shape[axis]
     head = (slice(None),) * axis
     elems = max(_TASK_ELEMS // 4, min(_TASK_ELEMS, size // 32))

@@ -96,8 +96,8 @@ TRANSFORM_CALLS = ("fft", "ifft", "rfft", "irfft", "rfftn", "irfftn")
 
 
 @pytest.mark.parametrize("n_workers", [1, 2])
-@pytest.mark.parametrize("n, most", [(64, 48), (128, 96)])
-def test_transform_slabs_make_few_scipy_calls(n, most, n_workers, workers, monkeypatch):
+@pytest.mark.parametrize("n, count", [(64, 48), (128, 96)])
+def test_transform_slabs_make_few_scipy_calls(n, count, n_workers, workers, monkeypatch):
     # one scipy call per slab and stage: 16 slabs of 4 rows at 64^3 (a
     # quarter of a pool task), and at 128^3 32 slabs of 4 rows (1/32 of
     # the array), not 128 slabs of one row (384 calls)
@@ -111,11 +111,7 @@ def test_transform_slabs_make_few_scipy_calls(n, most, n_workers, workers, monke
     c = _fft_of(x)
     forward = len(calls)
     _irfftn(c, x.shape)
-    inverse = len(calls) - forward
-    if n == 64:
-        assert forward == inverse == most
-    else:
-        assert forward <= most and inverse <= most
+    assert forward == len(calls) - forward == count
 
 
 @pytest.mark.parametrize("n_workers", [1, 2])
