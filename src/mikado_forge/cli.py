@@ -9,12 +9,13 @@ or strings.  EXPERIMENTS declares each experiment's keys; one value fills
 a list key and an int fills a float key.  `seed` (a non-negative int) and
 `out_dir` (a path) in the file override --seed and --out.
 
-Threads: the spectral layer (`torus`) runs the pointwise kernels of fields
-of 64^3 points and more on a pool of worker threads, and their transforms
-with as many FFT workers; smaller fields stay on one thread.  The worker
-count defaults to the usable cores.  MF_THREADS sets it instead, clamped
-to [1, usable cores]; MF_THREADS=1 runs everything on one thread.  Every
-output is byte-identical for any setting.  The solver makes no threaded
+Threads: the spectral layer (`torus`) runs the pointwise kernels and the
+transform slabs of fields of 64^3 points and more on one pool of worker
+threads; every 1-d transform runs on one thread, and smaller fields stay
+on the calling thread.  The pool's size defaults to the usable cores.
+MF_THREADS sets it instead, clamped to [1, usable cores]; MF_THREADS=1
+runs everything on one thread.  Every output is byte-identical for any
+setting.  The solver makes no threaded
 BLAS call (its inner products run in `np.einsum`, not `np.dot`), so the
 pool of `torus` is the only pool that runs the program's work.
 

@@ -504,7 +504,7 @@ def assemble_step(
     def add_part(name: str, part: Callable[[int, Callable], None]) -> np.ndarray:
         """Add a flux part to the accumulator, one component at a time:
         part(i, add) hands component i to add(rows, g), on the axis-0 rows
-        of one inverse-transform slab or whole (rows = slice(None)).
+        of one inverse-transform slab (all rows below the pool gate).
         Return the part's magnitude."""
         mag = np.zeros(shape)
         for i in range(d):

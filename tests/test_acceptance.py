@@ -141,12 +141,13 @@ def test_criterion_4_single_step_with_refinement():
     reports = {}
     for n in (128, 256):
         grid = TorusGrid(3, n)
-        t0 = shifted_cosine_seed(grid, u_amp=0.5, flux_shift=2048.0)
-        eps = 0.25 * t0.f_l1
+        # the seed is handed over as its only reference, as ci-step does, so
+        # the step frees its flux as it goes
+        seed = [shifted_cosine_seed(grid, u_amp=0.5, flux_shift=2048.0)]
+        eps = 0.25 * seed[0].f_l1
         fam = build_family(3, 1.5, 8.0, TorusGrid(3, n // 2), resolution_factor=8.0)
-        params = StepParams(delta=t0.f_l1 / 16, lam=2, mu=8.0, mode="W1R", r=1.1)
-        t1, rep = assemble_step(t0, params, fam, eps_target=eps)
-        del t0
+        params = StepParams(delta=seed[0].f_l1 / 16, lam=2, mu=8.0, mode="W1R", r=1.1)
+        t1, rep = assemble_step(seed.pop(), params, fam, eps_target=eps)
         residuals[n] = equation_residual(t1)
         reports[n] = rep
         del t1

@@ -161,7 +161,7 @@ def test_step_structure_and_residuals(toy64):
 
 def test_step_and_residual_memory_in_fields():
     # extra memory of one step and of the de-aliased residual at 64^3, in
-    # units of one full-grid float64 field (measured 8.27 and 7.66 with one
+    # units of one full-grid float64 field (measured 8.27 and 7.73 with one
     # worker, 8.46 and 7.73 with two: the step streams its perturbation,
     # flux parts and corrector one component at a time, consumes its input
     # flux, and takes its spectral parts slab by slab from the inverse

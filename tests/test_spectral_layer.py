@@ -1,5 +1,5 @@
-"""The package has one spectral layer: only `torus` imports scipy.fft,
-every field is real, so real transforms and the half spectrum serve
+"""The package has one spectral layer: only `torus` imports numpy.fft,
+no module imports scipy, every field is real, so real transforms and the half spectrum serve
 throughout and no full complex spectrum is formed (the only complex
 transforms are the leading-axis stages of a real transform, in three
 named `torus` kernels), the real transforms are called in four named
@@ -16,7 +16,7 @@ norms are put together in `torus` only: no call selects a norm by a
 exports in `__all__` is used by the package or the benchmark, not by tests
 alone.  The solver starts no threaded BLAS: `solve` and its GMRES call no
 BLAS inner product or norm and no matrix product, and importing the
-package loads no `scipy.sparse`."""
+package and its CLI loads no scipy module at all."""
 
 import ast
 import subprocess
@@ -44,23 +44,46 @@ def _modules():
     return [(p.name, ast.parse(p.read_text(encoding="utf-8"))) for p in paths]
 
 
-def _imports_scipy_fft(tree) -> bool:
+def _imports(tree, module: str) -> bool:
+    """Whether tree imports module or one of its submodules, or reads it as
+    an attribute of its imported parent (`np.fft`)."""
+    parent, _, leaf = module.rpartition(".")
+
+    def within(name: str) -> bool:
+        return name == module or name.startswith(module + ".")
+
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            if any(a.name == "scipy.fft" or a.name.startswith("scipy.fft.")
-                   for a in node.names):
+            if any(within(a.name) for a in node.names):
                 return True
         elif isinstance(node, ast.ImportFrom) and node.module:
-            if node.module == "scipy.fft" or node.module.startswith("scipy.fft."):
+            if within(node.module):
                 return True
-            if node.module == "scipy" and any(a.name == "fft" for a in node.names):
+            if parent and node.module == parent and any(a.name == leaf for a in node.names):
                 return True
+        elif (parent == "numpy" and isinstance(node, ast.Attribute) and node.attr == leaf
+              and getattr(node.value, "id", None) in ("np", "numpy")):
+            return True
     return False
 
 
-def test_only_torus_imports_scipy_fft():
-    importers = [name for name, tree in _modules() if _imports_scipy_fft(tree)]
-    assert importers == ["torus.py"]
+def test_only_torus_imports_numpy_fft():
+    modules = _modules()
+    assert [name for name, tree in modules if _imports(tree, "numpy.fft")] == ["torus.py"]
+    assert [name for name, tree in modules if _imports(tree, "scipy")] == []
+
+
+def test_an_fft_or_scipy_import_elsewhere_is_caught():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE_DIR.glob("*.py"))}
+    sources["convexint.py"] = "import scipy.fft as sfft\n" + sources["convexint.py"]
+    sources["driftdiff.py"] += "\n\ndef _probe(x):\n    return np.fft.rfftn(x)\n"
+    sources["mikado.py"] = "from numpy import fft\n" + sources["mikado.py"]
+    sources["seeds.py"] = "from scipy import special\n" + sources["seeds.py"]
+    patched = [(name, ast.parse(src)) for name, src in sources.items()]
+    assert [name for name, tree in patched if _imports(tree, "numpy.fft")] == [
+        "driftdiff.py", "mikado.py", "torus.py"]
+    assert [name for name, tree in patched if _imports(tree, "scipy")] == [
+        "convexint.py", "seeds.py"]
 
 
 def test_no_shadow_copies_of_torus_operators():
@@ -85,13 +108,11 @@ COMPLEX_STAGES = {
 }
 
 
-# the real transforms: the forward and inverse kernels, the last-axis
-# stages of the pruned product, and the 1-d derivative of the slab-wise
-# norm
+# the real transforms: the last-axis stages of the forward and inverse
+# kernels and of the pruned product, and the 1-d derivative of the
+# slab-wise norm
 REAL_STAGES = {
-    ("torus.py", "_fft_of", "rfftn"),
     ("torus.py", "_fft_of", "rfft"),
-    ("torus.py", "_irfftn", "irfftn"),
     ("torus.py", "_irfftn", "irfft"),
     ("torus.py", "_dealiased_product_divergence", "rfft"),
     ("torus.py", "_dealiased_product_divergence", "irfft"),
@@ -135,7 +156,7 @@ def test_a_complex_transform_elsewhere_is_caught():
     injections = [
         ("convexint.py", "\n\ndef _probe(x):\n    return np.fft.fftn(x)\n",
          ("convexint.py", "_probe", "fftn")),
-        ("torus.py", "\n\ndef _probe(x):\n    return sfft.ifft(x, axis=0)\n",
+        ("torus.py", "\n\ndef _probe(x):\n    return nfft.ifft(x, axis=0)\n",
          ("torus.py", "_probe", "ifft")),
     ]
     for module, text, expected in injections:
@@ -148,7 +169,7 @@ def test_a_private_real_transform_is_caught():
     # a re-added raw forward helper, and a module calling it
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE_DIR.glob("*.py"))}
     sources["torus.py"] += ("\n\ndef _rfftn(a):\n"
-                            "    return sfft.rfftn(a, workers=_workers(a.size))\n")
+                            "    return nfft.rfftn(a)\n")
     sources["driftdiff.py"] += "\n\ndef _probe(u):\n    return _rfftn(u)\n"
     patched = [(name, ast.parse(src)) for name, src in sources.items()]
     assert _transform_calls(patched, REAL_TRANSFORMS) - REAL_STAGES == {
@@ -383,8 +404,11 @@ def test_a_blas_call_in_the_solver_is_caught():
 
 
 def test_importing_the_package_loads_no_sparse_module():
+    # nor, with the CLI, any scipy module: every transform is numpy's
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import mikado_forge; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))")
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse'))); "
+            "import mikado_forge.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code, str(PACKAGE_DIR.parent)],
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.split() == ["[]", "[]"]

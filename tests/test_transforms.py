@@ -2,7 +2,9 @@
 for bit: the two-pass `_irfftn` and `_fft_of` against `scipy.fft.irfftn`
 and `rfftn` with norm="forward", and the operators built on them, and the
 pruned de-aliased product against the 3n/2 zero-padded product it
-computes; and the worker pool's slab helpers against the serial loop."""
+computes; and the worker pool's slab helpers against the serial loop.
+scipy's pocketfft is the reference: `torus` runs numpy's 1-d transforms,
+which equal scipy's bit for bit at every stage length its grids reach."""
 
 import math
 import os
@@ -54,7 +56,7 @@ def workers():
 
 
 # The last eight shapes lie just below and at or above the pool gate (2^18
-# elements): one scipy call below it, the staged transform with 2 workers
+# elements): one slab per pass below it, slabs on the pool with 2 workers
 # above it.  At 128^3 a slab holds 4 rows (1/32 of the array); at 130 x
 # 128^2 it holds 3 rows of axis 1 and 4 of axis 0, so the last slab is
 # short on both passes.
@@ -92,20 +94,47 @@ def test_fft_of_is_scipy_rfftn_bit_for_bit(shape, n_workers, workers):
         assert _fft_of(v).tobytes() == sfft.rfftn(v, norm="forward").tobytes()
 
 
-TRANSFORM_CALLS = ("fft", "ifft", "rfft", "irfft", "rfftn", "irfftn")
+# the stages `torus` runs, and the n-dimensional calls it must not make
+# every 1-d transform length the grids can reach: n, and 3n/2 on the
+# de-aliased product's padded axes, for even n from 8 to 512
+STAGE_LENGTHS = sorted({m for n in range(8, 513, 2) for m in (n, 3 * n // 2)})
+
+
+def test_numpy_stages_are_scipy_stages_bit_for_bit():
+    # the premise of the spectral layer: numpy's four 1-d transforms, with
+    # the norms `torus` gives them, are scipy's pocketfft bit for bit, along
+    # a strided leading axis and a contiguous last one
+    rng = np.random.default_rng(0)
+    for m in STAGE_LENGTHS:
+        x = rng.standard_normal((m, 3))
+        c = x + 1j * rng.standard_normal((m, 3))
+        for ax, layout in ((0, np.asarray), (-1, lambda a: np.ascontiguousarray(a.T))):
+            xs, cs, hs = layout(x), layout(c), layout(c[: m // 2 + 1])
+            pairs = [(np.fft.rfft(xs, axis=ax), sfft.rfft(xs, axis=ax)),
+                     (np.fft.irfft(hs, n=m, axis=ax, norm="forward"),
+                      sfft.irfft(hs, n=m, axis=ax, norm="forward")),
+                     (np.fft.fft(cs, axis=ax), sfft.fft(cs, axis=ax)),
+                     (np.fft.ifft(cs, axis=ax, norm="forward"),
+                      sfft.ifft(cs, axis=ax, norm="forward"))]
+            for got, ref in pairs:
+                assert got.tobytes() == ref.tobytes(), (m, ax)
+
+
+TRANSFORM_CALLS = ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn")
 
 
 @pytest.mark.parametrize("n_workers", [1, 2])
 @pytest.mark.parametrize("n, count", [(64, 48), (128, 96)])
 def test_transform_slabs_make_few_scipy_calls(n, count, n_workers, workers, monkeypatch):
-    # one scipy call per slab and stage: 16 slabs of 4 rows at 64^3 (a
-    # quarter of a pool task), and at 128^3 32 slabs of 4 rows (1/32 of
-    # the array), not 128 slabs of one row (384 calls)
+    # one numpy.fft call per slab and stage (the name predates the move
+    # from scipy.fft): 16 slabs of 4 rows at 64^3 (a quarter of a pool
+    # task), and at 128^3 32 slabs of 4 rows (1/32 of the array), not 128
+    # slabs of one row (384 calls)
     workers(n_workers)
     calls = []
     for name in TRANSFORM_CALLS:
-        fn = getattr(sfft, name)
-        monkeypatch.setattr(sfft, name, lambda *a, _fn=fn, _name=name, **k:
+        fn = getattr(torus.nfft, name)
+        monkeypatch.setattr(torus.nfft, name, lambda *a, _fn=fn, _name=name, **k:
                             calls.append(_name) or _fn(*a, **k))
     x = np.random.default_rng(n).standard_normal((n,) * 3)
     c = _fft_of(x)
@@ -167,25 +196,31 @@ def product_case(draw):
     b_band = draw(st.integers(1, n // 2 - 1))
     u_band = draw(st.integers(1, n // 2 - 1))
     seed = draw(st.integers(0, 2 ** 32 - 1))
-    n_workers = draw(st.sampled_from([1, 2]))
-    return TorusGrid(d, n), b_band, u_band, np.random.default_rng(seed), n_workers
+    # rows per slab of the first leading-axis stage on the pool, split along
+    # axis 1 over its n/2 band rows: never a divisor, so the last slab is
+    # short
+    rows = draw(st.sampled_from([2, 3, 4, 5]).filter(lambda r: r < n // 2 and (n // 2) % r))
+    return TorusGrid(d, n), b_band, u_band, np.random.default_rng(seed), rows
 
 
 @settings(deadline=None, max_examples=40, database=None)
 @given(product_case())
 def test_pruned_product_is_the_padded_product(case):
-    grid, b_band, u_band, rng, n_workers = case
+    # on the calling thread, and on the pool at 2 workers with uneven slabs
+    grid, b_band, u_band, rng, rows = case
+    n, d = grid.n, grid.dim
     u_hat = _fft_of(random_scalar(grid, u_band, rng))
-    b_hat = [_fft_of(random_scalar(grid, b_band, rng)) for _ in range(grid.dim)]
+    b_hat = [_fft_of(random_scalar(grid, b_band, rng)) for _ in range(d)]
     kept = [c.copy() for c in [u_hat] + b_hat]
     ref = _padded_product_divergence(grid, b_hat, u_hat)
-    saved = torus._FFT_WORKERS
-    torus.set_fft_workers(n_workers)
-    try:
-        got = _dealiased_product_divergence(grid, iter(b_hat), u_hat)
-    finally:
-        torus.set_fft_workers(saved)
-    assert np.array_equal(got, ref)
+    serial = _dealiased_product_divergence(grid, iter(b_hat), u_hat)
+    # a row of that stage's slab holds 3n/2 (n/2)^(d-2) elements
+    with _pool_on_small_arrays(2, 4 * rows * (3 * n // 2) * (n // 2) ** (d - 2)), \
+            _slab_rows() as seen:
+        pooled = _dealiased_product_divergence(grid, iter(b_hat), u_hat)
+    assert (n // 2, rows) in seen
+    assert serial.tobytes() == ref.tobytes()
+    assert pooled.tobytes() == ref.tobytes()
     # the inputs are read, never written
     assert all(np.array_equal(a, k) for a, k in zip([u_hat] + b_hat, kept))
 
@@ -223,6 +258,22 @@ def _pool_on_small_arrays(n_workers, task_elems):
         torus._POOL_GATE, torus._TASK_ELEMS = saved[:2]
         torus.set_fft_workers(saved[2])
         torus._usable_cores = saved[3]
+
+
+@contextmanager
+def _slab_rows():
+    # the (extent, rows per slab) of every `_slab_map` call made inside
+    seen, real = [], torus._slab_map
+
+    def spy(fn, n0, rows, size):
+        seen.append((n0, rows))
+        return real(fn, n0, rows, size)
+
+    torus._slab_map = spy
+    try:
+        yield seen
+    finally:
+        torus._slab_map = real
 
 
 def _kernel(out, a, b):
@@ -312,11 +363,16 @@ def test_slab_map_runs_each_slab_once_under_thread_switching():
 def two_pass_case(draw):
     d = draw(st.sampled_from([2, 3, 4]))
     n = draw(st.sampled_from({2: [8, 10, 14, 30], 3: [8, 10, 12], 4: [8, 10]}[d]))
-    # rows per slab along axes of length n: never a divisor of n, so the
-    # last slab is short
-    rows = draw(st.sampled_from([2, 3, 4, 5]).filter(lambda r: n % r != 0))
+    # elements of a pool task: a slab of a pass over an axis of length L
+    # holds elems L / n^d rows, and every pass runs over axes of length n,
+    # but for d = 2 the half spectrum's axis 1 (n//2 + 1 long).  The rows
+    # are never a divisor of L, so every pass ends on a short slab
+    size = n ** d
+    lengths = (n,) if d > 2 else (n, n // 2 + 1)
+    elems = draw(st.integers(2 * size // n, 8 * size // n).filter(
+        lambda e: all(length % (e * length // size) for length in lengths)))
     n_workers = draw(st.sampled_from([2, 3]))
-    return TorusGrid(d, n), rows, n_workers, np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return TorusGrid(d, n), elems, n_workers, np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
 
 
 def _old_antidivergence(grid, coeffs):
@@ -335,7 +391,7 @@ def test_two_pass_kernels_are_the_one_call_transforms(case):
     # the two-pass kernels, run on the pool for arrays of any size with
     # uneven slabs, against one scipy call each and the full-array
     # formulas of the operators they serve, byte for byte
-    grid, rows, n_workers, rng = case
+    grid, elems, n_workers, rng = case
     d = grid.dim
     vals = [rng.standard_normal(grid.shape) for _ in range(d)]
     vals[0][0, ...] = -0.0
@@ -350,9 +406,13 @@ def test_two_pass_kernels_are_the_one_call_transforms(case):
                                           norm="forward")
 
     got = {}
-    with _pool_on_small_arrays(n_workers, 4 * rows * grid.n ** (d - 1)):
-        got["irfftn"] = _irfftn(a.copy(), grid.shape)
-        got["rfftn"] = _fft_of(vals[0])
+    with _pool_on_small_arrays(n_workers, 4 * elems):
+        with _slab_rows() as seen:
+            got["irfftn"] = _irfftn(a.copy(), grid.shape)
+            got["rfftn"] = _fft_of(vals[0])
+        # two passes each, every one ending on a short slab
+        assert len(seen) == 4
+        assert all(rows < n0 and n0 % rows for n0, rows in seen), seen
         got["div"] = _divergence_coeffs(grid, vals)
         got["antidiv"] = _inverse_div_grad_coeffs(grid, a)
         in_place = a.copy()
