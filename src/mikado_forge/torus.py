@@ -48,12 +48,13 @@ the slab's values (the gradient-magnitude sum, the Nash step's flux parts
 and corrector), so those values are never formed whole.  The forward
 kernel `_fft_of`: pass A, over axis-1 slabs, runs the last-axis real
 transform, its scaling by 1/N and the axis-0 stage in a contiguous slab
-buffer, which goes into the spectrum; pass B, over axis-0 slabs, the remaining axes and optionally acc += ik c,
-which accumulates a divergence without forming any derivative's
-coefficients.  Callers of `_irfftn` pass a temporary, never a cached
-`coeffs` array.  Complex transforms appear only as the leading-axis
-stages of a real transform, in these two kernels and in
-`_dealiased_product_divergence`; no full complex spectrum is formed.
+buffer, which goes into the spectrum; pass B, over axis-0 slabs, the
+remaining axes and optionally acc += ik c, which accumulates a divergence
+without forming any derivative's coefficients.  Callers of `_irfftn` pass
+a temporary, never a cached `coeffs` array.  Complex transforms appear
+only as the leading-axis stages of a real transform, in these two kernels
+and in `_dealiased_product_divergence`; no full complex spectrum is
+formed.
 
 Threads.  The module owns one thread pool, sized by `set_fft_workers`
 (default: the usable cores, `len(os.sched_getaffinity(0))`; the CLI caps
@@ -539,8 +540,9 @@ def _fft_of(x: ScalarField | np.ndarray, acc: np.ndarray | None = None,
     pocketfft's axis order last, 0, 1, ...  Pass A, over axis-1 slabs: the
     last-axis real transform and its scaling by 1/N, then the axis-0 stage
     (for d = 2 it runs over axis-0 slabs, and the axis-0 stage moves to
-    pass B), in a contiguous slab buffer that then goes into the spectrum.  Pass B, over axis-0 slabs (axis-1 for
-    d = 2): the remaining axes in place and the accumulation."""
+    pass B), in a contiguous slab buffer that then goes into the spectrum.
+    Pass B, over axis-0 slabs (axis-1 for d = 2): the remaining axes in
+    place and the accumulation."""
     if isinstance(x, ScalarField):
         c = x.__dict__.get("coeffs")
         if c is not None:

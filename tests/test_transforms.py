@@ -94,7 +94,6 @@ def test_fft_of_is_scipy_rfftn_bit_for_bit(shape, n_workers, workers):
         assert _fft_of(v).tobytes() == sfft.rfftn(v, norm="forward").tobytes()
 
 
-# the stages `torus` runs, and the n-dimensional calls it must not make
 # every 1-d transform length the grids can reach: n, and 3n/2 on the
 # de-aliased product's padded axes, for even n from 8 to 512
 STAGE_LENGTHS = sorted({m for n in range(8, 513, 2) for m in (n, 3 * n // 2)})
@@ -120,6 +119,7 @@ def test_numpy_stages_are_scipy_stages_bit_for_bit():
                 assert got.tobytes() == ref.tobytes(), (m, ax)
 
 
+# the stages `torus` runs, and the n-dimensional calls it must not make
 TRANSFORM_CALLS = ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn")
 
 
@@ -363,8 +363,9 @@ def test_slab_map_runs_each_slab_once_under_thread_switching():
 def two_pass_case(draw):
     d = draw(st.sampled_from([2, 3, 4]))
     n = draw(st.sampled_from({2: [8, 10, 14, 30], 3: [8, 10, 12], 4: [8, 10]}[d]))
-    # elements of a pool task: a slab of a pass over an axis of length L
-    # holds elems L / n^d rows, and every pass runs over axes of length n,
+    # elements of a transform slab (a quarter of the pool task, by the
+    # lower clamp of `_slabs`): a pass over an axis of length L takes
+    # elems L / n^d rows a slab, and every pass runs over axes of length n,
     # but for d = 2 the half spectrum's axis 1 (n//2 + 1 long).  The rows
     # are never a divisor of L, so every pass ends on a short slab
     size = n ** d
@@ -372,7 +373,8 @@ def two_pass_case(draw):
     elems = draw(st.integers(2 * size // n, 8 * size // n).filter(
         lambda e: all(length % (e * length // size) for length in lengths)))
     n_workers = draw(st.sampled_from([2, 3]))
-    return TorusGrid(d, n), elems, n_workers, np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    return TorusGrid(d, n), elems, n_workers, np.random.default_rng(seed)
 
 
 def _old_antidivergence(grid, coeffs):
