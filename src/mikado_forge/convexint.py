@@ -375,17 +375,21 @@ def equation_residual(t: IterateTriple) -> float:
     On the build grid the aliased residual vanishes identically by
     construction; this band-exact measure exposes the sampling error the
     construction actually commits, which decays under grid refinement.
+
+    u's spectrum is handed to the product, which frees it before its loop,
+    and is transformed again for the Laplacian term after it: one more
+    forward transform, and one full-grid array less at the peak.  The
+    terms are added in the same order either way.
     """
     grid = t.grid
     kcap = grid.n // 2 - 1
 
     # de-aliased product part of the divergence
-    u_hat = _fft_of(t.u)
-    e_hat = _dealiased_product_divergence(grid, (_fft_of(c) for c in t.b.components), u_hat)
+    e_hat = _dealiased_product_divergence(grid, (_fft_of(c) for c in t.b.components),
+                                          [_fft_of(t.u)])
 
     # band-limited parts: laplacian of u and divergence of f
-    e_hat += _laplacian_symbol(grid) * u_hat
-    del u_hat
+    e_hat += _laplacian_symbol(grid) * _fft_of(t.u)
     _divergence_coeffs(grid, t.f.components, e_hat)
     return _residual_size(t, e_hat, kcap)
 
@@ -411,7 +415,10 @@ def assemble_step(
     in buffers reused in place, and every spectral part reaches the flux
     accumulator slab by slab from its inverse transform.  Its pointwise
     work runs as slab kernels (`torus._slabwise`) that write only into
-    those buffers.
+    those buffers.  Each quadratic source is produced slab by slab inside
+    its forward transform (`_fft_of`'s producer), theta's amplitude is
+    slab scratch, and u1 is formed in theta's buffer after the corrector,
+    which forms theta + theta_c slab by slab.
 
     The step consumes its input flux: at entry it takes u0, b0, ||f0||_1
     and the component arrays of f0 out of t and drops its reference to t,
@@ -419,9 +426,9 @@ def assemble_step(
     caller that passes its only reference to t (`run_iteration` on a fixed
     schedule, the ci-step experiment) has f0 freed as the step goes; one
     that keeps t (`select_parameters`, whose trials share it) does not.
-    At 64^3 the step's peak is about 8.3 full-grid fields above what its
-    caller held at the call with the handover (8.5 with two workers), and
-    about 11.3 (11.5) when the caller keeps t."""
+    At 64^3 the step's peak is about 7.3 full-grid fields above what its
+    caller held at the call with the handover (7.5 with two workers), and
+    about 10.3 (10.5) when the caller keeps t."""
     if params.mode in ("W1R", "W1R_W1Q") and params.r is None:
         raise ValueError(f"mode {params.mode} needs the Sobolev exponent r")
     if params.mode == "W1R_W1Q" and params.q is None:
@@ -443,12 +450,13 @@ def assemble_step(
     delta = params.delta
     shape = grid.shape
 
-    def amplitudes(cj, fj, absf, amp, theta, density, field):
-        """chi_j (the buffers of |f_j| and of theta's amplitude serve as
-        its scratch), theta += chi_j sgn(f_j) |f_j|^(1/p') Theta_j, w_j =
-        chi_j |f_j|^(1/p) W_j in the buffer of |f_j|, and chi_j^2 f_j in
-        the buffer of chi_j.  Where |f_j| <= delta/(4d), chi_j is exactly
-        0, and so are both amplitudes."""
+    def amplitudes(cj, fj, absf, theta, density, field):
+        """chi_j (the buffer of |f_j| and the slab scratch that then holds
+        theta's amplitude serve as its scratch), theta += chi_j sgn(f_j)
+        |f_j|^(1/p') Theta_j, w_j = chi_j |f_j|^(1/p) W_j in the buffer of
+        |f_j|, and chi_j^2 f_j in the buffer of chi_j.  Where |f_j| <=
+        delta/(4d), chi_j is exactly 0, and so are both amplitudes."""
+        amp = _scratch(cj)
         _cutoff(fj, delta, d, out=cj, scratch=(absf, amp))
         np.abs(fj, out=absf)
         amp[...] = absf
@@ -463,12 +471,6 @@ def assemble_step(
         cj *= cj
         cj *= fj
 
-    def quad_source(q, cj, fj, prod):
-        # chi_j^2 f_j ((Theta W)_lambda - 1); then the cutoff part
-        # chi_j^2 f_j - f_j in the buffer of chi_j
-        np.multiply(cj, prod, out=q)
-        cj -= fj
-
     theta_vals = np.zeros(shape)
     w_comps: list[np.ndarray] = [None] * d
     q_hat = np.zeros(grid.half_shape, dtype=np.complex128)
@@ -477,20 +479,23 @@ def assemble_step(
     quad_source_l1 = 0.0
     for j in range(d):
         fj = f0[j]
-        cj, absf, amp = np.empty(shape), np.empty(shape), np.empty(shape)
-        _slabwise(amplitudes, cj, fj, absf, amp, theta_vals,
+        cj, absf = np.empty(shape), np.empty(shape)
+        _slabwise(amplitudes, cj, fj, absf, theta_vals,
                   _expand_along(_dilate_tile(fam.density_transverse(j), lam), j, n, d),
                   _expand_along(_dilate_tile(fam.field_transverse(j), lam), j, n, d))
         w_comps[j] = absf
         quad_source_l1 += axis_derivative_norm(grid, cj, j)
-        prod_t = _dilate_tile(
-            fam.density_transverse(j) * fam.field_transverse(j) - 1.0, lam)
-        # the quadratic part along e_j, in the buffer of theta's amplitude
-        _slabwise(quad_source, amp, cj, fj, _expand_along(prod_t, j, n, d))
-        del prod_t, fj
+        prod = _expand_along(_dilate_tile(
+            fam.density_transverse(j) * fam.field_transverse(j) - 1.0, lam), j, n, d)
+        # the quadratic source chi_j^2 f_j ((Theta W)_lambda - 1) along
+        # e_j, produced slab by slab inside its transform
+        _fft_of(shape, q_hat, _ik(grid, j),
+                produce=lambda idx, out: np.multiply(cj[idx], prod[idx], out=out))
+        del prod
+        # the cutoff part chi_j^2 f_j - f_j, in the buffer of chi_j
+        _slabwise(lambda c, f: np.subtract(c, f, out=c), cj, fj)
+        del fj
         f0[j] = None
-        _fft_of(amp, q_hat, _ik(grid, j))
-        del amp
         f1_comps[j] = cj
 
     theta_c = -float(theta_vals.mean())
@@ -537,35 +542,29 @@ def assemble_step(
 
     add_part("linear", linear)
 
-    # u1 = (u0 + theta) + theta_c, made mean-zero; theta's buffer then
-    # holds the increment du = theta + theta_c
-    def increments(u1, u, theta):
-        np.add(u, theta, out=u1)
-        u1 += theta_c
-        theta += theta_c
-
-    u1_vals = np.empty(shape)
-    _slabwise(increments, u1_vals, u0.values, theta_vals)
-    u1_mean = u1_vals.mean()
-    _slabwise(lambda u1: np.subtract(u1, u1_mean, out=u1), u1_vals)
-    du_vals = theta_vals
-    del theta_vals
+    # the increment du = theta + theta_c, formed for its norms only; the
+    # corrector forms it again slab by slab, and u1 goes into theta's
+    # buffer after the corrector
+    du_vals = np.empty(shape)
+    _slabwise(lambda du, theta: np.add(theta, theta_c, out=du), du_vals, theta_vals)
     theta_h1 = _mode_norm("H1", None, du_vals, gt_mag)
     mode_inc = (theta_h1 if params.mode == "H1"
                 else _mode_norm(params.mode, params.r, du_vals, gt_mag))
-    del gt_mag
+    du_lp = _lp_of_values(du_vals, pc)
+    del du_vals, gt_mag
 
     # corrector restoring div b1 = 0: w_c = -grad phi, where div grad phi is
     # the measured div w
     phi_hat = _divergence_coeffs(grid, w_comps)
     _inverse_div_grad_coeffs(grid, phi_hat, out=phi_hat)
 
-    def corrector_kernel(g, wc, u, w, du):
+    def corrector_kernel(g, wc, u, w, theta):
         np.negative(wc, out=wc)
         np.multiply(wc, u, out=g)
         sc = _scratch(g)
         g += np.multiply(w, theta_c, out=sc)
-        g += np.multiply(du, wc, out=sc)
+        np.add(theta, theta_c, out=sc)      # du
+        g += np.multiply(sc, wc, out=sc)
         w += wc
 
     def corrector(i: int, add: Callable) -> None:
@@ -577,13 +576,24 @@ def assemble_step(
 
         def slab(rows: slice, wc: np.ndarray) -> None:
             g = np.empty(wc.shape)
-            _slabwise(corrector_kernel, g, wc, u0.values[rows], w[rows], du_vals[rows])
+            _slabwise(corrector_kernel, g, wc, u0.values[rows], w[rows], theta_vals[rows])
             add(rows, g)
 
         _partial_values(grid, phi_hat, i, slab)
 
     add_part("corrector", corrector)
     del phi_hat
+
+    # u1 = (u0 + theta) + theta_c in theta's buffer, made mean-zero
+    def new_u(theta, u):
+        np.add(u, theta, out=theta)
+        theta += theta_c
+
+    _slabwise(new_u, theta_vals, u0.values)
+    u1_vals = theta_vals
+    del theta_vals
+    u1_mean = u1_vals.mean()
+    _slabwise(lambda u1: np.subtract(u1, u1_mean, out=u1), u1_vals)
     dw_comps = w_comps          # w + w_c since the corrector loop
     del w_comps
 
@@ -593,12 +603,12 @@ def assemble_step(
         _slabwise(lambda f: np.negative(f, out=f), f1_comps[i])
 
     dw_mag = _magnitude(dw_comps)
-    inc = _lp_of_values(dw_mag, p) + _lp_of_values(du_vals, pc)
+    inc = _lp_of_values(dw_mag, p) + du_lp
     inc_bound = fam.M * max(f0_l1 ** (1.0 / pc), f0_l1 ** (1.0 / p))
     b_inc_w1q = None
     if params.mode == "W1R_W1Q":
         b_inc_w1q = _mode_norm("W1R", params.q, dw_mag, _grad_magnitude_of(grid, dw_comps))
-    del dw_mag, du_vals
+    del dw_mag
 
     # the new iterate, b1 = b0 + dw formed in the buffer of dw
     for i in range(d):

@@ -107,8 +107,12 @@ def seed_triple(b0: VectorField, u0: ScalarField, h) -> IterateTriple:
     The terms h_i (arrays or scalars) must form a divergence-free h, which
     the equation does not see: constants, or bumps h_i constant along axis
     i.  u0 must already be mean-zero; it is used as given."""
-    # formed whole on purpose: one derivative per component instead raised the
-    # peak RSS of a 64^3 step refined to 128^3 from 500 to 554 MB (glibc heap)
+    # formed whole on purpose: forming f0 one derivative slab at a time moves
+    # the peak RSS through glibc's heap layout, up on the 128^3 nash-iteration
+    # benchmark workload and down on step-refine (CHANGES.md, the FOUND on
+    # seed_triple).  Measured again with the Nash step that forms u1 in
+    # theta's buffer: nash-iteration 277.9 -> 292.1 MB, step-refine
+    # 300.3 -> 284.5 MB
     gu = gradient(u0)
     comps = [ScalarField(u0.grid, -gu[i].values - b0[i].values * u0.values + hi)
              for i, hi in enumerate(h)]

@@ -46,11 +46,14 @@ stage in the input's own buffer; pass B, over axis-0 slabs, runs the
 other leading axes, the last-axis real inverse, and a consumer that takes
 the slab's values (the gradient-magnitude sum, the Nash step's flux parts
 and corrector), so those values are never formed whole.  The forward
-kernel `_fft_of`: pass A, over axis-1 slabs, runs the last-axis real
-transform, its scaling by 1/N and the axis-0 stage in a contiguous slab
-buffer, which goes into the spectrum; pass B, over axis-0 slabs, the
-remaining axes and optionally acc += ik c, which accumulates a divergence
-without forming any derivative's coefficients.  Callers of `_irfftn` pass
+kernel `_fft_of`: pass A, over axis-1 slabs, takes each slab's values
+into a contiguous buffer, copied from an array or written by a producer
+(the Nash step's quadratic source, so those values are never formed
+whole), and runs the last-axis real transform, its scaling by 1/N and the
+axis-0 stage in a contiguous slab buffer, which goes into the spectrum;
+pass B, over axis-0 slabs, the remaining axes and optionally acc += ik c,
+which accumulates a divergence without forming any derivative's
+coefficients.  Callers of `_irfftn` pass
 a temporary, never a cached `coeffs` array.  Complex transforms appear
 only as the leading-axis stages of a real transform, in these two kernels
 and in `_dealiased_product_divergence`; no full complex spectrum is
@@ -187,10 +190,13 @@ def _slabwise(kernel: Callable[..., None], *arrays: np.ndarray) -> None:
     is passed whole, and a function (a symbol) is called with the slab's
     rows.  Kernels are pointwise, so the result is the one call
     kernel(*arrays) bit for bit, which is what arrays below the gate get.
-    A kernel writes only into the arrays it is given, which the calling
-    thread allocates; it takes at most one `_scratch` buffer."""
+    From the gate up the slabs run on the pool, or one after another on
+    the calling thread at one worker, so a kernel's scratch is one slab
+    at any worker count.  A kernel writes only into the arrays it is
+    given, which the calling thread allocates; it takes at most one
+    `_scratch` buffer."""
     n0, size = arrays[0].shape[0], arrays[0].size
-    if not _pooled(size):
+    if size < _POOL_GATE:
         kernel(*(a(slice(None)) if callable(a) else a for a in arrays))
         return
     rows = max(1, _TASK_ELEMS * n0 // size)
@@ -527,22 +533,28 @@ def _add_product(acc: np.ndarray, k: np.ndarray, c: np.ndarray) -> None:
     acc += np.multiply(k, c, out=_scratch(acc, np.complex128))
 
 
-def _fft_of(x: ScalarField | np.ndarray, acc: np.ndarray | None = None,
-            ik: np.ndarray | None = None) -> np.ndarray:
+def _fft_of(x: ScalarField | np.ndarray | Sequence[int], acc: np.ndarray | None = None,
+            ik: np.ndarray | None = None,
+            produce: Callable[[tuple, np.ndarray], None] | None = None) -> np.ndarray:
     """Normalised coefficients of a field, as `.coeffs` gives them but
     without filling its cache (keeps the large-grid paths from retaining
     duplicate spectral arrays), or of a value array: bit for bit
     pocketfft's `rfftn(x, norm="forward")`.  With acc and a derivative
     symbol ik (`_ik`), also acc += ik c: the coefficients of that
     derivative are added to acc, slab by slab, and never formed whole.
+    With a producer, x is the shape of the values, and produce(idx, out)
+    writes the values of each slab idx into out, a contiguous buffer of
+    the slab's shape (the counterpart of `_irfftn`'s fill): values that
+    are a pointwise function of other arrays are then never formed whole.
 
     Two passes over slabs (`_slabs`: one slab each below the pool gate), in
     pocketfft's axis order last, 0, 1, ...  Pass A, over axis-1 slabs: the
-    last-axis real transform and its scaling by 1/N, then the axis-0 stage
-    (for d = 2 it runs over axis-0 slabs, and the axis-0 stage moves to
-    pass B), in a contiguous slab buffer that then goes into the spectrum.
-    Pass B, over axis-0 slabs (axis-1 for d = 2): the remaining axes in
-    place and the accumulation."""
+    slab's values (copied from x, or produced), the last-axis real
+    transform and its scaling by 1/N, then the axis-0 stage (for d = 2 it
+    runs over axis-0 slabs, and the axis-0 stage moves to pass B), in a
+    contiguous slab buffer that then goes into the spectrum.  Pass B, over
+    axis-0 slabs (axis-1 for d = 2): the remaining axes in place and the
+    accumulation."""
     if isinstance(x, ScalarField):
         c = x.__dict__.get("coeffs")
         if c is not None:
@@ -550,8 +562,9 @@ def _fft_of(x: ScalarField | np.ndarray, acc: np.ndarray | None = None,
                 _slabwise(_add_product, acc, ik, c)
             return c
         x = x.values
-    size, d = x.size, x.ndim
-    c = np.empty(x.shape[:-1] + (x.shape[-1] // 2 + 1,), dtype=np.complex128)
+    shape = tuple(x) if produce is not None else x.shape
+    size, d = math.prod(shape), len(shape)
+    c = np.empty(shape[:-1] + (shape[-1] // 2 + 1,), dtype=np.complex128)
     first, rest = (1, range(1, d - 1)) if d > 2 else (0, (0,))
     scale = float(1 / np.longdouble(size))    # pocketfft's 1/N, rounded from long double
 
@@ -559,8 +572,14 @@ def _fft_of(x: ScalarField | np.ndarray, acc: np.ndarray | None = None,
         # contiguous input and output: on a strided slab numpy's loop runs
         # one short call per axis-0 row, about twice as slow at 128^3
         dst = c[idx]
+        if produce is None:
+            src = np.ascontiguousarray(x[idx])
+        else:
+            src = np.empty(dst.shape[:-1] + shape[-1:])
+            produce(idx, src)
         t = dst if dst.flags.c_contiguous else _scratch(dst, np.complex128)
-        nfft.rfft(np.ascontiguousarray(x[idx]), axis=-1, out=t)
+        nfft.rfft(src, axis=-1, out=t)
+        del src
         # per real component, as pocketfft scales its first stage: a
         # complex product would turn a -0 component into +0
         t.view(np.float64)[...] *= scale
@@ -576,7 +595,7 @@ def _fft_of(x: ScalarField | np.ndarray, acc: np.ndarray | None = None,
         if acc is not None:
             _add_product(acc[idx], _part(ik, idx), v)
 
-    _slabs(leading, x.shape, first, size)
+    _slabs(leading, shape, first, size)
     _slabs(trailing, c.shape, 1 - first, size)
     return c
 
@@ -703,12 +722,15 @@ def _antidivergence_values(grid: TorusGrid, coeffs: np.ndarray) -> list[np.ndarr
 
 
 def _dealiased_product_divergence(grid: TorusGrid, b_coeffs: Iterable[np.ndarray],
-                                  u_coeffs: np.ndarray) -> np.ndarray:
+                                  u_coeffs: list[np.ndarray]) -> np.ndarray:
     """Coefficients of div(b u) on the band |k_i| <= n/2 - 1, zero outside
     it, with b u the de-aliased product: bit for bit what the product of
     the 3n/2 zero-padded interpolants of b and u gives (Orszag's 3/2 rule).
     b_coeffs yields the half spectrum of each drift component in axis
-    order and is drawn one component at a time; u_coeffs is not modified.
+    order and is drawn one component at a time.  u_coeffs is a one-element
+    list holding u's half spectrum: it is emptied once u's leading-axis
+    array is built, so a caller that hands over its only reference has the
+    spectrum freed before the product loop.  No input is modified.
 
     Only the band is transformed (a pruned transform).  Each input's band,
     placed in a padded spectrum, goes through the inverse transforms of the
@@ -765,7 +787,7 @@ def _dealiased_product_divergence(grid: TorusGrid, b_coeffs: Iterable[np.ndarray
         del uv
         buf[idx] = nfft.rfft(bu, axis=-1)[..., :kcap + 1]
 
-    u_lead = leading_values(u_coeffs, np.empty(lead, dtype=np.complex128))
+    u_lead = leading_values(u_coeffs.pop(), np.empty(lead, dtype=np.complex128))
     buf = np.empty(lead, dtype=np.complex128)
     e_hat = np.zeros(grid.half_shape, dtype=np.complex128)
     comps = iter(b_coeffs)   # not enumerate, whose cached tuple keeps the last c alive

@@ -161,15 +161,19 @@ def test_step_structure_and_residuals(toy64):
 
 def test_step_and_residual_memory_in_fields():
     # extra memory of one step and of the de-aliased residual at 64^3, in
-    # units of one full-grid float64 field (measured 8.27 and 7.73 with one
-    # worker, 8.46 and 7.73 with two: the step streams its perturbation,
-    # flux parts and corrector one component at a time, consumes its input
-    # flux, and takes its spectral parts slab by slab from the inverse
-    # transforms; the residual transforms only the band, slab by slab, and
-    # forms no padded array).  tracemalloc sees numpy's allocations but not
-    # glibc's heap layout, so a change that keeps these bounds can still
-    # raise the peak RSS.  Pool workers hold small per-task buffers, so the
-    # count is taken at a fixed worker count
+    # units of one full-grid float64 field (measured 7.27, 10.27 and 6.70
+    # with one worker, 7.45-7.70, 10.46 and 6.63-6.70 with two: the step
+    # streams its perturbation, flux parts and corrector one component at
+    # a time, consumes its input flux, produces its quadratic source inside
+    # its transform, forms u1 in theta's buffer after the corrector, and
+    # takes its spectral parts slab by slab from the inverse transforms;
+    # the residual transforms only the band, slab by slab, forms no padded
+    # array, and frees u's spectrum before its product loop).  tracemalloc
+    # sees numpy's allocations but not glibc's heap layout, so a change
+    # that keeps these bounds can still raise the peak RSS.  Pool workers
+    # hold small per-task buffers, so the count is taken at a fixed worker
+    # count; each bound is the two-worker reading plus about 0.4 field,
+    # the spread thread timing gives
     saved = torus._FFT_WORKERS
     try:
         for n_workers in (1, 2):
@@ -179,43 +183,76 @@ def test_step_and_residual_memory_in_fields():
         torus.set_fft_workers(saved)
 
 
-def _step_and_residual_peaks():
-    g = TorusGrid(3, 64)
-    fam = build_family(3, 1.5, 8.0, g, resolution_factor=8.0)
-    field = g.n ** g.dim * 8
+def test_d4_step_and_residual_memory_in_fields():
+    # the same count for the H1 step at 32^4 (shifted-cosine seed with flux
+    # shift 512, p = 8/7, mu = 9, resolution factor 3.5, lambda = 1), seed
+    # handed over: measured 8.23 fields with one worker and 8.63-9.13 with
+    # two, and 8.94 for its residual
+    g = TorusGrid(4, 32)
+    fam = build_family(4, 8 / 7, 9.0, g, resolution_factor=3.5)
+    saved = torus._FFT_WORKERS
+    try:
+        for n_workers in (1, 2):
+            torus.set_fft_workers(n_workers)
+            t1, step = _step_peak(
+                lambda: shifted_cosine_seed(g, u_amp=0.5, flux_shift=512.0),
+                lambda f0_l1: StepParams(delta=f0_l1 / 16, lam=1, mu=9.0, mode="H1"),
+                fam, hand_over=True)
+            resid = _residual_peak(t1)
+            assert step <= 9.5, (n_workers, step)
+            assert resid <= 9.3, (n_workers, resid)
+    finally:
+        torus.set_fft_workers(saved)
 
-    def step_peak(hand_over: bool):
-        # tracemalloc starts before the seed is built: it does not count
-        # the frees of blocks allocated before it started, and the step
-        # frees the seed's flux when its caller hands the seed over
-        tracemalloc.start()
-        try:
-            held = [shifted_cosine_seed(g, u_amp=0.5, flux_shift=2048.0)]
-            f0_l1 = held[0].f_l1
-            params = StepParams(delta=f0_l1 / 16, lam=1, mu=8.0, mode="W1R", r=1.1)
-            kept = None if hand_over else held[0]
-            base = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            t1, _ = assemble_step(held.pop(), params, fam, eps_target=0.25 * f0_l1)
-            peak = tracemalloc.get_traced_memory()[1]
-            del kept
-        finally:
-            tracemalloc.stop()
-        return t1, (peak - base) / field
 
-    t1, handed_over = step_peak(hand_over=True)
-    _, kept = step_peak(hand_over=False)
+def _step_peak(seed, params_of, fam, hand_over: bool):
+    # the new triple, and the step's peak above what its caller held at the
+    # call, in fields.  tracemalloc starts before the seed is built: it
+    # does not count the frees of blocks allocated before it started, and
+    # the step frees the seed's flux when its caller hands the seed over
+    tracemalloc.start()
+    try:
+        held = [seed()]
+        f0_l1 = held[0].f_l1
+        field = held[0].grid.n ** held[0].grid.dim * 8
+        kept = None if hand_over else held[0]
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        t1, _ = assemble_step(held.pop(), params_of(f0_l1), fam, eps_target=0.25 * f0_l1)
+        peak = tracemalloc.get_traced_memory()[1]
+        del kept
+    finally:
+        tracemalloc.stop()
+    return t1, (peak - base) / field
+
+
+def _residual_peak(t1) -> float:
+    # the residual's peak in fields; tracemalloc starts after t1 is built
     tracemalloc.start()
     try:
         equation_residual(t1)
-        resid_peak = tracemalloc.get_traced_memory()[1] / field
+        return tracemalloc.get_traced_memory()[1] / (t1.grid.n ** t1.grid.dim * 8)
     finally:
         tracemalloc.stop()
-    # measured 11.27 and 11.46 fields when the caller keeps the seed
-    assert kept <= 11.6
-    assert handed_over <= 9.1
+
+
+def _step_and_residual_peaks():
+    g = TorusGrid(3, 64)
+    fam = build_family(3, 1.5, 8.0, g, resolution_factor=8.0)
+
+    def step_peak(hand_over: bool):
+        return _step_peak(
+            lambda: shifted_cosine_seed(g, u_amp=0.5, flux_shift=2048.0),
+            lambda f0_l1: StepParams(delta=f0_l1 / 16, lam=1, mu=8.0, mode="W1R", r=1.1),
+            fam, hand_over)
+
+    t1, handed_over = step_peak(hand_over=True)
+    _, kept = step_peak(hand_over=False)
+    resid_peak = _residual_peak(t1)
+    assert kept <= 10.9
+    assert handed_over <= 7.9
     assert kept - handed_over >= 1.5
-    assert resid_peak <= 7.9
+    assert resid_peak <= 7.0
 
 
 def test_residual_weight_is_the_full_array_weight():

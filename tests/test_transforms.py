@@ -213,11 +213,14 @@ def test_pruned_product_is_the_padded_product(case):
     b_hat = [_fft_of(random_scalar(grid, b_band, rng)) for _ in range(d)]
     kept = [c.copy() for c in [u_hat] + b_hat]
     ref = _padded_product_divergence(grid, b_hat, u_hat)
-    serial = _dealiased_product_divergence(grid, iter(b_hat), u_hat)
+    # u's spectrum is handed over in a list, which the product empties
+    held = [u_hat]
+    serial = _dealiased_product_divergence(grid, iter(b_hat), held)
+    assert held == []
     # a row of that stage's slab holds 3n/2 (n/2)^(d-2) elements
     with _pool_on_small_arrays(2, 4 * rows * (3 * n // 2) * (n // 2) ** (d - 2)), \
             _slab_rows() as seen:
-        pooled = _dealiased_product_divergence(grid, iter(b_hat), u_hat)
+        pooled = _dealiased_product_divergence(grid, iter(b_hat), [u_hat])
     assert (n // 2, rows) in seen
     assert serial.tobytes() == ref.tobytes()
     assert pooled.tobytes() == ref.tobytes()
@@ -437,6 +440,70 @@ def test_two_pass_kernels_are_the_one_call_transforms(case):
     assert streamed.tobytes() == ref[f"partial{d - 1}"].tobytes()
     covered = sorted(i for start, stop in slabs for i in range(start, min(stop, grid.n)))
     assert covered == list(range(grid.n)) and len(slabs) > 1
+
+
+def _produced_and_materialised(shape, rng):
+    # the forward transform of a b, with b broadcast along one axis as the
+    # step's pipe profiles are, from a producer and from the array, both
+    # without and with acc += ik c; returns the four coefficient arrays
+    # and the two accumulators
+    d = len(shape)
+    a = rng.standard_normal(shape)
+    a[0, ...] = -0.0
+    axis = int(rng.integers(d))
+    b = np.broadcast_to(rng.standard_normal(shape[:axis] + (1,) + shape[axis + 1:]), shape)
+    half = shape[:-1] + (shape[-1] // 2 + 1,)
+    ik = (2j * np.pi) * rng.standard_normal(
+        tuple(half[ax] if ax == axis else 1 for ax in range(d)))
+    acc0 = rng.standard_normal(half) + 1j * rng.standard_normal(half)
+
+    def produce(idx, out):
+        assert out.flags.c_contiguous and out.shape == a[idx].shape
+        np.multiply(a[idx], b[idx], out=out)
+
+    accs = [acc0.copy(), acc0.copy()]
+    coeffs = [_fft_of(a * b), _fft_of(shape, produce=produce),
+              _fft_of(a * b, accs[0], ik), _fft_of(shape, accs[1], ik, produce=produce)]
+    return coeffs, accs
+
+
+@st.composite
+def producer_case(draw):
+    grid, elems, _, rng = draw(two_pass_case())
+    return grid, elems, draw(st.sampled_from([1, 2])), rng
+
+
+@settings(deadline=None, max_examples=30, database=None)
+@given(producer_case())
+def test_produced_transform_is_the_transform_of_the_array(case):
+    # the producer input of `_fft_of` against the materialised array, bit
+    # for bit, in one slab a pass (below the gate) and in slabs of the
+    # drawn uneven size, on the pool or one after another
+    grid, elems, n_workers, rng = case
+    for pooled in (False, True):
+        with (_pool_on_small_arrays(n_workers, 4 * elems) if pooled else nullcontext()), \
+                _slab_rows() as seen:
+            (ref, got, ref_acc, got_acc), (acc_ref, acc_got) = \
+                _produced_and_materialised(grid.shape, rng)
+        assert got.tobytes() == ref.tobytes()
+        assert got_acc.tobytes() == ref_acc.tobytes() == ref.tobytes()
+        assert acc_got.tobytes() == acc_ref.tobytes()
+        # two passes a transform; in slabs, every pass ends on a short slab
+        assert len(seen) == 8
+        assert not pooled or all(rows < n0 and n0 % rows for n0, rows in seen), seen
+
+
+@pytest.mark.parametrize("n_workers", [1, 2])
+@pytest.mark.parametrize("shape", [(48, 48, 48), (64, 64, 64), (130, 128, 128)],
+                         ids=lambda s: "x".join(map(str, s)))
+def test_produced_transform_at_the_pool_gate(shape, n_workers, workers):
+    # below the gate, at it, and above it with a short last slab on both
+    # passes (3 rows of axis 1 a slab at 130 x 128^2)
+    workers(n_workers)
+    (ref, got, ref_acc, got_acc), (acc_ref, acc_got) = \
+        _produced_and_materialised(shape, np.random.default_rng(sum(shape) + n_workers))
+    assert got.tobytes() == ref.tobytes() == ref_acc.tobytes() == got_acc.tobytes()
+    assert acc_got.tobytes() == acc_ref.tobytes()
 
 
 def _old_leray_project(grid, vals):
