@@ -36,7 +36,6 @@ from .convexint import (
     IterateTriple,
     StepParams,
     StepReport,
-    BudgetExhausted,
     assemble_step,
     select_parameters,
     run_iteration,

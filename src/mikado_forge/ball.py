@@ -153,15 +153,14 @@ def energy_defect(fs: BallFieldSet) -> dict:
     }
 
 
-def flux_check(fs: BallFieldSet, radii=(0.1, 0.5, 0.9)) -> dict:
-    """Flux of b through spheres of the given radii: int_{S^2} beta = 0
+def flux_check(fs: BallFieldSet) -> dict:
+    """Flux of b through the spheres about the origin: int_{S^2} beta = 0
     certifies div b = 0 away from the origin.
 
     On the sphere S_r, b . n = beta(u)/r^2 and the surface element is
-    r^2 dOmega, so r cancels: every radius has the flux int_{S^2} beta, and
-    the sphere quadrature runs once."""
+    r^2 dOmega, so r cancels: every radius has the one flux int_{S^2} beta."""
     flux = float(2.0 * np.pi * (fs.pair.beta(fs.u) * fs.wu).sum())
-    return {"radii": list(radii), "flux": [flux] * len(radii), "max_abs": abs(flux)}
+    return {"flux": flux, "max_abs": abs(flux)}
 
 
 def _radial_power_integral(q: float, lo: float, hi: float) -> float:

@@ -75,7 +75,6 @@ __all__ = [
     "StepParams",
     "StepReport",
     "ConvergenceReport",
-    "BudgetExhausted",
     "assemble_step",
     "select_parameters",
     "run_iteration",
@@ -251,20 +250,6 @@ class StepReport:
         }
 
 
-class BudgetExhausted(RuntimeError):
-    """The parameter ladders hit the grid's aliasing/resolution ceiling;
-    best_step is the (triple, report) of the trial of least smallness."""
-
-    def __init__(self, achieved: float, target: float,
-                 best_step: tuple[IterateTriple, StepReport] | None = None):
-        super().__init__(
-            f"parameter search exhausted: best achievable smallness {achieved:.4g} "
-            f"vs target {target:.4g}")
-        self.achieved = achieved
-        self.target = target
-        self.best_step = best_step
-
-
 # ---------------------------------------------------------------------------
 # cutoffs
 
@@ -425,7 +410,8 @@ def assemble_step(
     and it releases f0_j once component j's loop iteration is done.  A
     caller that passes its only reference to t (`run_iteration` on a fixed
     schedule, the ci-step experiment) has f0 freed as the step goes; one
-    that keeps t (`select_parameters`, whose trials share it) does not.
+    that keeps t (`select_parameters`, whose trials share it) does not; the
+    search also holds its best trial's triple while it assembles the next.
     At 64^3 the step's peak is about 7.3 full-grid fields above what its
     caller held at the call with the handover (7.5 with two workers), and
     about 10.3 (10.5) when the caller keeps t."""
@@ -675,14 +661,18 @@ def select_parameters(
     resolution_factor: float = 8.0,
     mode_cap: float = math.inf,
     f1_cap: float = math.inf,
-) -> tuple[IterateTriple, StepReport]:
+) -> tuple[tuple[IterateTriple, StepReport] | None, bool]:
     """Greedy nested search in the order delta, then lambda, then mu.
 
     delta is the largest dyadic fraction of ||f||_1 whose cutoff budget
     delta/2 fits below eps/4; lambda and mu walk their ladders until a trial
-    step meets the smallness target (and any caller caps).  Returns that
-    step, assembled with eps_target = eps.  Raises BudgetExhausted, which
-    carries the best trial's step, when the grid ceiling is reached first.
+    step meets the smallness target (and any caller caps).  Every trial is
+    assembled with eps_target = eps.  Returns (step, met): the first trial
+    that meets the target with True, else the trial of least smallness with
+    False, and (None, False) when there is no trial.  A trial whose
+    perturbation is identically zero (increment_lp == 0) changes neither u
+    nor b, so it is neither taken nor kept; a zero flux gives only such
+    trials.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -690,9 +680,7 @@ def select_parameters(
     d, n = grid.dim, grid.n
     f_l1 = t.f_l1
     if f_l1 == 0.0:
-        fam = _family(d, p, 2.0 * d + 1.0, n, 2.0)
-        return assemble_step(t, StepParams(delta=max(eps, 1e-300), lam=1, mu=fam.mu,
-                                           mode=mode, r=r, q=q), fam, eps_target=eps)
+        return None, False
 
     delta = None
     for i in range(1, 13):
@@ -714,15 +702,14 @@ def select_parameters(
             params = StepParams(delta=delta, lam=lam, mu=mu, mode=mode, r=r, q=q)
             step = assemble_step(t, params, fam, eps_target=eps)
             rep = step[1]
-            achieved = rep.smallness_lhs
-            if best is None or achieved < best[0]:
-                best = (achieved, step)
-            if (achieved <= eps and rep.mode_increment <= mode_cap
-                    and rep.f1_l1 <= f1_cap and rep.increment_ok):
-                return step
+            if rep.increment_lp > 0.0:
+                if (rep.smallness_lhs <= eps and rep.mode_increment <= mode_cap
+                        and rep.f1_l1 <= f1_cap and rep.increment_ok):
+                    return step, True
+                if best is None or rep.smallness_lhs < best[1].smallness_lhs:
+                    best = step
             del step        # of the trials, only the best one's triple stays alive
-    achieved = best[0] if best else math.inf
-    raise BudgetExhausted(achieved, eps, best[1] if best else None)
+    return best, False
 
 
 @dataclass
@@ -747,7 +734,6 @@ def run_iteration(
     r: float | None = None,
     q: float | None = None,
     resolution_factor: float = 8.0,
-    strict: bool = True,
     lam_schedule: Sequence[int] | None = None,
     mu_schedule: Sequence[float] | None = None,
 ) -> tuple[IterateTriple, ConvergenceReport]:
@@ -756,12 +742,15 @@ def run_iteration(
     1/F_DECREASE, the final mode norm must stay above half the seed's, and
     the total drift displacement below eps.
 
-    The asymptotic epsilon-schedule (with the measured family constant) is
-    evaluated and recorded per step; parameter ladders are searched for each
-    step.  When the grid cannot meet a step's budget, strict mode raises
-    BudgetExhausted, while best-effort mode accepts the best candidate and
-    lets the final assertion table record the shortfall.  Fixed per-step
-    (lambda, mu) schedules bypass the search.
+    Each step targets mode_cap + f_cap: half the seed's mode norm per step
+    and a fourfold flux decline.  The asymptotic epsilon-schedule (with the
+    measured family constant) is evaluated and recorded per step.  Fixed
+    per-step (lambda, mu) schedules take their step as given; without them,
+    select_parameters searches each step.  When no trial meets the target,
+    the search's best trial is taken and status becomes "best_effort"; when
+    it has no trial at all (a zero flux, or only zero-perturbation trials),
+    status becomes "budget_exhausted" and the iteration stops.  Either way
+    the final assertion table records the shortfall.
 
     The decline law is promised only once lambda is far above the
     frequency of the quadratic source chi_j^2 f_j (see
@@ -791,8 +780,8 @@ def run_iteration(
             m_const = _family(d, p, probe_mu, t.grid.n, 2.0).M
         eps_k = 0.5 * min(1.0, (eps / (m_const * 2.0 ** (k + 1))) ** (p / (p - 1.0)),
                           2.0 ** (-k) * u0_mode)
-        schedule.append(eps_k)
-        target = max(eps_k, mode_cap + f_cap)
+        schedule.append(eps_k)     # recorded only: nothing else reads the schedule
+        target = mode_cap + f_cap
         if lam_schedule is not None:
             lam = int(lam_schedule[k - 1])
             mu = float(mu_schedule[k - 1]) if mu_schedule is not None else 2.0 * d + 1.0
@@ -804,18 +793,15 @@ def run_iteration(
             del t
             t, rep = assemble_step(held.pop(), params, fam, eps_target=target)
         else:
-            try:
-                t, rep = select_parameters(
-                    t, target, mode=mode, r=r, q=q, p=p,
-                    resolution_factor=resolution_factor,
-                    mode_cap=mode_cap, f1_cap=f_cap)
-            except BudgetExhausted as exc:
-                if strict:
-                    raise
-                if exc.best_step is None:
-                    status = "budget_exhausted"
-                    break
-                t, rep = exc.best_step
+            step, met = select_parameters(
+                t, target, mode=mode, r=r, q=q, p=p,
+                resolution_factor=resolution_factor,
+                mode_cap=mode_cap, f1_cap=f_cap)
+            if step is None:
+                status = "budget_exhausted"
+                break
+            t, rep = step
+            if not met:
                 status = "best_effort"
         rep.lam_needed = F_DECREASE * rep.quad_source_freq
         rep.lam_grid_max = grid_lambda_max(t.grid.n, d, resolution_factor)

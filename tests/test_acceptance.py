@@ -190,7 +190,7 @@ def test_criterion_5_iteration_flux_decline():
     seed = [cascade_seed(grid, u_amp=0.01, drift_lp=4000.0, flux_amp=16384.0, p=1.5)]
     eps = 0.1 * norm(seed[0].b, p=1.5)
     _, conv = run_iteration(
-        seed.pop(), eps=eps, K=3, mode="W1R", p=1.5, r=1.1, strict=False,
+        seed.pop(), eps=eps, K=3, mode="W1R", p=1.5, r=1.1,
         lam_schedule=[1, 2, 4], mu_schedule=[7.0, 7.0, 7.0])
     ratios = [b_ / a_ for a_, b_ in zip(conv.f_history, conv.f_history[1:])]
     covered = [s.params.lam >= s.lam_needed for s in conv.steps]

@@ -27,11 +27,11 @@ def test_parse_config_values():
         N = 64          # trailing comment
         p = 1.5
         mode = W1R
-        strict = false
+        write_fields = false
         mu = 7, 8, 16
     """)
     assert cfg == {"d": 3, "N": 64, "p": 1.5, "mode": "W1R",
-                   "strict": False, "mu": [7, 8, 16]}
+                   "write_fields": False, "mu": [7, 8, 16]}
 
 
 def test_parse_config_errors():
@@ -108,7 +108,7 @@ def test_failing_experiment_exits_one(tmp_path):
     cfg = {"d": 3, "N": 64, "K": 2, "seed_kind": "cascade",
            "u_amp": 0.01, "drift_lp": 500.0, "flux_amp": 2048.0,
            "lam_schedule": [1, 2], "mu_schedule": [7, 7],
-           "resolution_factor": 4, "strict": False}
+           "resolution_factor": 4}
     code, report = run_experiment("ci-run", cfg, tmp_path, seed=0)
     assert code == 1
     assert report["checks"]["f_decrease"] is False
@@ -121,11 +121,28 @@ def test_failing_experiment_exits_one(tmp_path):
     assert (tmp_path / "f_history.csv").exists()
 
 
+def test_search_takes_no_zero_perturbation_step(tmp_path):
+    # the same run with no schedule: the cascade seed's ballast lets a
+    # trial with theta = w = 0 meet the target by shedding flux, with u and
+    # b unchanged.  The search skips such trials, so every step perturbs,
+    # and the run fails the fourfold law instead of passing it
+    cfg = {"d": 3, "N": 64, "K": 2, "seed_kind": "cascade",
+           "u_amp": 0.01, "drift_lp": 500.0, "flux_amp": 2048.0,
+           "resolution_factor": 4}
+    code, report = run_experiment("ci-run", cfg, tmp_path, seed=0)
+    assert len(report["steps"]) == 2
+    assert all(step["increment_lp"] > 0.0 for step in report["steps"])
+    assert all(step["mode_increment"] > 0.0 for step in report["steps"])
+    assert report["status"] == "best_effort"
+    assert report["checks"]["f_decrease"] is False
+    assert code == 1
+
+
 def test_search_assembles_each_trial_once(tmp_path, monkeypatch):
-    # a ci-run with no schedule searches (lambda, mu) in best-effort mode;
-    # the iteration takes the step the search assembled instead of
-    # assembling the accepted parameters again.  The reference run does
-    # assemble them again and must write the same bytes
+    # a ci-run with no schedule searches (lambda, mu); here no trial meets
+    # the target.  The iteration takes the step the search assembled
+    # instead of assembling the returned parameters again.  The reference
+    # run does assemble them again and must write the same bytes
     cfg = {"d": 3, "N": 64, "K": 1, "seed_kind": "shifted-cosine", "flux_shift": 64,
            "resolution_factor": 4}
     assemble, search = convexint.assemble_step, convexint.select_parameters
@@ -136,16 +153,11 @@ def test_search_assembles_each_trial_once(tmp_path, monkeypatch):
         return assemble(t, params, *args, **kwargs)
 
     def search_then_assemble_again(t, eps, **kw):
-        def again(step):
-            params = step[1].params
-            fam = convexint._family(t.grid.dim, kw["p"], params.mu, t.grid.n // params.lam,
-                                    kw["resolution_factor"])
-            return convexint.assemble_step(t, params, fam, eps_target=eps)
-        try:
-            return again(search(t, eps, **kw))
-        except convexint.BudgetExhausted as exc:
-            exc.best_step = again(exc.best_step)
-            raise
+        step, met = search(t, eps, **kw)
+        params = step[1].params
+        fam = convexint._family(t.grid.dim, kw["p"], params.mu, t.grid.n // params.lam,
+                                kw["resolution_factor"])
+        return convexint.assemble_step(t, params, fam, eps_target=eps), met
 
     monkeypatch.setattr(convexint, "assemble_step", counted)
     run_experiment("ci-run", dict(cfg), tmp_path / "once", seed=1)
@@ -258,7 +270,7 @@ DEFAULTS = {
     "osc-verify": {"d": 2, "N": 256, "p": 2.0, "lambda": [4, 8, 16, 32], "cases": 50},
     "ci-step": {**_NASH_DEFAULTS, "N": 128, "lambda": 2, "mu": 8.0, "eps_frac": 0.25,
                 "delta_divisor": 16.0, "refine_N": None},
-    "ci-run": {**_NASH_DEFAULTS, "N": 224, "K": 3, "eps_frac": 0.1, "strict": False,
+    "ci-run": {**_NASH_DEFAULTS, "N": 224, "K": 3, "eps_frac": 0.1,
                "lam_schedule": None, "mu_schedule": None},
     "solve": {"d": 3, "N": 32, "cases": 20, "drift_scale": 2.0, "tol": 1e-10},
     "maxprinc": {"d": 3, "N": 32, "drifts": 30, "scale_span": 100.0, "tol": 1e-10},
@@ -333,8 +345,12 @@ _CI_STEP = "d = 3\nN = 32\nlambda = 1\nmu = 7\nresolution_factor = 2\n"
                  id="short-schedule"),
     pytest.param("ci-run", _CI_RUN + "mu_schedule = 7, 7\n", "mu_schedule = [7.0, 7.0]",
                  id="mu-without-lam"),
-    pytest.param("ci-run", _CI_RUN + "lam_schedule = 1, 2\nstrict = no\n", "strict = 'no'",
-                 id="not-a-bool"),
+    pytest.param("ci-run", _CI_RUN + "lam_schedule = 1, 2\nwrite_fields = no\n",
+                 "write_fields = 'no'", id="not-a-bool"),
+    # a search that misses its target is reported by the run's status, so
+    # no key turns it into an error
+    pytest.param("ci-run", _CI_RUN + "strict = false\n", "unknown keys ['strict']",
+                 id="strict-removed"),
     pytest.param("solve", "d = 2\nN = 16\ncases = 1\nseed = 1.5\n", "seed = 1.5",
                  id="fractional-seed"),
     pytest.param("solve", "d = 2\nN = 16\ncases = 1\nseed = -1\n", "seed = -1",

@@ -11,7 +11,6 @@ import pytest
 
 from mikado_forge import convexint, torus
 from mikado_forge.convexint import (
-    BudgetExhausted,
     IterateTriple,
     StepParams,
     assemble_step,
@@ -405,7 +404,8 @@ def test_step_mode_validation():
 def test_select_parameters_trivial_budget():
     g = TorusGrid(3, 64)
     t0 = shifted_cosine_seed(g, u_amp=0.5, flux_shift=512.0)
-    _, rep = select_parameters(t0, 10 * t0.f_l1, mode="W1R", r=1.1, p=1.5)
+    (_, rep), met = select_parameters(t0, 10 * t0.f_l1, mode="W1R", r=1.1, p=1.5)
+    assert met
     params = rep.params
     assert params.lam == 1
     assert params.mu == 7.0                      # smallest admissible rung
@@ -416,20 +416,39 @@ def test_select_parameters_end_to_end():
     g = TorusGrid(3, 64)
     t0 = shifted_cosine_seed(g, u_amp=0.5, flux_shift=512.0)
     eps = 0.25 * t0.f_l1
-    _, rep = select_parameters(t0, eps, mode="W1R", r=1.1, p=1.5)
+    (_, rep), met = select_parameters(t0, eps, mode="W1R", r=1.1, p=1.5)
+    assert met
     assert rep.increment_ok and rep.smallness_ok
 
 
 def test_select_parameters_budget_exhausted():
     g = TorusGrid(3, 32)
     t0 = shifted_cosine_seed(g, u_amp=0.5, flux_shift=512.0)
-    with pytest.raises(BudgetExhausted) as exc:
-        select_parameters(t0, 1e-12, mode="W1R", r=1.1, p=1.5,
-                          resolution_factor=4.0)
-    assert exc.value.achieved > 1e-12
-    t1, rep = exc.value.best_step
-    assert rep.smallness_lhs == exc.value.achieved
+    # no trial meets the target: the search returns its trial of least
+    # smallness and says so
+    step, met = select_parameters(t0, 1e-12, mode="W1R", r=1.1, p=1.5,
+                                  resolution_factor=4.0)
+    assert met is False
+    t1, rep = step
+    assert rep.smallness_lhs > 1e-12
+    assert rep.increment_lp > 0.0
     assert t1.grid == t0.grid
+
+
+def test_zero_flux_has_no_trial():
+    # a zero flux leaves every cutoff at 0, so every trial would perturb
+    # nothing: the search has no trial and the iteration stops at once
+    g = TorusGrid(3, 32)
+    t0 = shifted_cosine_seed(g, u_amp=0.5, flux_shift=64.0)
+    t0 = IterateTriple(b=t0.b, u=t0.u,
+                       f=VectorField.from_arrays(g, [np.zeros(g.shape)] * 3))
+    assert select_parameters(t0, 1.0, mode="W1R", r=1.1, p=1.5,
+                             resolution_factor=4.0) == (None, False)
+    _, conv = run_iteration(t0, eps=1.0, K=2, mode="W1R", p=1.5, r=1.1,
+                            resolution_factor=4.0)
+    assert conv.status == "budget_exhausted"
+    assert conv.steps == [] and conv.f_history == [0.0]
+    assert not conv.assertions["completed_all_steps"]
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +477,7 @@ def test_iteration_single_step_passes_surrogates():
     t0 = cascade_seed(g, u_amp=0.01, drift_lp=500.0, flux_amp=2048.0, p=1.5)
     _, conv = run_iteration(
         t0, eps=0.1 * norm(t0.b, p=1.5), K=1, mode="W1R", p=1.5, r=1.1,
-        resolution_factor=4.0, strict=False,
+        resolution_factor=4.0,
         lam_schedule=[1], mu_schedule=[7.0])
     assert conv.assertions["f_decrease"]
     assert conv.assertions["drift_distance"]
@@ -471,13 +490,13 @@ def test_iteration_best_effort_records_shortfall():
     # two steps on a small grid: the second step's quadratic source
     # chi_j^2 f_1 carries the first step's pipes (frequency ~18), so the
     # fourfold law asks for lambda ~72 while 64^3 admits lambda <= 2; the
-    # quadratic and linear parts then dominate the new flux.  Best-effort
-    # mode must complete and record the failed law instead of raising
+    # quadratic and linear parts then dominate the new flux.  The
+    # iteration must complete and record the failed law instead of raising
     g = TorusGrid(3, 64)
     t0 = cascade_seed(g, u_amp=0.01, drift_lp=500.0, flux_amp=2048.0, p=1.5)
     _, conv = run_iteration(
         t0, eps=0.1 * norm(t0.b, p=1.5), K=2, mode="W1R", p=1.5, r=1.1,
-        resolution_factor=4.0, strict=False,
+        resolution_factor=4.0,
         lam_schedule=[1, 2], mu_schedule=[7.0, 7.0])
     assert conv.assertions["completed_all_steps"]
     assert not conv.assertions["f_decrease"]
@@ -503,17 +522,9 @@ def test_iteration_releases_the_seed(monkeypatch):
 
     monkeypatch.setattr(convexint, "assemble_step", spy)
     run_iteration(box.pop(), eps=1.0, K=2, mode="W1R", p=1.5, r=1.1,
-                  resolution_factor=4.0, strict=False,
+                  resolution_factor=4.0,
                   lam_schedule=[1, 1], mu_schedule=[7.0, 7.0])
     assert alive == [True, False]
-
-
-def test_iteration_strict_raises_on_exhaustion():
-    g = TorusGrid(3, 32)
-    t0 = shifted_cosine_seed(g, u_amp=0.5, flux_shift=512.0)
-    with pytest.raises(BudgetExhausted):
-        run_iteration(t0, eps=1e-12, K=1, mode="W1R", p=1.5, r=1.1,
-                      resolution_factor=4.0, strict=True)
 
 
 def test_iteration_mode_window_validation():

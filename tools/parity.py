@@ -13,7 +13,8 @@ byte-identical outputs when `diff -r` of their two out dirs is empty:
     diff -r /tmp/parent-2 /tmp/change-2
 
 The configs cover every experiment, the two benchmark experiments
-(nash-iteration and step-refine), a parameter search and a d = 4 step.
+(nash-iteration and step-refine), the parameter search on a shifted-cosine
+and on a cascade seed, and a d = 4 step.
 A run takes about a minute on two cores, and under 1 GB.
 """
 
@@ -48,8 +49,13 @@ CONFIGS = {
                                "lam_schedule": [1, 2, 2], "mu_schedule": [7.0, 7.0, 7.0],
                                "write_fields": True}),
     # the parameter search; exits 1
-    "ci-run-search": ("ci-run", {"d": 3, "N": 32, "K": 1, "flux_shift": 64.0,
-                                 "resolution_factor": 2.0}),
+    "ci-run-search": ("ci-run", {"seed_kind": "shifted-cosine", "d": 3, "N": 32, "K": 1,
+                                 "flux_shift": 64.0, "resolution_factor": 2.0}),
+    # the parameter search on a ballast seed, which admits zero-perturbation
+    # trials; exits 1
+    "ci-run-search-cascade": ("ci-run", {"seed_kind": "cascade", "d": 3, "N": 64, "K": 2,
+                                         "drift_lp": 500.0, "flux_amp": 2048.0,
+                                         "resolution_factor": 4.0}),
     "ci-step-d4-h1": ("ci-step", {"d": 4, "N": 32, "mode": "H1", "p": 8 / 7, "mu": 9.0,
                                   "resolution_factor": 3.5, "lambda": 1,
                                   "flux_shift": 512.0}),
