@@ -414,7 +414,8 @@ def assemble_step(
     search also holds its best trial's triple while it assembles the next.
     At 64^3 the step's peak is about 7.3 full-grid fields above what its
     caller held at the call with the handover (7.5 with two workers), and
-    about 10.3 (10.5) when the caller keeps t."""
+    about 10.3 (10.5) when the caller keeps t; the 32^4 H1 step's is about
+    8.2 (8.3) with the handover."""
     if params.mode in ("W1R", "W1R_W1Q") and params.r is None:
         raise ValueError(f"mode {params.mode} needs the Sobolev exponent r")
     if params.mode == "W1R_W1Q" and params.q is None:

@@ -63,17 +63,18 @@ Threads.  The module owns one thread pool, sized by `set_fft_workers`
 (default: the usable cores, `len(os.sched_getaffinity(0))`; the CLI caps
 it with MF_THREADS, and the count is clamped to the usable cores).  It is
 the only worker setting: every transform stage runs on one thread, and
-the pool runs their slabs.  The pool starts at its first use.  Arrays of
-at least `_POOL_GATE` = 2^18 elements (64^3) run their pointwise kernels
-on it through `_slabwise`, over small axis-0 slabs the workers pull one
-at a time, and the slab loops of the two transform kernels, the Parseval
-sum, `axis_derivative_norm` and the de-aliased product's stages run there
-through `_slab_map`.  A transform slab covers 1/32 of the transform,
-clamped to [`_TASK_ELEMS`/4, `_TASK_ELEMS`] (`_slabs`): few slabs, since
-each costs one numpy call per stage, and small enough that a task's
-transform output and its consumer's buffers stay near one task's size.
-Smaller arrays, every 32^3 field among them, run on the calling thread,
-each transform pass as one slab.  Every result is bit for bit the same
+the pool runs their slabs.  The pool starts at its first use.  Every
+slab loop takes its slabs from one rule, `_slabs`: the pointwise kernels
+(`_slabwise`, over axis-0 slabs), the passes of the two transform
+kernels, the de-aliased product's stages, the Parseval sum and
+`axis_derivative_norm`.  An array of fewer than `_POOL_GATE` = 2^18
+elements (64^3), every 32^3 field among them, is one slab on the calling
+thread.  From the gate up a slab covers 1/32 of the array, clamped to
+[`_TASK_ELEMS`/4, `_TASK_ELEMS`]: few slabs, since each costs one numpy
+call per stage, and small enough that a task's transform output and its
+consumer's buffers stay near one task's size.  The workers pull the
+slabs one at a time (`_slab_map`); at one worker they run one after
+another on the calling thread.  Every result is bit for bit the same
 for any worker count: the kernels are pointwise, each 1-d transform is
 the same whatever slab holds it, the slab loops add their slab results in
 slab order, and reductions over a whole array (`np.mean`, `.sum`) stay
@@ -120,8 +121,8 @@ __all__ = [
 MAX_FIELD_BYTES = 2 << 30
 
 # Arrays of fewer elements than this (every 32^3 field) never touch the
-# worker pool, and each pass of their transforms is one slab: below it
-# the hand-off costs more than a second core gives back.
+# worker pool, and every slab loop over them is one slab: below it the
+# hand-off costs more than a second core gives back.
 _POOL_GATE = 1 << 18
 # elements of one pool task: many small slabs that the workers pull one at
 # a time, so a slow core takes fewer of them
@@ -185,23 +186,18 @@ def _slab_map(fn: Callable[[slice], object], n0: int, rows: int, size: int) -> l
 
 
 def _slabwise(kernel: Callable[..., None], *arrays: np.ndarray) -> None:
-    """kernel(*slabs) over matching axis-0 slabs of arrays, in place.  The
-    first array sets the extent; an array of axis-0 length 1 broadcasts and
-    is passed whole, and a function (a symbol) is called with the slab's
-    rows.  Kernels are pointwise, so the result is the one call
-    kernel(*arrays) bit for bit, which is what arrays below the gate get.
-    From the gate up the slabs run on the pool, or one after another on
-    the calling thread at one worker, so a kernel's scratch is one slab
-    at any worker count.  A kernel writes only into the arrays it is
-    given, which the calling thread allocates; it takes at most one
-    `_scratch` buffer."""
-    n0, size = arrays[0].shape[0], arrays[0].size
-    if size < _POOL_GATE:
-        kernel(*(a(slice(None)) if callable(a) else a for a in arrays))
-        return
-    rows = max(1, _TASK_ELEMS * n0 // size)
-    _slab_map(lambda s: kernel(*(a(s) if callable(a) else a[s] if a.shape[0] == n0 else a
-                                 for a in arrays)), n0, rows, size)
+    """kernel(*slabs) over matching axis-0 slabs of arrays (`_slabs`), in
+    place.  The first array sets the extent; an array of axis-0 length 1
+    broadcasts and is passed whole, and a function (a symbol) is called
+    with the slab's rows.  Kernels are pointwise, so the result is the one
+    call kernel(*arrays) bit for bit, whatever the slabs.  From the gate up
+    the slabs run on the pool, or one after another on the calling thread
+    at one worker, so a kernel's scratch is one slab at any worker count.
+    A kernel writes only into the arrays it is given, which the calling
+    thread allocates; it takes at most one `_scratch` buffer."""
+    n0 = arrays[0].shape[0]
+    _slabs(lambda idx: kernel(*(a(idx[0]) if callable(a) else a[idx] if a.shape[0] == n0
+                                else a for a in arrays)), arrays[0].shape, 0, arrays[0].size)
 
 
 def _scratch(like: np.ndarray, dtype=np.float64) -> np.ndarray:
@@ -223,12 +219,14 @@ def _part(a: np.ndarray, idx: tuple) -> np.ndarray:
     return a[tuple(s if m > 1 else slice(None) for s, m in zip(idx, a.shape))]
 
 
-def _slabs(fn: Callable[[tuple], None], shape: Sequence[int], axis: int, size: int) -> None:
-    """fn(idx) for every slab along one axis of an array of this shape,
-    idx selecting the slab, on the pool (`_slab_map`): the slab rule of the
-    two transform kernels and the de-aliased product.  Below the pool gate
-    the whole axis is one slab.  From the gate up a slab covers 1/32 of the
-    transform's size real elements, clamped to [_TASK_ELEMS / 4,
+def _slabs(fn: Callable[[tuple], object], shape: Sequence[int], axis: int, size: int) -> list:
+    """[fn(idx) for every slab along one axis of an array of this shape],
+    idx selecting the slab, in slab order, on the pool (`_slab_map`): the
+    slab rule of every slab loop, the pointwise kernels (`_slabwise`), the
+    two transform kernels, the de-aliased product, the Parseval sum and
+    `axis_derivative_norm`.  Below the pool gate the whole axis is one
+    slab.  From the gate up a slab covers 1/32 of the work's size elements
+    (a transform's real elements), clamped to [_TASK_ELEMS / 4,
     _TASK_ELEMS], and at least one row.  Each slab costs one numpy call per
     stage, and a call's overhead does not shrink with its rows, so a
     transform wants few slabs: 32 slabs of 3-4 rows at 96^3 and 128^3
@@ -242,7 +240,7 @@ def _slabs(fn: Callable[[tuple], None], shape: Sequence[int], axis: int, size: i
     head = (slice(None),) * axis
     elems = max(_TASK_ELEMS // 4, min(_TASK_ELEMS, size // 32))
     rows = n if size < _POOL_GATE else max(1, elems * n // size)
-    _slab_map(lambda s: fn(head + (s,)), n, rows, size)
+    return _slab_map(lambda s: fn(head + (s,)), n, rows, size)
 
 
 def _irfftn(a: np.ndarray, s: Sequence[int],
@@ -316,15 +314,6 @@ class TorusGrid:
         """Shape of every coefficient array: the real-transform half
         spectrum, last axis cut to its n/2 + 1 frequencies 0..n/2."""
         return self.shape[:-1] + (self.n // 2 + 1,)
-
-    @property
-    def spacing(self) -> float:
-        return 1.0 / self.n
-
-    @property
-    def weight(self) -> float:
-        """Quadrature weight per point; integral of 1 is exactly 1."""
-        return self.n ** (-self.dim)
 
     @cached_property
     def x1(self) -> np.ndarray:
@@ -811,9 +800,6 @@ def _dealiased_product_divergence(grid: TorusGrid, b_coeffs: Iterable[np.ndarray
 # ---------------------------------------------------------------------------
 # differential operators (exact in the discrete spectral calculus)
 
-_SLAB = 16
-
-
 def axis_derivative_norm(grid: TorusGrid, values: np.ndarray, axis: int) -> float:
     """||d/dx_axis values||_1 via a 1-d real spectral derivative along one
     axis (k1_diff convention), taken in slabs across another axis so that
@@ -828,22 +814,19 @@ def axis_derivative_norm(grid: TorusGrid, values: np.ndarray, axis: int) -> floa
     # n (the first even one is 5462)
     scale = float(1 / np.longdouble(n))
 
-    def slab_sum(s: slice) -> float:
-        idx = [slice(None)] * d
-        idx[across] = s
-        spec = nfft.rfft(values[tuple(idx)], axis=axis)
+    def slab_sum(idx: tuple) -> float:
+        spec = nfft.rfft(values[idx], axis=axis)
         spec *= ik
         dv = nfft.irfft(spec, n=n, axis=axis, norm="forward")
         del spec
         dv *= scale
         return float(np.abs(dv, out=dv).sum())
 
-    # on the pool the slabs' transform outputs are allocated on worker
-    # threads and stay in their heaps: the 128^3 nash-iteration ci-run
-    # peaks 5.9 MB higher than with the slabs on the calling thread, and
-    # runs 0.3-0.7 s faster at two workers
+    # the 128^3 nash-iteration ci-run (2 cores, 8 alternating pairs) peaks
+    # at 269.3-269.6 MB with these slabs on the pool or on the calling
+    # thread, and takes 2.51 s on the pool against 2.60 s (medians)
     total = 0.0
-    for part in _slab_map(slab_sum, n, _SLAB, values.size):
+    for part in _slabs(slab_sum, values.shape, across, values.size):
         total += part
     return total / n ** d
 
@@ -1008,19 +991,20 @@ def _parseval_sum(c: np.ndarray,
     coefficients c (weight, if given, in the same layout and even in k, or
     a function giving its axis-0 rows): each column 0 < k_last < n/2
     counts twice, for itself and its conjugate partner; the k_last = 0 and
-    Nyquist columns count once.  Taken in slabs along the first axis:
-    full-grid float temporaries here would fragment the heap on large grids
-    and raise the peak RSS of the callers that follow."""
-    def slab_sum(s: slice) -> float:
-        sq = np.abs(c[s], out=_scratch(c[s]))
+    Nyquist columns count once.  Taken in slabs along the first axis
+    (`_slabs`, one slab below the pool gate): full-grid float temporaries
+    here would fragment the heap on large grids and raise the peak RSS of
+    the callers that follow."""
+    def slab_sum(idx: tuple) -> float:
+        sq = np.abs(c[idx], out=_scratch(c[idx]))
         np.square(sq, out=sq)
         if weight is not None:
-            sq *= weight(s) if callable(weight) else weight[s]
+            sq *= weight(idx[0]) if callable(weight) else weight[idx]
         sq[..., 1:-1] *= 2.0
         return float(sq.sum())
 
     total = 0.0
-    for part in _slab_map(slab_sum, c.shape[0], _SLAB, c.size):
+    for part in _slabs(slab_sum, c.shape, 0, c.size):
         total += part
     return total
 

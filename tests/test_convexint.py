@@ -160,12 +160,13 @@ def test_step_structure_and_residuals(toy64):
 
 def test_step_and_residual_memory_in_fields():
     # extra memory of one step and of the de-aliased residual at 64^3, in
-    # units of one full-grid float64 field (measured 7.27, 10.27 and 6.70
-    # with one worker, 7.45-7.70, 10.46 and 6.63-6.70 with two: the step
-    # streams its perturbation, flux parts and corrector one component at
-    # a time, consumes its input flux, produces its quadratic source inside
-    # its transform, forms u1 in theta's buffer after the corrector, and
-    # takes its spectral parts slab by slab from the inverse transforms;
+    # units of one full-grid float64 field (measured 7.28, 10.28 and 6.70
+    # with one worker in 16 processes, 7.45-7.47, 10.45-10.47 and 6.70 with
+    # two in 24, 8 of them with one core kept busy: the step streams its
+    # perturbation, flux parts and corrector one component at a time,
+    # consumes its input flux, produces its quadratic source inside its
+    # transform, forms u1 in theta's buffer after the corrector, and takes
+    # its spectral parts slab by slab from the inverse transforms;
     # the residual transforms only the band, slab by slab, forms no padded
     # array, and frees u's spectrum before its product loop).  tracemalloc
     # sees numpy's allocations but not glibc's heap layout, so a change
@@ -185,8 +186,9 @@ def test_step_and_residual_memory_in_fields():
 def test_d4_step_and_residual_memory_in_fields():
     # the same count for the H1 step at 32^4 (shifted-cosine seed with flux
     # shift 512, p = 8/7, mu = 9, resolution factor 3.5, lambda = 1), seed
-    # handed over: measured 8.23 fields with one worker and 8.63-9.13 with
-    # two, and 8.94 for its residual
+    # handed over: measured 8.24 fields with one worker in 16 processes and
+    # 8.27 with two in each of 24, 8 of them with one core kept busy, and
+    # 8.94 for its residual; the step's bound is that reading plus 0.4 field
     g = TorusGrid(4, 32)
     fam = build_family(4, 8 / 7, 9.0, g, resolution_factor=3.5)
     saved = torus._FFT_WORKERS
@@ -198,7 +200,7 @@ def test_d4_step_and_residual_memory_in_fields():
                 lambda f0_l1: StepParams(delta=f0_l1 / 16, lam=1, mu=9.0, mode="H1"),
                 fam, hand_over=True)
             resid = _residual_peak(t1)
-            assert step <= 9.5, (n_workers, step)
+            assert step <= 8.67, (n_workers, step)
             assert resid <= 9.3, (n_workers, resid)
     finally:
         torus.set_fft_workers(saved)
@@ -254,11 +256,18 @@ def _step_and_residual_peaks():
     assert resid_peak <= 7.0
 
 
-def test_residual_weight_is_the_full_array_weight():
+def test_residual_weight_is_the_full_array_weight(monkeypatch):
     # the residuals' Sobolev weight and band mask, built per Parseval slab
-    # (here 16 rows and a short slab of 8), give the sizes from the full
-    # half-spectrum weight and from the coefficients cut to the band
+    # (here 16 rows and a short slab of 8: the pool gate off and a task of
+    # 64 rows, by the lower clamp of `torus._slabs`), give the sizes from
+    # the full half-spectrum weight and from the coefficients cut to the
+    # band
     g = TorusGrid(3, 24)
+    monkeypatch.setattr(torus, "_POOL_GATE", 1)
+    monkeypatch.setattr(torus, "_TASK_ELEMS", 64 * math.prod(g.half_shape[1:]))
+    seen, real = [], torus._slab_map
+    monkeypatch.setattr(torus, "_slab_map",
+                        lambda fn, n0, r, size: seen.append((r, size)) or real(fn, n0, r, size))
     rng = np.random.default_rng(21)
     e = rng.standard_normal(g.half_shape) + 1j * rng.standard_normal(g.half_shape)
     t = SimpleNamespace(grid=g, f=VectorField.from_arrays(
@@ -275,9 +284,11 @@ def test_residual_weight_is_the_full_array_weight():
     assert convexint._residual_size(t, e) == math.sqrt(torus._parseval_sum(e, weight)) / scale
     assert (convexint._residual_size(t, e, kcap)
             == math.sqrt(torus._parseval_sum(cut, weight)) / scale)
+    # the four Parseval sums (the norm of f takes slabs too)
+    assert [r for r, size in seen if size == e.size] == [16] * 4
     full = g.k_squared_rows(slice(None), diff=True)
-    for rows in (slice(0, 16), slice(16, 32)):
-        assert np.array_equal(g.k_squared_rows(rows, diff=True), full[rows])
+    for r in (slice(0, 16), slice(16, 32)):
+        assert np.array_equal(g.k_squared_rows(r, diff=True), full[r])
 
 
 def test_perturbation_norm_line(toy64):

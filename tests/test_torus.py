@@ -32,8 +32,6 @@ from mikado_forge.oscillation import _c1_norm
 def test_make_grid_definitions():
     g = TorusGrid(3, 64)
     assert g.n ** g.dim == 262144
-    assert g.weight == 64.0 ** -3
-    assert g.spacing == 1.0 / 64
     g4 = TorusGrid(4, 32)
     assert g4.n ** g4.dim == 1048576
 

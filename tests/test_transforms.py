@@ -34,6 +34,7 @@ from mikado_forge.torus import (
     _parseval_sum,
     _scratch,
     _slab_map,
+    _slabs,
     _slabwise,
     _split_symbol,
     axis_derivative_norm,
@@ -311,27 +312,62 @@ def test_slab_helpers_are_the_serial_loop(case):
     row = a.size // shape[0]
     serial = [float(np.square(a[s]).sum()) for s in
               (slice(i, i + rows) for i in range(0, shape[0], rows))]
-    with _pool_on_small_arrays(n_workers, rows * row):
+    # a task of 4 rows: a slab of `_slabs` holds a quarter of it, the drawn
+    # rows, by the lower clamp
+    with _pool_on_small_arrays(n_workers, 4 * rows * row), _slab_rows() as seen:
         got = np.empty(shape)
         _slabwise(_kernel, got, a, b)
         mapped = _slab_map(lambda s: float(np.square(a[s]).sum()), shape[0], rows, a.size)
     # n0 is not a multiple of the rows per slab: the last slab is short
+    assert seen == [(shape[0], rows)]
     assert got.tobytes() == ref.tobytes()
     assert mapped == serial
 
 
-def test_slab_loops_match_serial_above_the_gate(workers):
+ABOVE_THE_GATE = [TorusGrid(3, 64), TorusGrid(4, 32)]
+
+
+@pytest.mark.parametrize("g", ABOVE_THE_GATE, ids=lambda g: f"{g.dim}d{g.n}")
+def test_slab_loops_match_serial_above_the_gate(g, workers):
     # the Parseval sum and the axis-derivative norm add their slabs up in
     # slab order, so the pool leaves both sums unchanged
-    g = TorusGrid(3, 64)
-    f = random_scalar(g, 20, np.random.default_rng(5))
+    f = random_scalar(g, min(20, g.n // 2 - 1), np.random.default_rng(5))
     c = _fft_of(f)
     out = {}
     for n_workers in (1, 2):
         workers(n_workers)
         out[n_workers] = (_parseval_sum(c, g.k_squared_rows(slice(None), diff=True)),
-                          [axis_derivative_norm(g, f.values, ax) for ax in range(3)])
+                          [axis_derivative_norm(g, f.values, ax) for ax in range(g.dim)])
     assert out[1] == out[2]
+
+
+@pytest.mark.parametrize("g", ABOVE_THE_GATE, ids=lambda g: f"{g.dim}d{g.n}")
+def test_every_slab_loop_takes_its_rows_from_slabs(g):
+    # one slab rule: the pointwise kernels, the Parseval sum and the
+    # axis-derivative norm cut their arrays as `_slabs` cuts an array of
+    # the same shape and size (every axis of the grid has n points, so
+    # the axis a loop runs along does not change its rows)
+    def rule(shape, size):
+        with _slab_rows() as seen:
+            _slabs(lambda idx: None, shape, 0, size)
+        return seen
+
+    vals = np.random.default_rng(3).standard_normal(g.shape)
+    c = _fft_of(vals)
+    # 4 rows a slab at 64^3, one at 32^4; the 64^3 half spectrum lies below
+    # the gate, one slab
+    assert rule(g.shape, vals.size) == [(g.n, {64: 4, 32: 1}[g.n])]
+    assert rule(c.shape, c.size) == [(g.n, {64: 64, 32: 1}[g.n])]
+    with _slab_rows() as seen:
+        _slabwise(lambda v: None, vals)
+    assert seen == rule(g.shape, vals.size)
+    with _slab_rows() as seen:
+        _parseval_sum(c)
+    assert seen == rule(c.shape, c.size)
+    for ax in range(g.dim):
+        with _slab_rows() as seen:
+            axis_derivative_norm(g, vals, ax)
+        assert seen == rule(g.shape, vals.size), ax
 
 
 def test_worker_count_is_clamped_and_the_pool_starts_lazily(workers):
@@ -672,9 +708,10 @@ def _symbol_kernel(out, c, lap):
                          ids=lambda g: f"{g.dim}d{g.n}")
 def test_slab_built_symbols_are_the_full_array_formulas(grid, n_workers):
     # the symbols are built per slab from the 1-d frequencies; below the
-    # gate and on the pool, with 3 half-spectrum rows per pointwise slab
-    # and the Parseval sum's 16, neither dividing n, they give the
-    # full-array formulas byte for byte
+    # gate and on the pool, with 3 half-spectrum rows per slab (a task of
+    # 12 rows, by the lower clamp of `_slabs`), they give the full-array
+    # formulas byte for byte.  The Parseval sums of the reference take the
+    # same slabs as those of `relative_divergence`
     rng = np.random.default_rng(grid.n * grid.dim + 7 * n_workers)
     a = rng.standard_normal(grid.half_shape) + 1j * rng.standard_normal(grid.half_shape)
     vals = [rng.standard_normal(grid.shape) for _ in range(grid.dim)]
@@ -685,10 +722,6 @@ def test_slab_built_symbols_are_the_full_array_formulas(grid, n_workers):
     _symbol_kernel(ref_slab, a, _laplacian_symbol(grid))
     cs = [sfft.rfftn(v, norm="forward") for v in vals]
     div = sum(_ik(grid, ax) * c for ax, c in enumerate(cs))
-    den_sq = 0.0
-    for c in cs:
-        den_sq += _parseval_sum(c, k2)
-    ref_rel = math.sqrt(_parseval_sum(div)) / (2.0 * np.pi * math.sqrt(den_sq))
     kmax = grid.n // 4
     keep = np.ones(grid.half_shape, dtype=bool)
     for ax in range(grid.dim):
@@ -696,7 +729,12 @@ def test_slab_built_symbols_are_the_full_array_formulas(grid, n_workers):
     ref_low = sfft.irfftn(np.where(keep, cs[0], 0.0), s=grid.shape, norm="forward")
 
     with (nullcontext() if n_workers == 1 else
-          _pool_on_small_arrays(n_workers, 3 * math.prod(grid.half_shape[1:]))):
+          _pool_on_small_arrays(n_workers, 12 * math.prod(grid.half_shape[1:]))), \
+            _slab_rows() as seen:
+        den_sq = 0.0
+        for c in cs:
+            den_sq += _parseval_sum(c, k2)
+        ref_rel = math.sqrt(_parseval_sum(div)) / (2.0 * np.pi * math.sqrt(den_sq))
         got_slab = np.empty(grid.half_shape, dtype=np.complex128)
         _slabwise(_symbol_kernel, got_slab, a, lambda rows: _laplacian_symbol(grid, rows))
         antidiv = _inverse_div_grad_coeffs(grid, a)
@@ -704,6 +742,7 @@ def test_slab_built_symbols_are_the_full_array_formulas(grid, n_workers):
         assert _inverse_div_grad_coeffs(grid, in_place, out=in_place) is in_place
         got_rel = relative_divergence(VectorField.from_arrays(grid, vals))
         got_low = lowpass(ScalarField(grid, vals[0]), kmax)
+    assert (grid.n, grid.n if n_workers == 1 else 3) in seen
     assert got_slab.tobytes() == ref_slab.tobytes()
     assert antidiv.tobytes() == _old_antidivergence(grid, a).tobytes()
     assert in_place.tobytes() == antidiv.tobytes()
