@@ -287,8 +287,8 @@ def test_residual_weight_is_the_full_array_weight(monkeypatch):
     # the four Parseval sums (the norm of f takes slabs too)
     assert [r for r, size in seen if size == e.size] == [16] * 4
     full = g.k_squared_rows(slice(None), diff=True)
-    for r in (slice(0, 16), slice(16, 32)):
-        assert np.array_equal(g.k_squared_rows(r, diff=True), full[r])
+    for rows in (slice(0, 16), slice(16, 32)):
+        assert np.array_equal(g.k_squared_rows(rows, diff=True), full[rows])
 
 
 def test_perturbation_norm_line(toy64):
